@@ -32,10 +32,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-# Candidate rows below this unit-scale margin are skipped on the first pass
-# of the completion loops; the best-scoring candidate is the fallback.
-_CANDIDATE_FLOOR = 1e-6
-
 
 def _maxabs(a: np.ndarray) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
@@ -149,17 +145,10 @@ def ito_factorize(f_v, tol: float = DEFAULT_TOL) -> ItoFactorization:
     return ItoFactorization(np.ascontiguousarray(w.real))
 
 
-def _project_out(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Euclidean residual of vec against the row space of `rows`."""
-    if rows.shape[0] == 0:
-        return vec.copy()
-    basis = scipy.linalg.orth(rows.T)
-    return vec - (vec @ basis) @ basis.T
-
-
 def _check_canonical_form(theta: np.ndarray, tol: float, name: str) -> None:
-    # The residual identity behind the completion (r orthogonal to a set
-    # makes r @ theta symplectically orthogonal to it) needs theta^2 = -I.
+    # Both completions emit canonical J-pairs, and the dual rows in
+    # pzkv_decompose pair with their basis through theta @ theta.T = I;
+    # for a skew theta both need theta^2 = -I.
     dim = theta.shape[0]
     if dim % 2:
         raise ValueError(f"{name} must have even size, got {dim}")
@@ -167,85 +156,31 @@ def _check_canonical_form(theta: np.ndarray, tol: float, name: str) -> None:
         raise ValueError(f"{name} must square to -I (canonical J blocks)")
 
 
-def _extend_symplectic(fixed: np.ndarray, seeds: list[np.ndarray], n_pairs: int,
-                       theta: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Grow (v_k, w_k) row pairs completing `fixed` to a symplectic basis.
+def _complement_pairs(rows: np.ndarray, theta: np.ndarray, tol: float) -> np.ndarray:
+    """Canonical J-pairs spanning the symplectic complement of `rows`.
 
-    fixed holds rows already forming canonical J-pairs under theta (possibly
-    none); seeds are prescribed v rows spanning an isotropic subspace, kept
-    verbatim.  Returns the 2*n_pairs new rows interleaved as
-    (v_1, w_1, v_2, w_2, ...).
-
-    Because theta @ theta = -I, a residual r that is Euclidean-orthogonal to
-    a set of rows yields r @ theta symplectically orthogonal to the same
-    set.  The v-loop therefore projects candidates against the fixed rows
-    and the earlier v's, also requiring the resulting row to be linearly
-    independent of them; the w-loop projects against the fixed rows, every
-    v except its own partner, and the earlier w's, then scales by the
-    pairing with its partner.  Candidates are standard basis vectors taken
-    in index order; the first with a healthy margin wins, the best one is
-    the fallback.
+    rows must satisfy rows @ theta @ rows.T = diag(J, ..., J), so they have
+    full row rank k and their complement {x : rows @ theta @ x = 0} is a
+    symplectic subspace of dimension dim - k.  The trailing columns of a
+    complete QR of (rows @ theta).T are an orthonormal basis B of it;
+    skew_canonical brings the restricted form B @ theta @ B.T to diag(J) by
+    a congruence p, and p @ B are the pairs.
     """
-    dim = theta.shape[0]
-    vs = [np.asarray(s, dtype=float) for s in seeds]
-    hard_floor = max(tol, 1e-12)
+    k = rows.shape[0]
+    q, _ = np.linalg.qr((rows @ theta).T, mode="complete")
+    basis = q[:, k:].T
+    canon = skew_canonical(basis @ theta @ basis.T, tol)
+    if canon.n_c:
+        raise ValueError("completion failed: the symplectic complement is "
+                         "degenerate (input rows numerically rank deficient)")
+    return canon.p @ basis
 
-    def pick(score_fn):
-        best_payload, best_score = None, -1.0
-        for i in range(dim):
-            cand = np.zeros(dim)
-            cand[i] = 1.0
-            score, payload = score_fn(cand)
-            if score >= _CANDIDATE_FLOOR:
-                return payload
-            if score > best_score:
-                best_score, best_payload = score, payload
-        if best_score <= hard_floor:
-            raise ValueError("completion stalled: no usable candidate row "
-                             "(numerically degenerate input)")
-        return best_payload
 
-    for k in range(len(vs), n_pairs):
-        built = np.vstack([fixed] + [v[None, :] for v in vs]) if vs else fixed
-
-        def v_score(cand, built=built):
-            r = _project_out(cand, built)
-            nr = np.linalg.norm(r)
-            if nr < hard_floor:
-                return 0.0, None
-            v_new = (r / nr) @ theta
-            # Independence of the resulting row from everything built so far.
-            margin = np.linalg.norm(_project_out(v_new, built))
-            return margin, v_new
-
-        vs.append(pick(v_score))
-
-    ws: list[np.ndarray] = []
-    for k in range(n_pairs):
-        others = [v[None, :] for j, v in enumerate(vs) if j != k]
-        basis = np.vstack([fixed] + others + [w[None, :] for w in ws])
-        v_k = vs[k]
-        v_norm = np.linalg.norm(v_k)
-
-        def w_score(cand, basis=basis, v_k=v_k, v_norm=v_norm):
-            r = _project_out(cand, basis)
-            nr = np.linalg.norm(r)
-            if nr < hard_floor:
-                return 0.0, None
-            r = r / nr
-            pairing = float(r @ v_k)
-            score = abs(pairing) / max(v_norm, hard_floor)
-            if score <= hard_floor:
-                return score, None
-            # omega(v_k, r @ theta) equals <v_k, r>; dividing normalizes it to 1.
-            return score, (r @ theta) / pairing
-
-        ws.append(pick(w_score))
-
-    out: list[np.ndarray] = []
-    for v, w in zip(vs, ws):
-        out.extend((v, w))
-    return out
+def _verify_symplectic(full: np.ndarray, theta: np.ndarray, what: str) -> None:
+    check = _maxabs(full @ theta @ full.T - theta)
+    if check > 1e-6 * max(1.0, _maxabs(full) ** 2):
+        raise ValueError(f"{what} failed to verify (residual {check:.3e}); "
+                         "the input rows are numerically rank deficient")
 
 
 @dataclass(frozen=True)
@@ -260,7 +195,10 @@ def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCom
 
     d_q must satisfy d_q @ theta_w @ d_q.T = diag_{n_yq}(J); the returned
     n_mat stacks under d_q so that the whole matrix V satisfies
-    V @ theta_w @ V.T = theta_w.
+    V @ theta_w @ V.T = theta_w.  Closed form: n_mat is an orthonormal
+    basis of the symplectic complement of d_q's rows, brought to canonical
+    pairs by skew_canonical on the restricted form.  The identity is
+    verified before returning.
     """
     d_q = np.asarray(d_q, dtype=float)
     theta_w = np.asarray(theta_w, dtype=float)
@@ -281,13 +219,8 @@ def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCom
     if defect > tol * scale:
         raise ValueError("d_q does not satisfy the quadrature pairing "
                          f"precondition (residual {defect:.3e})")
-    rows = _extend_symplectic(d_q, [], m - n_yq, theta_w, tol)
-    n_mat = np.vstack(rows) if rows else np.zeros((0, two_m))
-    full = np.vstack([d_q, n_mat])
-    check = _maxabs(full @ theta_w @ full.T - theta_w)
-    if check > 1e-6 * max(1.0, _maxabs(full) ** 2):
-        raise ValueError(f"completion failed to verify (residual {check:.3e}); "
-                         "d_q is numerically rank deficient")
+    n_mat = _complement_pairs(d_q, theta_w, tol)
+    _verify_symplectic(np.vstack([d_q, n_mat]), theta_w, "completion")
     return SymplecticCompletion(n_mat)
 
 
@@ -311,9 +244,15 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     """Split an isotropic matrix into permutation, basis, selection and network.
 
     Requires m_mat @ theta_prime @ m_mat.T = 0; the rank r of m_mat can then
-    not exceed half the symplectic dimension.  Basis rows are picked by
-    column-pivoted QR on m_mat.T, embedded as the v-rows of a symplectic
-    matrix, and the remaining rows are recovered through Z.
+    not exceed half the symplectic dimension.  Basis rows L are picked by
+    column-pivoted QR on m_mat.T and the remaining rows are recovered
+    through Z.  Closed form for v_sympl: the dual rows
+    W = (L L^T)^-1 L theta_prime (a triangular solve on the QR of L^T)
+    satisfy L theta W^T = I, and W -= (W theta W^T) L / 2 makes them
+    isotropic; the pairs (L_i, W_i) lead v_sympl, with L copied verbatim,
+    and the symplectic complement of their span completes it as in
+    symplectic_complete.  Both the symplectic identity and the embedded
+    basis rows are verified before returning.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     theta_prime = np.asarray(theta_prime, dtype=float)
@@ -352,9 +291,15 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     k_sel = np.zeros((r, two_mp))
     for i in range(r):
         k_sel[i, 2 * i] = 1.0
-    pairs = _extend_symplectic(np.zeros((0, two_mp)), list(basis), m_prime,
-                               theta_prime, tol)
-    v_sympl = np.vstack(pairs) if pairs else np.zeros((0, 0))
+    q, tri = np.linalg.qr(basis.T)
+    dual = scipy.linalg.solve_triangular(tri, q.T @ theta_prime)
+    dual -= 0.5 * (dual @ theta_prime @ dual.T) @ basis
+    lead = np.empty((2 * r, two_mp))
+    lead[0::2], lead[1::2] = basis, dual
+    v_sympl = np.vstack([lead, _complement_pairs(lead, theta_prime, tol)])
+    _verify_symplectic(v_sympl, theta_prime, "network")
+    if not np.array_equal(k_sel @ v_sympl, basis):
+        raise ValueError("network does not embed the basis rows verbatim")
     return PzkvDecomposition(p_perm, z, k_sel, v_sympl, r)
 
 

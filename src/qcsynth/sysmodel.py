@@ -10,6 +10,7 @@ construction and safe to share read-only across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,6 +139,14 @@ def make_structure(dims: Dimensions) -> StructureMatrices:
                              _frozen(f_w, complex), _frozen(theta_y))
 
 
+@lru_cache
+def _shared_structure(dims: Dimensions) -> StructureMatrices:
+    # One copy per Dimensions rather than per system: a k=32 structure
+    # outweighs the system's own matrices.  Sharing is safe because the
+    # record is frozen and its arrays are read-only.
+    return make_structure(dims)
+
+
 @dataclass(frozen=True)
 class StandardSystem:
     """Standard-form model dx = A x dt + B dw, dy = C x dt + D dw.
@@ -158,7 +167,7 @@ class StandardSystem:
 
     @property
     def structure(self) -> StructureMatrices:
-        return make_structure(self.dims)
+        return _shared_structure(self.dims)
 
     # -- state partitions ---------------------------------------------------
     @property

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qcsynth import (
+    Dimensions,
     diag_j,
+    generate_realizable,
     ito_factorize,
     minnorm_right_solve,
     pzkv_decompose,
@@ -10,6 +12,7 @@ from qcsynth import (
     rank_tol,
     skew_canonical,
     symplectic_complete,
+    synthesize,
 )
 from refsystems import FV_ROUNDED, W_REFERENCE, fv_exact
 
@@ -219,6 +222,68 @@ def test_pzkv_random_isotropic():
             assert any(np.array_equal(kv[i], m_mat[j]) for j in range(rows))
         # p_perm is a permutation
         assert np.array_equal(dec.p_perm @ dec.p_perm.T, np.eye(rows))
+
+
+def test_complete_full_rows_leave_empty_complement():
+    rng = np.random.default_rng(71)
+    for m in (1, 3):
+        d_q = random_symplectic(m, rng)
+        n_mat = symplectic_complete(d_q, diag_j(m)).n_mat
+        assert n_mat.shape == (0, 2 * m)
+
+
+def test_pzkv_lagrangian_readout():
+    rng = np.random.default_rng(73)
+    for m in (1, 2, 4):
+        span = random_symplectic(m, rng)[0::2]
+        m_mat = np.vstack([span, rng.standard_normal((2, m)) @ span])
+        dec = pzkv_decompose(m_mat, diag_j(m))
+        assert dec.r == m
+        assert dec.v_sympl.shape == (2 * m, 2 * m)
+        v = dec.v_sympl
+        assert np.abs(v @ diag_j(m) @ v.T - diag_j(m)).max() < 1e-9
+        assert np.abs(reconstruct(dec) - m_mat).max() < 1e-10 * (1 + np.abs(m_mat).max())
+
+
+def test_pzkv_zero_rank():
+    dec = pzkv_decompose(np.zeros((3, 6)), diag_j(3))
+    assert dec.r == 0
+    assert dec.z.shape == (3, 0)
+    assert dec.k_sel.shape == (0, 6)
+    assert np.array_equal(reconstruct(dec), np.zeros((3, 6)))
+    assert np.abs(dec.v_sympl @ diag_j(3) @ dec.v_sympl.T - diag_j(3)).max() < 1e-12
+
+
+def test_pzkv_independent_rows_at_even_rows():
+    rng = np.random.default_rng(79)
+    for _ in range(30):
+        m = int(rng.integers(1, 7))
+        k = int(rng.integers(1, m + 1))
+        span = random_symplectic(m, rng)[0::2][:k]
+        m_mat = rng.standard_normal((k, k)) @ span
+        dec = pzkv_decompose(m_mat, diag_j(m))
+        assert dec.r == k
+        assert np.array_equal(dec.v_sympl[0:2 * k:2], m_mat)
+
+
+# ------------------------------------------------------------------ conditioning
+
+def test_completion_conditioning_tracks_input():
+    # d_q drawn from a symplectic T with cond(T) near 40: the completion may
+    # not lose more than one order of magnitude against T itself.
+    m = 32
+    for seed in range(20):
+        t = random_symplectic(m, np.random.default_rng(seed), spread=0.25)
+        d_q = t[:m]
+        n_mat = symplectic_complete(d_q, diag_j(m)).n_mat
+        assert np.linalg.cond(np.vstack([d_q, n_mat])) <= 10 * np.linalg.cond(t)
+
+
+def test_synthesis_factors_well_conditioned():
+    for seed in range(8):
+        real = synthesize(generate_realizable(Dimensions(16, 16, 32, 16, 16), seed))
+        assert np.linalg.cond(np.vstack([real.g1.d_q, real.g1.d_q_prime])) <= 1e3
+        assert np.linalg.cond(real.v_sympl) <= 1e4
 
 
 # ----------------------------------------------------------- minnorm_right_solve

@@ -89,6 +89,12 @@ def test_matrices_are_frozen():
         sys.a[0, 0] = 0.0
 
 
+def test_structure_is_cached():
+    sys = mixed_reference()
+    assert sys.structure is sys.structure
+    assert np.array_equal(sys.structure.theta_n, make_structure(sys.dims).theta_n)
+
+
 def test_general_skew_parts():
     rng = np.random.default_rng(3)
     f_v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
