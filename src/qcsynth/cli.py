@@ -108,12 +108,13 @@ def _parse_complex_matrix(obj, name: str, shape=None) -> np.ndarray:
 
 
 def _encode_real(mat) -> list:
-    return [[float(x) for x in row] for row in np.asarray(mat, dtype=float)]
+    return np.asarray(mat, dtype=float).tolist()
 
 
 def _encode_complex(mat) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row]
-            for row in np.asarray(mat, dtype=complex)]
+    """Entries as [re, im] pairs; a stack of matrices encodes as a list of them."""
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def _require_int(record, key: str, where: str, default=None) -> int:
@@ -464,8 +465,8 @@ def cmd_simulate(args) -> int:
         "dt": args.dt,
         "skew_drift": drift,
         "times": [float(t) for t in traj.times],
-        "means": [[float(x) for x in mu] for mu in traj.means],
-        "second_moments": [_encode_complex(s) for s in traj.second_moments],
+        "means": _encode_real(traj.means),
+        "second_moments": _encode_complex(traj.second_moments),
     }
     _emit(args, obj, f"simulate: OK (skew drift {drift:.3e})")
     return 0

@@ -9,6 +9,7 @@ systems with large entries are not penalized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_CHECK_TOL = 1e-8
-
-# Closed-form integration is used only when the drift matrix inverts safely.
-_COND_LIMIT = 1e8
-_QUAD_TARGET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -188,51 +185,30 @@ def nondemolition_residual(sys: StandardSystem) -> float:
     return _fro(sys.b @ st.theta_w @ sys.d.T + st.theta_n @ sys.c.T)
 
 
-def _adaptive_simpson(f, lo: float, hi: float, eps: float, f_lo, f_hi, depth: int):
-    mid = (lo + hi) / 2.0
-    f_mid = f(mid)
-    whole = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    if depth <= 0:
-        return whole
-    lm, rm = (lo + mid) / 2.0, (mid + hi) / 2.0
-    f_lm, f_rm = f(lm), f(rm)
-    left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_lm + f_mid)
-    right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_rm + f_hi)
-    err = np.linalg.norm(left + right - whole)
-    if err <= 15.0 * eps:
-        return left + right + (left + right - whole) / 15.0
-    half = eps / 2.0
-    return (_adaptive_simpson(f, lo, mid, half, f_lo, f_mid, depth - 1) +
-            _adaptive_simpson(f, mid, hi, half, f_mid, f_hi, depth - 1))
-
-
 def commutator_trajectory(sys: StandardSystem, times) -> list[np.ndarray]:
     """State/output commutator evolution at the requested times.
 
     Returns g(t)/2i = (integral_0^t exp(A u) du) (theta_n C^T + B theta_w D^T)
     for each t; the result is identically zero exactly when the
-    non-demolition condition holds.  The integral uses the closed form
-    A^{-1}(exp(A t) - I) when A inverts safely and adaptive Simpson
-    quadrature on the matrix exponential otherwise.
+    non-demolition condition holds.  The integral is the top-right block of
+    expm([[A, I], [0, 0]] t) (Van Loan, IEEE TAC 1978), which holds for
+    every A, singular or not; all positive times share one batched
+    exponential.
     """
     times = [float(t) for t in times]
-    if any(t < 0 for t in times) or any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("times must be sorted and nonnegative")
+    if (any(not 0.0 <= t < math.inf for t in times)
+            or any(t2 < t1 for t1, t2 in zip(times, times[1:]))):
+        raise ValueError("times must be sorted, nonnegative and finite")
     st = sys.structure
     a = sys.a
     drive = st.theta_n @ sys.c.T + sys.b @ st.theta_w @ sys.d.T
     n = a.shape[0]
-    closed_form = n > 0 and np.linalg.cond(a) < _COND_LIMIT
-    out = []
-    for t in times:
-        if t == 0.0 or n == 0:
-            out.append(np.zeros_like(drive))
-            continue
-        if closed_form:
-            integral = np.linalg.solve(a, scipy.linalg.expm(a * t) - np.eye(n))
-        else:
-            integral = _adaptive_simpson(lambda u: scipy.linalg.expm(a * u),
-                                         0.0, t, _QUAD_TARGET,
-                                         np.eye(n), scipy.linalg.expm(a * t), 40)
-        out.append(integral @ drive)
+    positive = [t for t in times if t > 0.0]   # sorted, so these come last
+    out = [np.zeros_like(drive) for _ in range(len(times) - len(positive))]
+    if positive:
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n] = a
+        block[:n, n:] = np.eye(n)
+        exps = scipy.linalg.expm(np.multiply.outer(positive, block))
+        out += [e[:n, n:] @ drive for e in exps]
     return out

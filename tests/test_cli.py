@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from qcsynth import GeneralSystem, QuantumOnlySystem, StandardSystem
-from qcsynth.cli import main, system_to_obj
+from qcsynth import (GeneralSystem, QuantumOnlySystem, StandardSystem, simulate,
+                     skew_drift)
+from qcsynth.cli import _encode_complex, _encode_real, main, system_to_obj
 from refsystems import MIXED_D, damped_cavity, mixed_reference
 
 
@@ -197,6 +198,47 @@ def test_simulate_bad_dt(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", path, "--dt", "0")
     assert code == 1
     assert "dt must be positive" in err
+
+
+def test_simulate_bad_horizon(tmp_path, capsys):
+    path = write_system(tmp_path / "sys.json", damped_cavity())
+    for argv, message in ((["--t-final", "-1"], "t_final must be nonnegative"),
+                          (["--t-final", "0.0025", "--dt", "0.001"], "whole number of dt"),
+                          (["--dt", "nan"], "dt must be positive")):
+        code, out, err = run(capsys, "simulate", path, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+
+def test_simulate_output_matches_elementwise_encoding(tmp_path, capsys):
+    model = damped_cavity()
+    path = write_system(tmp_path / "sys.json", model)
+    code, out, _ = run(capsys, "simulate", path, "--t-final", "0.05", "--dt", "0.01")
+    assert code == 0
+    traj = simulate(model, t_final=0.05, dt=0.01)
+    expected = {
+        "schema_version": 1,
+        "kind": "trajectory",
+        "t_final": 0.05,
+        "dt": 0.01,
+        "skew_drift": skew_drift(traj, model.structure.theta_n),
+        "times": [float(t) for t in traj.times],
+        "means": [[float(x) for x in mu] for mu in traj.means],
+        "second_moments": [[[[float(x.real), float(x.imag)] for x in row] for row in s]
+                           for s in traj.second_moments],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_encoders_match_elementwise_floats():
+    mat = np.array([[-0.0, 1e-300, 3.0], [complex(2.0, -0.0), complex(-0.0, 1e-300), -7.0]])
+    want = [[[float(x.real), float(x.imag)] for x in row] for row in mat]
+    assert json.dumps(_encode_complex(mat)) == json.dumps(want)
+    assert json.dumps(_encode_complex(mat[:0])) == "[]"
+    real = mat.real
+    want = [[float(x) for x in row] for row in real]
+    assert json.dumps(_encode_real(real)) == json.dumps(want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qcsynth import (
     Dimensions,
@@ -139,3 +140,66 @@ def test_input_validation():
         simulate(sys, np.eye(2), t_final=1.0, dt=0.1)
     with pytest.raises(ValueError, match="mu0"):
         simulate(sys, good, t_final=1.0, dt=0.1, mu0=[1.0, 2.0, 3.0])
+
+
+def test_simulate_rejects_bad_horizon():
+    sys = damped_cavity()
+    for t_final in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t_final must be nonnegative"):
+            simulate(sys, t_final=t_final, dt=0.1)
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            simulate(sys, t_final=1.0, dt=dt)
+    # 2.5 steps must not be cut to 2 without a word
+    with pytest.raises(ValueError, match="whole number of dt"):
+        simulate(sys, t_final=0.0025, dt=0.001)
+    with pytest.raises(ValueError, match="whole number of dt"):
+        simulate(sys, t_final=1.0, dt=1e-320)
+
+
+def test_zero_horizon_is_initial_state():
+    sys = mixed_reference()
+    traj = simulate(sys, t_final=0.0, dt=0.1, mu0=[1.0, 2.0, 3.0])
+    assert traj.times == (0.0,)
+    assert np.array_equal(traj.means[0], [1.0, 2.0, 3.0])
+    assert np.array_equal(traj.second_moments[0],
+                          np.eye(3) + 1j * sys.structure.theta_n)
+
+
+# ---------------------------------------------------------------------------
+# exact stepping
+
+
+@pytest.mark.parametrize("t_final, dt", [(20.0, 0.5), (1e6, 1e6)])
+def test_coarse_step_reaches_steady_state(t_final, dt):
+    # dt * |A|_1 = 8 (and 1.6e7), so each step is composed from sub-steps;
+    # a truncated integrator diverges at these step sizes
+    sys = mixed_reference()
+    pump = sys.b @ sys.structure.f_w @ sys.b.T
+    # a complex A keeps scipy's solver on its complex path, whose residual
+    # is at rounding level for this Hermitian right-hand side
+    steady = scipy.linalg.solve_continuous_lyapunov(sys.a.astype(complex), -pump)
+    traj = simulate(sys, t_final=t_final, dt=dt)
+    assert len(traj.times) == round(t_final / dt) + 1
+    err = np.linalg.norm(traj.second_moments[-1] - steady) / np.linalg.norm(steady)
+    assert err <= 1e-12
+
+
+def test_blocked_samples_match_single_steps():
+    # 23 steps span blocks of 5 with a short last block; the reference
+    # advances one exact step at a time
+    sys = mixed_reference()
+    n, dt = 3, 0.02
+    pump = sys.b @ sys.structure.f_w @ sys.b.T
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n], block[:n, n:], block[n:, n:] = sys.a, pump, -sys.a.T
+    e = scipy.linalg.expm(block * dt)
+    phi, q_d = e[:n, :n].real, e[:n, n:] @ e[:n, :n].real.T
+    mu0 = np.array([1.0, -2.0, 0.5])
+    traj = simulate(sys, t_final=23 * dt, dt=dt, mu0=mu0)
+    mu, sigma = mu0, traj.second_moments[0]
+    for k in range(1, 24):
+        mu, sigma = phi @ mu, phi @ sigma @ phi.T + q_d
+        scale = np.linalg.norm(sigma)
+        assert np.linalg.norm(traj.second_moments[k] - sigma) <= 1e-13 * scale
+        assert np.linalg.norm(traj.means[k] - mu) <= 1e-13 * np.linalg.norm(mu0)

@@ -280,11 +280,34 @@ def test_trajectory_singular_drift():
     assert np.allclose(got, want, atol=1e-9)
 
 
+def test_trajectory_near_singular_drift():
+    # A = S diag(-3e-8, -1) S^-1 is invertible but ill-conditioned
+    # (cond about 6e7): A^-1 (exp(A t) - I) would lose about eight digits
+    dims = Dimensions(n_q=1, n_c=0, m=1, n_yq=1, n_yc=0)
+    s = np.array([[1.0, 0.5], [0.3, 1.0]])
+    lam = np.array([-3e-8, -1.0])
+    a = s @ np.diag(lam) @ np.linalg.inv(s)
+    c = np.random.default_rng(8).standard_normal((2, 2))
+    sys = StandardSystem(dims, a, np.eye(2), c, np.eye(2))
+    st = sys.structure
+    drive = st.theta_n @ c.T + st.theta_w
+    times = [0.5, 2.0, 10.0]
+    for t, got in zip(times, commutator_trajectory(sys, times)):
+        want = s @ np.diag(np.expm1(lam * t) / lam) @ np.linalg.inv(s) @ drive
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_trajectory_validates_times():
     with pytest.raises(ValueError):
         commutator_trajectory(mixed_reference(), [1.0, 0.5])
     with pytest.raises(ValueError):
         commutator_trajectory(mixed_reference(), [-1.0])
+
+
+def test_trajectory_rejects_non_finite_times():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            commutator_trajectory(mixed_reference(), [0.5, bad])
 
 
 def test_trajectory_zero_whenever_nondemolition_holds():
