@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,6 +50,9 @@ class SystemFileError(ValueError):
 def _num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SystemFileError(f"{where}: expected a number, got {value!r}")
+    # Rejects NaN, the infinities and integers beyond the float range alike.
+    if not abs(value) <= sys.float_info.max:
+        raise SystemFileError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -234,15 +238,18 @@ def load_system(path: str):
 # Output plumbing
 
 def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
+    source, tol = "--tol", args.tol
+    if tol is None:
+        source, env = TOL_ENV_VAR, os.environ.get(TOL_ENV_VAR)
+        if env is None:
+            return DEFAULT_CLI_TOL
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             raise SystemFileError(f"{TOL_ENV_VAR} must be a number, got {env!r}")
-    return DEFAULT_CLI_TOL
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise SystemFileError(f"{source} must be finite and positive, got {tol!r}")
+    return tol
 
 
 def _emit(args, obj: dict, summary: str) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads lazily, on its first use
 
 from .sysmodel import diag_j
 
@@ -60,10 +60,12 @@ class SkewCanonicalResult:
 def skew_canonical(theta, tol: float = DEFAULT_TOL) -> SkewCanonicalResult:
     """Bring a real skew-symmetric matrix to canonical form by congruence.
 
-    The real Schur form of a skew-symmetric matrix is block diagonal with
-    2x2 blocks b*J and zero rows.  Scaling each block row pair by
-    1/sqrt(|b|), swapping the pair when b < 0, and permuting the J-blocks
-    to the front produces the canonical congruence; n_q equals rank/2.
+    i*theta is Hermitian with eigenvalues +-b (Ward and Gray, ACM TOMS
+    1978).  An eigenvector x + i*y for b > tol * max(b) has theta x = b y,
+    theta y = -b x and |x|^2 = |y|^2 = 1/2, so sqrt(2/b) * (y, x) is one J
+    pair; a complete QR of their span gives the free rows, and n_q = rank/2.
+    Phases are fixed (largest entry, first on ties, turned to +i|entry|)
+    for a deterministic p, and the congruence is verified before returning.
     """
     theta = np.asarray(theta, dtype=float)
     n = theta.shape[0]
@@ -77,25 +79,28 @@ def skew_canonical(theta, tol: float = DEFAULT_TOL) -> SkewCanonicalResult:
         raise ValueError("theta is not skew-symmetric within tolerance "
                          f"(max residual {skew_defect:.3e})")
     theta = (theta - theta.T) / 2.0
-    t, q = scipy.linalg.schur(theta)
-    svals = np.linalg.svd(theta, compute_uv=False)
-    cut = tol * svals[0] if svals[0] > 0.0 else np.inf
-    pair_rows: list[np.ndarray] = []
-    free_rows: list[np.ndarray] = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > cut:
-            b = (t[i, i + 1] - t[i + 1, i]) / 2.0
-            s = 1.0 / np.sqrt(abs(b))
-            r1, r2 = s * q[:, i], s * q[:, i + 1]
-            # A block with b < 0 is |b| * (-J); swapping the pair flips it.
-            pair_rows.extend((r1, r2) if b > 0 else (r2, r1))
-            i += 2
-        else:
-            free_rows.append(q[:, i])
-            i += 1
-    n_q = len(pair_rows) // 2
-    p = np.vstack(pair_rows + free_rows)
+    lam, v = np.linalg.eigh(1j * theta)
+    n_q = int(np.count_nonzero(lam > tol * lam[-1]))
+    b, v = lam[n - n_q:], v[:, n - n_q:]
+    mags = np.abs(v)
+    lead = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=0), axis=0)
+    lead_entry = v[lead, np.arange(n_q)]
+    v = v * (np.sqrt(2.0) * 1j * np.abs(lead_entry) / lead_entry)
+    # Orthonormal rows u first: u theta u^T = diag(b_1 J, ..., 0) holds up to
+    # round-off and, on the free rows, the eigenvalues below the cut.
+    p = np.empty((n, n))
+    p[0:2 * n_q:2], p[1:2 * n_q:2] = v.imag.T, v.real.T
+    if 2 * n_q < n:
+        q, _ = np.linalg.qr(p[:2 * n_q].T, mode="complete")
+        p[2 * n_q:] = q[:, 2 * n_q:].T
+    resid = p @ theta @ p.T
+    pairs = np.arange(0, 2 * n_q, 2)
+    resid[pairs, pairs + 1] -= b
+    resid[pairs + 1, pairs] += b
+    check = _maxabs(resid)
+    if check > tol * lam[-1] + 1e-6 * scale:
+        raise ValueError(f"skew canonical form failed to verify (residual {check:.3e})")
+    p[:2 * n_q] /= np.repeat(np.sqrt(b), 2)[:, None]   # pair j scaled by 1/sqrt(b_j)
     return SkewCanonicalResult(p, n_q, n - 2 * n_q)
 
 
@@ -110,11 +115,10 @@ def ito_factorize(f_v, tol: float = DEFAULT_TOL) -> ItoFactorization:
     """Factor a Hermitian nonnegative Ito matrix through the vacuum F_w.
 
     Construction: eigendecompose f_v = U diag(lam) U^H and route each
-    eigenpair through one field channel via Q, where column 2j carries
-    sqrt(lam_j / 2) e_j and column 2j-1 equals -U^H conj(U) times column 2j.
-    The product W = U Q U_w^H is real in exact arithmetic (channel j of W is
-    sqrt(lam_j) * [Im u_j, Re u_j]); the imaginary round-off is checked and
-    truncated.  Eigenvalues in [-tol, 0) are clamped to zero.
+    eigenpair through one field channel: channel j of w is
+    sqrt(lam_j) * [Im u_j, Re u_j], whose two columns contribute
+    lam_j * u_j u_j^H to w @ F_w @ w.T.  Eigenvalues in [-tol, 0) are clamped
+    to zero, and the identity is verified against the clamped matrix.
     """
     f_v = np.asarray(f_v, dtype=complex)
     m = f_v.shape[0]
@@ -130,19 +134,15 @@ def ito_factorize(f_v, tol: float = DEFAULT_TOL) -> ItoFactorization:
     lam, u = np.linalg.eigh((f_v + f_v.conj().T) / 2.0)
     if lam.min() < -tol * scale:
         raise ValueError(f"f_v has a negative eigenvalue ({lam.min():.6e})")
-    lam = np.clip(lam, 0.0, None)
-    q_mat = np.zeros((m, 2 * m), dtype=complex)
-    for j in range(m):
-        root = np.sqrt(lam[j] / 2.0)
-        q_mat[j, 2 * j + 1] = root
-        q_mat[:, 2 * j] = -root * (u.conj().T @ u[:, j].conj())
-    u_w_block = (np.sqrt(2.0) / 2.0) * np.array([[1j, 1j], [-1.0, 1.0]])
-    u_w = np.kron(np.eye(m), u_w_block)
-    w = u @ q_mat @ u_w.conj().T
-    imag_defect = _maxabs(w.imag)
-    if imag_defect > tol * max(1.0, _maxabs(w)):
-        raise ValueError(f"factor failed to come out real (imag {imag_defect:.3e})")
-    return ItoFactorization(np.ascontiguousarray(w.real))
+    root = np.sqrt(np.clip(lam, 0.0, None))
+    w = np.empty((m, 2 * m))
+    w[:, 0::2] = u.imag * root
+    w[:, 1::2] = u.real * root
+    f_w = np.eye(2 * m) + 1j * diag_j(m)
+    check = _maxabs(w @ f_w @ w.T - (u * root ** 2) @ u.conj().T)
+    if check > max(tol, 1e-12) * scale:
+        raise ValueError(f"Ito factor failed to verify (residual {check:.3e})")
+    return ItoFactorization(w)
 
 
 def _check_canonical_form(theta: np.ndarray, tol: float, name: str) -> None:

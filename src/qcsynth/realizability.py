@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads lazily, on its first use
 
 from .sysmodel import (GeneralSystem, QuantumOnlySystem, StandardSystem,
                        diag_j, make_structure)

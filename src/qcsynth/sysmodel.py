@@ -334,7 +334,14 @@ def validate(sys) -> list[str]:
 
     Returns an empty list when every shape and structure constraint holds.
     Violations are data, not exceptions; callers decide what is fatal.
+    Non-finite entries are reported alone, before any structure check.
     """
+    if not isinstance(sys, (StandardSystem, GeneralSystem, QuantumOnlySystem)):
+        raise TypeError(f"unsupported system type {type(sys).__name__}")
+    nonfinite = [f"{name}: entries must be finite" for name, value in vars(sys).items()
+                 if isinstance(value, np.ndarray) and not np.isfinite(value).all()]
+    if nonfinite:
+        return nonfinite
     if isinstance(sys, StandardSystem):
         d = sys.dims
         return _shape_violations([
@@ -385,4 +392,3 @@ def validate(sys) -> list[str]:
                 out.append("d: must equal the identity or an identity padded "
                            "with zero columns")
         return out
-    raise TypeError(f"unsupported system type {type(sys).__name__}")

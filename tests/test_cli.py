@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcsynth
 from qcsynth import (GeneralSystem, QuantumOnlySystem, StandardSystem, simulate,
                      skew_drift)
 from qcsynth.cli import _encode_complex, _encode_real, main, system_to_obj
@@ -408,3 +413,69 @@ def test_deterministic_reports(tmp_path, capsys):
     _, first, _ = run(capsys, "check", path)
     _, second, _ = run(capsys, "check", path)
     assert first == second
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -10 ** 400])
+def test_nonfinite_entries_rejected(tmp_path, capsys, bad):
+    standard = system_to_obj(mixed_reference())
+    standard["a"][0][0] = bad
+    general = system_to_obj(as_general(mixed_reference()))
+    general["f_v"][0][1][1] = bad
+    cases = [("check", write_json(tmp_path / "s.json", standard)),
+             ("to-standard", write_json(tmp_path / "g.json", general)),
+             ("complete-symplectic", write_json(tmp_path / "dq.json",
+                                                {"d_q": [[bad, 0.0], [0.0, 1.0]]}))]
+    for command, path in cases:
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, value):
+    path = write_system(tmp_path / "sys.json", mixed_reference())
+    code, out, err = run(capsys, "check", f"--tol={value}", path)
+    assert (code, out) == (2, "")
+    assert "--tol" in err
+    monkeypatch.setenv("QCSYNTH_TOL", value)
+    code, out, err = run(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert "QCSYNTH_TOL" in err
+
+
+def test_numpy_only_commands_leave_scipy_linalg_unloaded(tmp_path, capsys):
+    # scipy.linalg is imported on first use; only synthesize, simulate and
+    # generate need it.  The commands share one fresh interpreter.
+    sys_path = write_system(tmp_path / "sys.json", mixed_reference())
+    real_path = str(tmp_path / "real.json")
+    assert run(capsys, "synthesize", sys_path, "-o", real_path)[0] == 0
+    bad = system_to_obj(mixed_reference())
+    bad["a"] = bad["a"][:-1]
+    commands = [
+        ["check", sys_path],
+        ["check", "--partitioned", sys_path],
+        ["to-standard", write_system(tmp_path / "g.json", as_general(mixed_reference()))],
+        ["complete-symplectic", write_json(tmp_path / "dq.json", {"d_q": MIXED_D[:2].tolist()})],
+        ["augment", sys_path],
+        ["verify-realization", real_path, "--reference", sys_path],
+        ["check", write_json(tmp_path / "bad.json", bad)],
+    ]
+    probe = (
+        "import json, sys\n"
+        "from qcsynth.cli import main\n"
+        "codes = [main(argv + ['--quiet', '-o', sys.argv[1]]) for argv in json.loads(sys.argv[2])]\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "main(['synthesize', sys.argv[3], '--quiet', '-o', sys.argv[1]])\n"
+        "print(json.dumps([codes, before, 'scipy.linalg' in sys.modules]))\n"
+    )
+    src = str(Path(qcsynth.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("QCSYNTH_TOL", None)
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out.json"),
+                           json.dumps(commands), sys_path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 0, 0, 0, 2]
+    assert not before
+    assert after

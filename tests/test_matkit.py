@@ -74,6 +74,41 @@ def test_skew_canonical_random():
         assert np.abs(got - canonical(res.n_q, n)).max() < 1e-9 * (1 + np.abs(theta).max())
 
 
+def rotated_blocks(rng, bs, n_free):
+    """Q diag(b_1 J, ..., b_k J, 0) Q^T with a random orthogonal Q."""
+    n = 2 * len(bs) + n_free
+    core = np.zeros((n, n))
+    core[:2 * len(bs), :2 * len(bs)] = np.kron(np.diag(bs), J)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ core @ q.T
+
+
+@pytest.mark.parametrize("bs, n_free", [
+    ([3.0] * 4, 2),                              # degenerate spectrum
+    ([2.0] * 3 + [0.5] * 3, 0),
+    (list(np.logspace(-6, 2, 7)), 1),            # eight decades of spread
+    ([1.0, 0.3, 1e-9 * 1.5], 1),                 # smallest pair just above the cut
+    ([1.0, 0.3, 1e-9 / 1.5], 1),                 # ... and just below it
+])
+def test_skew_canonical_adversarial(bs, n_free):
+    rng = np.random.default_rng(len(bs) + n_free)
+    for _ in range(10):
+        theta = rotated_blocks(rng, bs, n_free)
+        res = skew_canonical(theta)
+        kept = [b for b in bs if b > 1e-9 * max(bs)]
+        assert res.n_q == rank_tol(theta) // 2 == len(kept)
+        # Residual entry (i, j) in the scale of rows i and j; the free rows
+        # carry the pairs below the cut on top of round-off.
+        norms = np.linalg.norm(res.p, axis=1)
+        resid = (res.p @ theta @ res.p.T - canonical(res.n_q, theta.shape[0])) \
+            / np.outer(norms, norms)
+        dropped = max([b for b in bs if b not in kept], default=0.0)
+        assert np.abs(resid).max() <= 1e-12 * (1 + np.abs(theta).max()) + dropped
+        # The rows of p are orthogonal, with norms 1/sqrt(b) and 1.
+        bound = max(1.0, max(kept) ** 0.5) * max(1.0, min(kept) ** -0.5)
+        assert np.linalg.cond(res.p) <= 1.01 * bound
+
+
 # ---------------------------------------------------------------- ito_factorize
 
 def test_ito_zero_matrix():
@@ -122,6 +157,31 @@ def test_ito_random_psd():
         assert w.shape == (m, 2 * m)
         err = np.abs(w @ vacuum_fw(m) @ w.T - f_v).max()
         assert err < 1e-9 * (1 + np.abs(f_v).max())
+
+
+def ito_loop_reference(f_v):
+    # The per-channel construction W = U Q U_w^H that the closed form replaced.
+    lam, u = np.linalg.eigh((f_v + f_v.conj().T) / 2.0)
+    lam = np.clip(lam, 0.0, None)
+    m = f_v.shape[0]
+    q_mat = np.zeros((m, 2 * m), dtype=complex)
+    for j in range(m):
+        root = np.sqrt(lam[j] / 2.0)
+        q_mat[j, 2 * j + 1] = root
+        q_mat[:, 2 * j] = -root * (u.conj().T @ u[:, j].conj())
+    u_w = np.kron(np.eye(m), (np.sqrt(2.0) / 2.0) * np.array([[1j, 1j], [-1.0, 1.0]]))
+    return (u @ q_mat @ u_w.conj().T).real
+
+
+def test_ito_matches_loop_reference():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        m = int(rng.integers(1, 20))
+        k = int(rng.integers(0, m + 1))
+        g = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        f_v = g @ g.conj().T
+        err = np.abs(ito_factorize(f_v).w - ito_loop_reference(f_v)).max()
+        assert err <= 64 * np.finfo(float).eps * (1 + np.abs(f_v).max())
 
 
 # ---------------------------------------------------------- symplectic_complete

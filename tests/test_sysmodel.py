@@ -146,3 +146,27 @@ def test_validate_quantum_feedthrough_form():
     odd = QuantumOnlySystem(np.zeros((3, 3)), np.zeros((3, 2)), eye,
                             np.hstack([eye, np.zeros((2, 2))]))
     assert any("even" in v for v in validate(odd))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_nonfinite_entries(bad):
+    ref = mixed_reference()
+    for name in ("a", "b", "c", "d"):
+        mats = {k: getattr(ref, k).copy() for k in ("a", "b", "c", "d")}
+        mats[name][0, 0] = bad
+        assert validate(StandardSystem(ref.dims, **mats)) == [
+            f"{name}: entries must be finite"]
+        eye = np.eye(2)
+        quantum = dict(a=np.zeros((2, 2)), b=np.zeros((2, 2)), c=eye.copy(), d=eye.copy())
+        quantum[name][1, 0] = bad
+        assert validate(QuantumOnlySystem(**quantum)) == [f"{name}: entries must be finite"]
+    general = dict(a_g=np.zeros((2, 2)), b_g=np.zeros((2, 2)), c_g=np.zeros((1, 2)),
+                   d_g=np.zeros((1, 2)), big_theta_n=diag_j(1),
+                   f_v=np.eye(2) + 1j * diag_j(1), f_y=np.zeros((1, 1), complex))
+    for name in general:
+        mats = {k: np.array(v) for k, v in general.items()}
+        if np.iscomplexobj(mats[name]):
+            mats[name][0, -1] = complex(1.0, bad)   # imaginary part only
+        else:
+            mats[name][0, 0] = bad
+        assert validate(GeneralSystem(**mats)) == [f"{name}: entries must be finite"]

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qcsynth import (
+    Dimensions,
     GeneralSystem,
+    StandardSystem,
     TransformWitness,
     check_general,
     check_standard,
@@ -185,3 +187,19 @@ def test_transfer_equiv_shifts_off_eigenvalues():
     tw = to_standard(g)
     # -0.5 is the double eigenvalue of A; the check must sidestep it
     assert transfer_equiv_check(g, tw, sample_points=[-0.5]) < 1e-10
+
+
+def test_transfer_equiv_exact_witness_near_an_eigenvalue():
+    # A 24-state model with a real eigenvalue 2.7e-4 from the sample point
+    # 1: an exact witness must not read as a transfer mismatch there.
+    sys = generate_realizable(Dimensions(8, 8, 16, 8, 8), seed=7)
+    eigs = np.linalg.eigvals(sys.a)
+    shift = 1.0 + 2.7e-4 - eigs[eigs.imag == 0].real.max()
+    shifted = StandardSystem(sys.dims, sys.a + shift * np.eye(sys.dims.n), sys.b,
+                             sys.c, sys.d)
+    g = pulled_back(shifted, np.random.default_rng(7))
+    assert np.abs(np.linalg.eigvals(g.a_g) - 1.0).min() < 3e-4
+    tw = to_standard(g)
+    scale = 1 + max(np.abs(m).max() for m in (g.a_g, g.b_g, g.c_g, g.d_g))
+    assert witness_defects(g, tw) < 1e-12 * scale
+    assert transfer_equiv_check(g, tw) < 1e-10 * scale
