@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,52 +57,52 @@ def _num(value, where: str) -> float:
     return float(value)
 
 
-def _parse_real_matrix(obj, name: str, shape=None) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise SystemFileError(f"{name}: expected a list of rows")
-    rows = len(obj)
-    if rows == 0:
-        cols = shape[1] if shape else 0
-        mat = np.zeros((0, cols))
-    else:
-        first = obj[0]
-        if not isinstance(first, list):
-            raise SystemFileError(f"{name}: expected a list of rows")
-        cols = len(first)
-        mat = np.zeros((rows, cols))
-        for i, row in enumerate(obj):
-            if not isinstance(row, list) or len(row) != cols:
-                raise SystemFileError(f"{name}: row {i} has inconsistent length")
-            for j, value in enumerate(row):
-                mat[i, j] = _num(value, f"{name}[{i}][{j}]")
-    if shape is not None and mat.shape != tuple(shape):
-        raise SystemFileError(f"{name}: expected shape {tuple(shape)}, "
-                              f"got {mat.shape}")
-    return mat
+def _bulk_matrix(obj: list, rows: int, cols: int, complex_entries: bool):
+    """All entries in one np.array call, or None when any entry needs a closer look.
+
+    Accepts plain numbers and, for complex matrices made only of pairs,
+    [re, im] pairs of plain numbers; anything else, and non-finite values,
+    go to the per-entry path, which also names the offending entry.
+    """
+    flat = [value for row in obj for value in row]
+    kinds = set(map(type, flat))
+    pairs = complex_entries and kinds == {list}
+    if pairs:
+        if set(map(len, flat)) != {2}:
+            return None
+        kinds = {type(part) for value in flat for part in value}
+    if not kinds <= {float, int}:
+        return None
+    try:
+        mat = np.array(obj, dtype=float)
+    except OverflowError:       # an integer beyond the float range
+        return None
+    if not np.isfinite(mat).all():
+        return None
+    if pairs:
+        return mat.reshape(rows, cols, 2).view(complex)[..., 0]
+    return mat.reshape(rows, cols).astype(complex if complex_entries else float)
 
 
-def _parse_complex_matrix(obj, name: str, shape=None) -> np.ndarray:
-    if not isinstance(obj, list):
+def _parse_matrix(obj, name: str, shape=None, complex_entries: bool = False) -> np.ndarray:
+    """A list of rows as a real matrix, or as a complex one whose entries may
+    be numbers or [re, im] pairs."""
+    if not isinstance(obj, list) or (obj and not isinstance(obj[0], list)):
         raise SystemFileError(f"{name}: expected a list of rows")
     rows = len(obj)
-    if rows == 0:
-        cols = shape[1] if shape else 0
-        mat = np.zeros((0, cols), dtype=complex)
-    else:
-        first = obj[0]
-        if not isinstance(first, list):
-            raise SystemFileError(f"{name}: expected a list of rows")
-        cols = len(first)
-        mat = np.zeros((rows, cols), dtype=complex)
+    cols = len(obj[0]) if rows else (shape[1] if shape else 0)
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != cols:
+            raise SystemFileError(f"{name}: row {i} has inconsistent length")
+    mat = _bulk_matrix(obj, rows, cols, complex_entries)
+    if mat is None:
+        mat = np.empty((rows, cols), dtype=complex if complex_entries else float)
         for i, row in enumerate(obj):
-            if not isinstance(row, list) or len(row) != cols:
-                raise SystemFileError(f"{name}: row {i} has inconsistent length")
             for j, value in enumerate(row):
                 where = f"{name}[{i}][{j}]"
-                if isinstance(value, list):
+                if complex_entries and isinstance(value, list):
                     if len(value) != 2:
-                        raise SystemFileError(f"{where}: complex entries are "
-                                              "[re, im] pairs")
+                        raise SystemFileError(f"{where}: complex entries are [re, im] pairs")
                     mat[i, j] = complex(_num(value[0], where), _num(value[1], where))
                 else:
                     mat[i, j] = _num(value, where)
@@ -164,23 +165,28 @@ def _parse_dims(record, where: str) -> Dimensions:
 # ---------------------------------------------------------------------------
 # System files
 
-def system_to_obj(sys_model) -> dict:
+def _system_arrays(sys_model) -> dict:
+    """A system file as a dict whose matrices are still ndarrays."""
     if isinstance(sys_model, StandardSystem):
         return {"form": "standard", "dims": _dims_to_obj(sys_model.dims),
-                "a": _encode_real(sys_model.a), "b": _encode_real(sys_model.b),
-                "c": _encode_real(sys_model.c), "d": _encode_real(sys_model.d)}
+                "a": sys_model.a, "b": sys_model.b, "c": sys_model.c, "d": sys_model.d}
     if isinstance(sys_model, GeneralSystem):
-        return {"form": "general",
-                "a": _encode_real(sys_model.a_g), "b": _encode_real(sys_model.b_g),
-                "c": _encode_real(sys_model.c_g), "d": _encode_real(sys_model.d_g),
-                "theta": _encode_real(sys_model.big_theta_n),
-                "f_v": _encode_complex(sys_model.f_v),
-                "f_y": _encode_complex(sys_model.f_y)}
+        return {"form": "general", "a": sys_model.a_g, "b": sys_model.b_g,
+                "c": sys_model.c_g, "d": sys_model.d_g, "theta": sys_model.big_theta_n,
+                "f_v": sys_model.f_v, "f_y": sys_model.f_y}
     if isinstance(sys_model, QuantumOnlySystem):
         return {"form": "quantum",
-                "a": _encode_real(sys_model.a), "b": _encode_real(sys_model.b),
-                "c": _encode_real(sys_model.c), "d": _encode_real(sys_model.d)}
+                "a": sys_model.a, "b": sys_model.b, "c": sys_model.c, "d": sys_model.d}
     raise TypeError(f"unsupported system type {type(sys_model).__name__}")
+
+
+def system_to_obj(sys_model) -> dict:
+    """A system file as plain JSON data (matrices as nested lists)."""
+    obj = _system_arrays(sys_model)
+    for key, value in obj.items():
+        if isinstance(value, np.ndarray):
+            obj[key] = _encode_complex(value) if value.dtype.kind == "c" else _encode_real(value)
+    return obj
 
 
 def load_system(path: str):
@@ -196,37 +202,37 @@ def load_system(path: str):
         dims = _parse_dims(obj.get("dims"), "dims")
         model = StandardSystem(
             dims,
-            _parse_real_matrix(obj.get("a"), "a", (dims.n, dims.n)),
-            _parse_real_matrix(obj.get("b"), "b", (dims.n, 2 * dims.m)),
-            _parse_real_matrix(obj.get("c"), "c", (dims.n_y, dims.n)),
-            _parse_real_matrix(obj.get("d"), "d", (dims.n_y, 2 * dims.m)),
+            _parse_matrix(obj.get("a"), "a", (dims.n, dims.n)),
+            _parse_matrix(obj.get("b"), "b", (dims.n, 2 * dims.m)),
+            _parse_matrix(obj.get("c"), "c", (dims.n_y, dims.n)),
+            _parse_matrix(obj.get("d"), "d", (dims.n_y, 2 * dims.m)),
         )
     elif form == "general":
-        a = _parse_real_matrix(obj.get("a"), "a")
+        a = _parse_matrix(obj.get("a"), "a")
         n = a.shape[0]
         if a.shape != (n, n):
             raise SystemFileError(f"a: expected a square matrix, got {a.shape}")
-        b = _parse_real_matrix(obj.get("b"), "b")
+        b = _parse_matrix(obj.get("b"), "b")
         if b.shape[0] != n:
             raise SystemFileError(f"b: expected {n} rows, got {b.shape[0]}")
         m = b.shape[1]
-        c = _parse_real_matrix(obj.get("c"), "c")
+        c = _parse_matrix(obj.get("c"), "c")
         if c.shape[1] != n:
             raise SystemFileError(f"c: expected {n} columns, got {c.shape[1]}")
         n_y = c.shape[0]
         model = GeneralSystem(
             a, b, c,
-            _parse_real_matrix(obj.get("d"), "d", (n_y, m)),
-            _parse_real_matrix(obj.get("theta"), "theta", (n, n)),
-            _parse_complex_matrix(obj.get("f_v"), "f_v", (m, m)),
-            _parse_complex_matrix(obj.get("f_y"), "f_y", (n_y, n_y)),
+            _parse_matrix(obj.get("d"), "d", (n_y, m)),
+            _parse_matrix(obj.get("theta"), "theta", (n, n)),
+            _parse_matrix(obj.get("f_v"), "f_v", (m, m), complex_entries=True),
+            _parse_matrix(obj.get("f_y"), "f_y", (n_y, n_y), complex_entries=True),
         )
     else:
-        a = _parse_real_matrix(obj.get("a"), "a")
+        a = _parse_matrix(obj.get("a"), "a")
         n = a.shape[0]
-        b = _parse_real_matrix(obj.get("b"), "b")
-        c = _parse_real_matrix(obj.get("c"), "c")
-        d = _parse_real_matrix(obj.get("d"), "d")
+        b = _parse_matrix(obj.get("b"), "b")
+        c = _parse_matrix(obj.get("c"), "c")
+        d = _parse_matrix(obj.get("d"), "d")
         model = QuantumOnlySystem(a, b, c, d)
     problems = validate(model)
     if problems:
@@ -252,8 +258,68 @@ def _resolve_tol(args) -> float:
     return tol
 
 
+_INDENT = "  "
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps_array(arr: np.ndarray, level: int) -> str:
+    """json.dumps(_encode_real(arr) or _encode_complex(arr), indent=2) at `level`.
+
+    The entries are rendered with float.__repr__ in one map.  The text
+    between two neighbours depends only on how many trailing axes wrap
+    there, so it is taken from a table of ndim + 1 precomputed separators.
+    """
+    if arr.dtype.kind == "c":
+        arr = np.stack([arr.real, arr.imag], axis=-1)
+    arr = np.asarray(arr, dtype=float)
+    if arr.size == 0 or arr.ndim == 0:
+        return _dumps(arr.tolist(), level)
+    nd = arr.ndim
+    pad = ["\n" + _INDENT * (level + depth) for depth in range(nd + 1)]
+    seps = []
+    for wraps in range(nd + 1):
+        text = "".join(pad[nd - 1 - i] + "]" for i in range(wraps))
+        if wraps < nd:
+            text += "," + pad[nd - wraps] + "".join(
+                "[" + pad[nd - wraps + 1 + i] for i in range(wraps))
+        seps.append(text)
+    flat = arr.ravel()
+    parts = np.empty(2 * flat.size + 1, dtype=object)
+    parts[0] = "".join("[" + pad[depth + 1] for depth in range(nd))
+    parts[1::2] = list(map(float.__repr__, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)):
+        parts[2 * i + 1] = _NONFINITE[parts[2 * i + 1]]
+    wrap_count = np.zeros(flat.size, dtype=np.intp)
+    stride = 1
+    for dim in reversed(arr.shape):
+        stride *= dim
+        wrap_count[stride - 1::stride] += 1
+    parts[2::2] = np.array(seps, dtype=object)[wrap_count]
+    return "".join(parts.tolist())
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """json.dumps(obj, indent=2) for an object nested `level` deep.
+
+    Dicts (with str keys) are walked, ndarray values are rendered in bulk
+    by _dumps_array, and every other value goes through json.dumps,
+    re-indented to its depth; JSON text holds no raw newline inside a
+    string, so the re-indent cannot touch one.
+    """
+    if isinstance(obj, np.ndarray):
+        return _dumps_array(obj, level)
+    if isinstance(obj, dict) and obj:
+        pad = "\n" + _INDENT * (level + 1)
+        items = [json.dumps(key) + ": " + _dumps(value, level + 1)
+                 for key, value in obj.items()]
+        return "{" + pad + ("," + pad).join(items) + "\n" + _INDENT * level + "}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + _INDENT * level)
+
+
 def _emit(args, obj: dict, summary: str) -> None:
-    text = json.dumps(obj, indent=2)
+    """Write a report: byte-identical to json.dumps(obj, indent=2) with
+    every ndarray value replaced by its encoded list."""
+    text = _dumps(obj)
     if args.output:
         Path(args.output).write_text(text + "\n")
     else:
@@ -320,10 +386,10 @@ def cmd_to_standard(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "transform-witness",
         "tol": tol,
-        "p_n": _encode_real(witness.p_n),
-        "w": _encode_real(witness.w),
-        "p_y": _encode_real(witness.p_y),
-        "standard": system_to_obj(witness.standard),
+        "p_n": witness.p_n,
+        "w": witness.w,
+        "p_y": witness.p_y,
+        "standard": _system_arrays(witness.standard),
         "transfer_max_deviation": deviation,
     }
     ok = deviation <= tol
@@ -335,28 +401,14 @@ def cmd_to_standard(args) -> int:
 def _realization_to_obj(r: Realization) -> dict:
     return {
         "dims": _dims_to_obj(r.dims),
-        "g1": {
-            "a_qq": _encode_real(r.g1.a_qq), "b_q": _encode_real(r.g1.b_q),
-            "e_mat": _encode_real(r.g1.e_mat), "c_qq": _encode_real(r.g1.c_qq),
-            "d_q": _encode_real(r.g1.d_q),
-            "c_qq_prime": _encode_real(r.g1.c_qq_prime),
-            "d_q_prime": _encode_real(r.g1.d_q_prime),
-            "k_q": _encode_real(r.g1.k_q),
-        },
-        "g2": {
-            "a_cc_prime": _encode_real(r.g2.a_cc_prime),
-            "b_c_prime": _encode_real(r.g2.b_c_prime),
-            "c_cc_prime": _encode_real(r.g2.c_cc_prime),
-            "d_c_prime": _encode_real(r.g2.d_c_prime),
-            "c_c_prime_1": _encode_real(r.g2.c_c_prime_1),
-            "c_c_prime_2": _encode_real(r.g2.c_c_prime_2),
-        },
-        "g_mat": _encode_real(r.g_mat),
+        "g1": {f.name: getattr(r.g1, f.name) for f in fields(r.g1)},
+        "g2": {f.name: getattr(r.g2, f.name) for f in fields(r.g2)},
+        "g_mat": r.g_mat,
         "r": int(r.g_mat.shape[0]),
-        "k_sel": _encode_real(r.k_sel),
-        "v_sympl": _encode_real(r.v_sympl),
-        "p_perm": _encode_real(r.p_perm),
-        "z": _encode_real(r.z),
+        "k_sel": r.k_sel,
+        "v_sympl": r.v_sympl,
+        "p_perm": r.p_perm,
+        "z": r.z,
     }
 
 
@@ -370,7 +422,7 @@ def _realization_from_obj(obj: dict, where: str) -> Realization:
         raise SystemFileError(f"{where}: missing g1/g2 records")
 
     def real(rec, name, shape):
-        return _parse_real_matrix(rec.get(name), name, shape)
+        return _parse_matrix(rec.get(name), name, shape)
 
     g1 = QuantumSubsystem(
         real(g1_obj, "a_qq", (n_q2, n_q2)), real(g1_obj, "b_q", (n_q2, m2)),
@@ -385,11 +437,11 @@ def _realization_from_obj(obj: dict, where: str) -> Realization:
         real(g2_obj, "c_c_prime_2", (m2 - split, n_c)))
     return Realization(
         g1, g2,
-        _parse_real_matrix(obj.get("g_mat"), "g_mat", (r, mf2)),
-        _parse_real_matrix(obj.get("k_sel"), "k_sel", (r, mf2)),
-        _parse_real_matrix(obj.get("v_sympl"), "v_sympl"),
-        _parse_real_matrix(obj.get("p_perm"), "p_perm", (n_c + n_yc, n_c + n_yc)),
-        _parse_real_matrix(obj.get("z"), "z", (n_c + n_yc, r)),
+        _parse_matrix(obj.get("g_mat"), "g_mat", (r, mf2)),
+        _parse_matrix(obj.get("k_sel"), "k_sel", (r, mf2)),
+        _parse_matrix(obj.get("v_sympl"), "v_sympl"),
+        _parse_matrix(obj.get("p_perm"), "p_perm", (n_c + n_yc, n_c + n_yc)),
+        _parse_matrix(obj.get("z"), "z", (n_c + n_yc, r)),
         dims)
 
 
@@ -418,7 +470,7 @@ def cmd_synthesize(args) -> int:
     residual = max(errors.values())
     obj = {"schema_version": SCHEMA_VERSION, "kind": "realization", "tol": tol}
     obj.update(_realization_to_obj(realization))
-    obj["closed_loop"] = system_to_obj(closed)
+    obj["closed_loop"] = _system_arrays(closed)
     obj["reconstruction_residual"] = residual
     ok = residual <= tol
     _emit(args, obj, f"synthesize: {'OK' if ok else 'FAIL'} "
@@ -451,7 +503,7 @@ def cmd_verify_realization(args) -> int:
         "block_errors": errors,
         "max_error": worst,
         "verdict": "pass" if ok else "fail",
-        "closed_loop": system_to_obj(closed),
+        "closed_loop": _system_arrays(closed),
     }
     _emit(args, report, f"verify-realization: {'PASS' if ok else 'FAIL'} "
                         f"(max block error {worst:.3e})")
@@ -471,9 +523,9 @@ def cmd_simulate(args) -> int:
         "t_final": args.t_final,
         "dt": args.dt,
         "skew_drift": drift,
-        "times": [float(t) for t in traj.times],
-        "means": _encode_real(traj.means),
-        "second_moments": _encode_complex(traj.second_moments),
+        "times": np.asarray(traj.times),
+        "means": np.asarray(traj.means),
+        "second_moments": np.asarray(traj.second_moments),
     }
     _emit(args, obj, f"simulate: OK (skew drift {drift:.3e})")
     return 0
@@ -484,7 +536,7 @@ def cmd_complete_symplectic(args) -> int:
     if not isinstance(obj, dict) or "d_q" not in obj:
         raise SystemFileError(f"{args.input}: expected an object with a 'd_q' "
                               "matrix")
-    d_q = _parse_real_matrix(obj["d_q"], "d_q")
+    d_q = _parse_matrix(obj["d_q"], "d_q")
     if d_q.shape[1] % 2:
         raise SystemFileError(f"d_q: column count must be even, got {d_q.shape[1]}")
     tol = _resolve_tol(args)
@@ -496,8 +548,8 @@ def cmd_complete_symplectic(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "symplectic-completion",
         "tol": tol,
-        "d_q": _encode_real(d_q),
-        "n_mat": _encode_real(completion.n_mat),
+        "d_q": d_q,
+        "n_mat": completion.n_mat,
         "residual": residual,
     }
     _emit(args, report, f"complete-symplectic: OK (residual {residual:.3e})")
@@ -531,20 +583,20 @@ def cmd_augment(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "augmentation",
         "tol": tol,
-        "a_tilde": _encode_real(aug.a_tilde),
-        "b_tilde": _encode_real(aug.b_tilde),
-        "c_tilde": _encode_real(aug.c_tilde),
-        "d_tilde": _encode_real(aug.d_tilde),
-        "theta_tilde": _encode_real(aug.theta_tilde),
-        "a_prime": _encode_real(aug.a_prime),
-        "a_dprime": _encode_real(aug.a_dprime),
-        "b_prime": _encode_real(aug.b_prime),
+        "a_tilde": aug.a_tilde,
+        "b_tilde": aug.b_tilde,
+        "c_tilde": aug.c_tilde,
+        "d_tilde": aug.d_tilde,
+        "theta_tilde": aug.theta_tilde,
+        "a_prime": aug.a_prime,
+        "a_dprime": aug.a_dprime,
+        "b_prime": aug.b_prime,
         "relation_residuals": {
             "output-coupling": rel_output,
             "auxiliary-skew": rel_skew,
             "auxiliary-closure": rel_closure,
         },
-        "c_bar": _encode_real(red.c_bar),
+        "c_bar": red.c_bar,
         "reduced_check": _report_obj(reduced_report, "quantum", tol),
         "verdict": "pass" if ok else "fail",
     }
@@ -560,7 +612,7 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise SystemFileError(str(exc))
     model = generate_realizable(dims, args.seed)
-    _emit(args, system_to_obj(model),
+    _emit(args, _system_arrays(model),
           f"generate: wrote a standard system (n={dims.n}, m={dims.m}, "
           f"seed={args.seed})")
     return 0

@@ -240,14 +240,33 @@ class PzkvDecomposition:
     r: int
 
 
+def _pivot_rows(m_mat: np.ndarray, r: int) -> list[int]:
+    """Sorted indices of r rows picked by greedy pivoted Gram-Schmidt.
+
+    Each step takes the row with the largest norm left after projecting out
+    the rows taken so far (the first on ties) and projects it out of the
+    rest: the pivot order of column-pivoted QR on m_mat.T (Businger and
+    Golub, Numer. Math. 1965).
+    """
+    resid = m_mat.copy()
+    picked = []
+    for _ in range(r):
+        norms = np.einsum("ij,ij->i", resid, resid)
+        i = int(np.argmax(norms))
+        picked.append(i)
+        u = resid[i] / np.sqrt(norms[i])
+        resid -= np.outer(resid @ u, u)
+    return sorted(picked)
+
+
 def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecomposition:
     """Split an isotropic matrix into permutation, basis, selection and network.
 
     Requires m_mat @ theta_prime @ m_mat.T = 0; the rank r of m_mat can then
     not exceed half the symplectic dimension.  Basis rows L are picked by
-    column-pivoted QR on m_mat.T and the remaining rows are recovered
-    through Z.  Closed form for v_sympl: the dual rows
-    W = (L L^T)^-1 L theta_prime (a triangular solve on the QR of L^T)
+    greedy pivoted Gram-Schmidt (see _pivot_rows) and the remaining rows are
+    recovered through Z.  Closed form for v_sympl: the dual rows
+    W = (L L^T)^-1 L theta_prime (a solve with the R factor of L^T)
     satisfy L theta W^T = I, and W -= (W theta W^T) L / 2 makes them
     isotropic; the pairs (L_i, W_i) lead v_sympl, with L copied verbatim,
     and the symplectic complement of their span completes it as in
@@ -272,11 +291,7 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     if r > m_prime:
         raise ValueError(f"rank {r} exceeds the isotropic bound m'={m_prime}")
 
-    if r > 0:
-        _, _, piv = scipy.linalg.qr(m_mat.T, pivoting=True, mode="economic")
-        basis_idx = sorted(piv[:r].tolist())
-    else:
-        basis_idx = []
+    basis_idx = _pivot_rows(m_mat, r)
     other_idx = [i for i in range(rows) if i not in basis_idx]
     basis = m_mat[basis_idx, :]
 
@@ -292,7 +307,7 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     for i in range(r):
         k_sel[i, 2 * i] = 1.0
     q, tri = np.linalg.qr(basis.T)
-    dual = scipy.linalg.solve_triangular(tri, q.T @ theta_prime)
+    dual = np.linalg.solve(tri, q.T @ theta_prime)
     dual -= 0.5 * (dual @ theta_prime @ dual.T) @ basis
     lead = np.empty((2 * r, two_mp))
     lead[0::2], lead[1::2] = basis, dual

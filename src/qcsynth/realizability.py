@@ -40,7 +40,10 @@ class ConditionResult:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.threshold
+        # An overflow makes residual and threshold infinite together; inf <= inf
+        # must not read as a pass.
+        return (math.isfinite(self.residual) and math.isfinite(self.threshold)
+                and self.residual <= self.threshold)
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,12 @@ def _make_report(conditions: list[ConditionResult]) -> RealizabilityReport:
     worst = ""
     worst_ratio = -1.0
     for c in conditions:
-        if c.threshold > 0.0:
+        if not (math.isfinite(c.residual) and math.isfinite(c.threshold)):
+            ratio = math.inf
+        elif c.threshold > 0.0:
             ratio = c.residual / c.threshold
         else:
-            ratio = np.inf if c.residual > 0.0 else 0.0
+            ratio = math.inf if c.residual > 0.0 else 0.0
         if ratio > worst_ratio:
             worst_ratio, worst = ratio, c.name
     return RealizabilityReport(verdict, tuple(conditions), worst)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import qcsynth
-from qcsynth import (GeneralSystem, QuantumOnlySystem, StandardSystem, simulate,
-                     skew_drift)
-from qcsynth.cli import _encode_complex, _encode_real, main, system_to_obj
+from qcsynth import (Dimensions, GeneralSystem, QuantumOnlySystem, StandardSystem,
+                     simulate, skew_drift)
+from qcsynth.cli import (_dumps, _encode_complex, _encode_real, load_system, main,
+                         system_to_obj)
 from refsystems import MIXED_D, damped_cavity, mixed_reference
 
 
@@ -444,8 +445,8 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, value):
 
 
 def test_numpy_only_commands_leave_scipy_linalg_unloaded(tmp_path, capsys):
-    # scipy.linalg is imported on first use; only synthesize, simulate and
-    # generate need it.  The commands share one fresh interpreter.
+    # scipy.linalg is imported on first use; of the commands only generate
+    # needs it.  The commands share one fresh interpreter.
     sys_path = write_system(tmp_path / "sys.json", mixed_reference())
     real_path = str(tmp_path / "real.json")
     assert run(capsys, "synthesize", sys_path, "-o", real_path)[0] == 0
@@ -458,6 +459,8 @@ def test_numpy_only_commands_leave_scipy_linalg_unloaded(tmp_path, capsys):
         ["complete-symplectic", write_json(tmp_path / "dq.json", {"d_q": MIXED_D[:2].tolist()})],
         ["augment", sys_path],
         ["verify-realization", real_path, "--reference", sys_path],
+        ["synthesize", sys_path],
+        ["simulate", sys_path, "--t-final", "0.01"],
         ["check", write_json(tmp_path / "bad.json", bad)],
     ]
     probe = (
@@ -465,17 +468,159 @@ def test_numpy_only_commands_leave_scipy_linalg_unloaded(tmp_path, capsys):
         "from qcsynth.cli import main\n"
         "codes = [main(argv + ['--quiet', '-o', sys.argv[1]]) for argv in json.loads(sys.argv[2])]\n"
         "before = 'scipy.linalg' in sys.modules\n"
-        "main(['synthesize', sys.argv[3], '--quiet', '-o', sys.argv[1]])\n"
+        "main(['generate', '--n-q', '1', '--n-c', '1', '--m', '2', '--n-yq', '1',\n"
+        "      '--n-yc', '1', '--quiet', '-o', sys.argv[1]])\n"
         "print(json.dumps([codes, before, 'scipy.linalg' in sys.modules]))\n"
     )
     src = str(Path(qcsynth.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("QCSYNTH_TOL", None)
     proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out.json"),
-                           json.dumps(commands), sys_path],
+                           json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, before, after = json.loads(proc.stdout)
-    assert codes == [0, 0, 0, 0, 0, 0, 2]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 2]
     assert not before
     assert after
+
+
+# ---------------------------------------------------------------------------
+# report writer
+
+
+@pytest.mark.parametrize("value", [
+    np.zeros(0), np.zeros((3, 0)), np.zeros((0, 3)), np.zeros((2, 0), dtype=complex),
+    np.array(2.5), np.array([[1.0]]), np.array([-0.0, 1e-300, 1e16, 0.1, -7.0]),
+    np.array([np.nan, np.inf, -np.inf, 1.0]),
+    np.arange(24.0).reshape(2, 3, 4) / 7.0,
+    np.array([[complex(-0.0, 1e-300), complex(1e16, -0.0)], [complex(np.inf, np.nan), 3.0]]),
+])
+def test_writer_matches_json_dumps(value):
+    encoded = _encode_complex(value) if value.dtype.kind == "c" else _encode_real(value)
+    scalars = {"zero": -0.0, "tiny": 1e-300, "big": 1e16, "nan": float("nan"),
+               "inf": float("inf"), "ninf": float("-inf"), "int": 3, "none": None,
+               "flag": True, "text": "line\nbreak \"quoted\" é", "empty": {},
+               "list": [[1.0, 2]], "nested": {"deeper": {}}}
+    got = _dumps({"value": value, "inner": {"value": value, **scalars}, **scalars})
+    want = json.dumps({"value": encoded, "inner": {"value": encoded, **scalars}, **scalars},
+                      indent=2)
+    assert got == want
+    assert _dumps(value) == json.dumps(encoded, indent=2)
+
+
+@pytest.mark.parametrize("model", [
+    mixed_reference(),
+    # classical only
+    StandardSystem(Dimensions(0, 2, 1, 0, 1), np.array([[0.0, 1.0], [-2.0, -3.0]]),
+                   np.zeros((2, 2)), np.array([[1.0, 0.0]]), np.zeros((1, 2))),
+    # n = 1
+    StandardSystem(Dimensions(0, 1, 1, 0, 1), np.array([[-1.0]]), np.zeros((1, 2)),
+                   np.array([[1.0]]), np.zeros((1, 2))),
+])
+@pytest.mark.parametrize("t_final", ["0", "0.03"])
+def test_simulate_writer_matches_json_dumps(tmp_path, capsys, model, t_final):
+    path = write_system(tmp_path / "sys.json", model)
+    code, out, _ = run(capsys, "simulate", path, "--t-final", t_final, "--dt", "0.01")
+    assert code == 0
+    traj = simulate(model, t_final=float(t_final), dt=0.01)
+    expected = {
+        "schema_version": 1,
+        "kind": "trajectory",
+        "t_final": float(t_final),
+        "dt": 0.01,
+        "skew_drift": skew_drift(traj, model.structure.theta_n),
+        "times": [float(t) for t in traj.times],
+        "means": [[float(x) for x in mu] for mu in traj.means],
+        "second_moments": [[[[float(x.real), float(x.imag)] for x in row] for row in s]
+                           for s in traj.second_moments],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+    out_path = tmp_path / "out.json"
+    assert run(capsys, "simulate", path, "--t-final", t_final, "--dt", "0.01",
+               "-o", str(out_path))[0] == 0
+    assert out_path.read_text() == out
+
+
+def test_every_report_matches_json_dumps(tmp_path, capsys):
+    # a report re-encoded by json.dumps(indent=2) must come back byte for byte,
+    # on stdout and through -o alike
+    sys_path = write_system(tmp_path / "sys.json", mixed_reference())
+    real_path = str(tmp_path / "real.json")
+    assert run(capsys, "synthesize", sys_path, "-o", real_path)[0] == 0
+    commands = [
+        ["check", sys_path],
+        ["check", "--partitioned", sys_path],
+        ["check", write_system(tmp_path / "broken.json", perturbed_reference())],
+        ["to-standard", write_system(tmp_path / "g.json", as_general(mixed_reference()))],
+        ["synthesize", sys_path],
+        ["verify-realization", real_path, "--reference", sys_path],
+        ["complete-symplectic", write_json(tmp_path / "dq.json", {"d_q": MIXED_D[:2].tolist()})],
+        ["augment", sys_path],
+        ["generate", "--n-q", "2", "--n-c", "2", "--m", "3", "--n-yq", "1", "--n-yc", "1"],
+        ["simulate", sys_path, "--t-final", "0.05"],
+    ]
+    for argv in commands:
+        _, out, _ = run(capsys, *argv)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        out_path = tmp_path / "out.json"
+        run(capsys, *argv, "-o", str(out_path))
+        assert out_path.read_text() == out, argv
+
+
+def test_overflowing_residual_fails_check(tmp_path, capsys):
+    path = str(tmp_path / "s.json")
+    assert run(capsys, "generate", "--n-q", "1", "--n-c", "1", "--m", "2", "--n-yq", "1",
+               "--n-yc", "1", "--seed", "3", "-o", path)[0] == 0
+    obj = json.loads(Path(path).read_text())
+    obj["a"] = [[x * 1e300 for x in row] for row in obj["a"]]
+    write_json(tmp_path / "s.json", obj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "check", path)
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    cond = report["conditions"][0]
+    assert cond["name"] == "state-commutation"
+    assert (cond["residual"], cond["threshold"], cond["passed"]) == (np.inf, np.inf, False)
+    assert "FAIL" in err
+
+
+# ---------------------------------------------------------------------------
+# matrix parser
+
+
+@pytest.mark.parametrize("field, edit, message", [
+    ("a", lambda m: m.__setitem__(0, 1.0), "a: expected a list of rows"),
+    ("a", lambda m: m[0].__setitem__(1, "1.0"), "a[0][1]: expected a number"),
+    ("a", lambda m: m[1].__setitem__(0, None), "a[1][0]: expected a number"),
+    ("a", lambda m: m[0].__setitem__(2, 10 ** 400), "a[0][2]: expected a finite number"),
+    ("a", lambda m: m[1].pop(), "a: row 1 has inconsistent length"),
+    ("a", lambda m: m.__setitem__(2, 5.0), "a: row 2 has inconsistent length"),
+    ("f_v", lambda m: m[0].__setitem__(1, [1.0, 2.0, 3.0]),
+     "f_v[0][1]: complex entries are [re, im] pairs"),
+    ("f_v", lambda m: m[1].__setitem__(0, [0.0, "1"]), "f_v[1][0]: expected a number"),
+    ("f_v", lambda m: m[1].__setitem__(1, [float("nan"), 0.0]),
+     "f_v[1][1]: expected a finite number"),
+    ("f_v", lambda m: m[2].__setitem__(2, False), "f_v[2][2]: expected a number"),
+])
+def test_parser_messages(tmp_path, capsys, field, edit, message):
+    obj = system_to_obj(as_general(mixed_reference()))
+    edit(obj[field])
+    code, out, err = run(capsys, "check", write_json(tmp_path / "g.json", obj))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_parser_accepts_numbers_and_pairs_alike(tmp_path):
+    model = as_general(mixed_reference())
+    obj = system_to_obj(model)
+    # integers, and real complex entries written as plain numbers
+    obj["a"] = [[int(x) if x == int(x) else x for x in row] for row in obj["a"]]
+    obj["f_v"] = [[re if im == 0.0 else [re, im] for re, im in row] for row in obj["f_v"]]
+    loaded = load_system(write_json(tmp_path / "g.json", obj))
+    assert any(isinstance(x, int) for row in obj["a"] for x in row)
+    assert any(isinstance(x, float) for row in obj["f_v"] for x in row)
+    for name in ("a_g", "b_g", "c_g", "d_g", "big_theta_n", "f_v", "f_y"):
+        assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
+    assert loaded.a_g.dtype == float and loaded.f_v.dtype == complex

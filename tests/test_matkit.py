@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qcsynth import (
     Dimensions,
@@ -14,6 +15,8 @@ from qcsynth import (
     symplectic_complete,
     synthesize,
 )
+from qcsynth import synthesis
+from qcsynth.matkit import _pivot_rows
 from refsystems import FV_ROUNDED, W_REFERENCE, fv_exact
 
 J = diag_j(1)
@@ -324,6 +327,54 @@ def test_pzkv_independent_rows_at_even_rows():
         dec = pzkv_decompose(m_mat, diag_j(m))
         assert dec.r == k
         assert np.array_equal(dec.v_sympl[0:2 * k:2], m_mat)
+
+
+def _qr_pivots(m_mat, r):
+    return sorted(scipy.linalg.qr(m_mat.T, pivoting=True, mode="economic")[2][:r].tolist())
+
+
+def test_pivot_rows_match_pivoted_qr():
+    # generic rank-r matrices: greedy pivoted Gram-Schmidt takes the rows
+    # that column-pivoted QR of m_mat.T takes first
+    rng = np.random.default_rng(83)
+    for _ in range(100):
+        rows, cols = int(rng.integers(1, 13)), int(rng.integers(1, 25))
+        r = int(rng.integers(1, min(rows, cols) + 1))
+        m_mat = rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+        m_mat *= rng.uniform(0.1, 10.0, size=(rows, 1))
+        assert _pivot_rows(m_mat, r) == _qr_pivots(m_mat, r)
+
+
+def test_pivot_rows_match_pivoted_qr_on_couplings(monkeypatch):
+    seen = []
+
+    def spy(m_mat, theta_prime, tol):
+        seen.append(np.array(m_mat))
+        return pzkv_decompose(m_mat, theta_prime, tol)
+
+    monkeypatch.setattr(synthesis, "pzkv_decompose", spy)
+    for k in (1, 2, 4, 8):
+        for seed in range(3):
+            synthesize(generate_realizable(Dimensions(k, k, 2 * k, k, k), seed))
+    assert len(seen) == 12
+    for m_mat in seen:
+        r = rank_tol(m_mat)
+        assert _pivot_rows(m_mat, r) == _qr_pivots(m_mat, r)
+
+
+@pytest.mark.parametrize("m_mat", [
+    [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+    [[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 4.0, 0.0], [4.0, 0.0, 3.0, 0.0], [5.0, 0.0, 0.0, 0.0]],
+])
+def test_pzkv_exact_ties_still_verify(m_mat):
+    # equal residual norms leave the pivot to the tie rule; whichever rows
+    # are taken, the decomposition must hold
+    m_mat = np.array(m_mat)
+    dec = pzkv_decompose(m_mat, diag_j(2))
+    assert dec.r == 2
+    assert np.abs(reconstruct(dec) - m_mat).max() <= 1e-12 * np.abs(m_mat).max()
+    assert np.abs(dec.v_sympl @ diag_j(2) @ dec.v_sympl.T - diag_j(2)).max() <= 1e-12
 
 
 # ------------------------------------------------------------------ conditioning

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +10,7 @@ from qcsynth import (
     simulate,
     skew_drift,
 )
+from qcsynth.moments import _expm_taylor
 from refsystems import CAVITY_DIMS, damped_cavity, grid_sample, mixed_reference
 
 
@@ -203,3 +205,35 @@ def test_blocked_samples_match_single_steps():
         scale = np.linalg.norm(sigma)
         assert np.linalg.norm(traj.second_moments[k] - sigma) <= 1e-13 * scale
         assert np.linalg.norm(traj.means[k] - mu) <= 1e-13 * np.linalg.norm(mu0)
+
+
+def van_loan_blocks(a, pump):
+    # the stack _exact_step exponentiates: real and imaginary parts of the pump
+    n = a.shape[0]
+    blocks = np.zeros((2, 2 * n, 2 * n))
+    blocks[:, :n, :n] = a
+    blocks[:, n:, n:] = -a.T
+    blocks[0, :n, n:] = pump.real
+    blocks[1, :n, n:] = pump.imag
+    return blocks
+
+
+@pytest.mark.parametrize("norm", [1e-8, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("pump_norm", [1e-3, 1.0, 1e6])
+def test_taylor_exponential_matches_40_digits(norm, pump_norm):
+    # h max(|A|_1, |A|_inf) = norm, the largest a sub-step allows being 1,
+    # and |h P| up to 1e6: every entry within 4 eps of the 40-digit exponential
+    rng = np.random.default_rng(89)
+    n = 3
+    a = rng.standard_normal((n, n))
+    a *= norm / max(np.abs(a).sum(axis=0).max(), np.abs(a).sum(axis=1).max())
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    pump = g @ g.conj().T
+    pump *= pump_norm / np.abs(pump).max()
+    blocks = van_loan_blocks(a, pump)
+    got = _expm_taylor(blocks)
+    for block, e in zip(blocks, got):
+        with mpmath.workdps(40):
+            want = np.array(mpmath.expm(mpmath.matrix(block.tolist())).tolist(), dtype=float)
+        assert np.abs(e - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+

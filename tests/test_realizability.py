@@ -4,6 +4,7 @@ import scipy.integrate
 import scipy.linalg
 
 from qcsynth import (
+    ConditionResult,
     Dimensions,
     GeneralSystem,
     QuantumOnlySystem,
@@ -72,6 +73,37 @@ def test_quantum_feedthrough_is_strict():
     cond = report["output-form"]
     assert cond.threshold == 0.0 and cond.residual > 0.0
     assert report.worst == "output-form"
+
+
+def test_quantum_tall_feedthrough_keeps_failing():
+    # more outputs than field quadratures: the form defect is inf against 0
+    sys = QuantumOnlySystem(-0.5 * np.eye(2), np.eye(2), -np.eye(4)[:, :2], np.eye(4)[:, :2])
+    report = check_quantum(sys)
+    cond = report["output-form"]
+    assert (cond.residual, cond.threshold) == (np.inf, 0.0)
+    assert not cond.passed and not report.verdict
+    assert report.worst == "output-form"
+
+
+def test_condition_passes_only_when_finite():
+    assert ConditionResult("x", 1.0, 2.0).passed
+    assert ConditionResult("x", 0.0, 0.0).passed
+    for residual, threshold in [(np.inf, np.inf), (1.0, np.inf), (np.inf, 1.0),
+                                (np.nan, 1.0), (0.0, np.nan), (3.0, 2.0)]:
+        assert not ConditionResult("x", residual, threshold).passed
+
+
+def test_overflowing_condition_fails():
+    # scaling A by 1e300 overflows the state-commutation residual and its
+    # threshold together; inf <= inf must not pass
+    sys = generate_realizable(Dimensions(1, 1, 2, 1, 1), 3)
+    big = StandardSystem(sys.dims, sys.a * 1e300, sys.b, sys.c, sys.d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_standard(big)
+    cond = report["state-commutation"]
+    assert (cond.residual, cond.threshold) == (np.inf, np.inf)
+    assert not cond.passed and not report.verdict
+    assert report.worst == "state-commutation"
 
 
 def test_quantum_theta_override_default():
