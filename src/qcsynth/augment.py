@@ -39,6 +39,27 @@ class AugmentedSystem:
     a_dprime: np.ndarray
     b_prime: np.ndarray
 
+    def relation_residuals(self, sys: StandardSystem) -> dict[str, float]:
+        """Frobenius norms of the three defining relations against `sys`.
+
+        output-coupling: b_prime theta_w d_q^T - c_qc^T; auxiliary-skew:
+        S^T a_prime^T - a_prime S - b_prime theta_w b_prime^T; and
+        auxiliary-closure: a_dprime - (a_prime theta_n - S^T A^T
+        + b_prime theta_w B^T) S, with S the classical-state selector.
+        """
+        st = sys.structure
+        th_w = st.theta_w
+        sel = _classical_selector(sys.dims.n, sys.dims.n_c)
+        relations = {
+            "output-coupling": self.b_prime @ th_w @ sys.d_q.T - sys.c_qc.T,
+            "auxiliary-skew": (sel.T @ self.a_prime.T - self.a_prime @ sel
+                               - self.b_prime @ th_w @ self.b_prime.T),
+            "auxiliary-closure": self.a_dprime - (self.a_prime @ st.theta_n
+                                                  - sel.T @ sys.a.T
+                                                  + self.b_prime @ th_w @ sys.b.T) @ sel,
+        }
+        return {name: float(np.linalg.norm(r)) for name, r in relations.items()}
+
 
 @dataclass(frozen=True)
 class ReducedSystem:

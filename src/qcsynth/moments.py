@@ -36,9 +36,17 @@ _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(19))
 
 @dataclass(frozen=True)
 class MomentTrajectory:
+    """Samples of (mu, Sigma) on the grid times[k] = k dt.
+
+    `times` is a tuple of N + 1 floats; `means` is the real (N + 1, n) array
+    and `second_moments` the complex (N + 1, n, n) array of the samples, so
+    that traj.means[k] and traj.second_moments[k] are the moments at
+    times[k].  simulate returns both arrays read-only.
+    """
+
     times: tuple[float, ...]
-    means: tuple[np.ndarray, ...]
-    second_moments: tuple[np.ndarray, ...]
+    means: np.ndarray
+    second_moments: np.ndarray
 
 
 def _expm_taylor(x: np.ndarray) -> np.ndarray:
@@ -178,33 +186,44 @@ def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
             sigma_out = sigmas[start + 1:start + 1 + size]
             mu_out[:] = (powers[:size].reshape(size * n, n) @ means[start]).reshape(size, n)
             np.add(_congruences(powers[:size], sigmas[start]), sums[:size], out=sigma_out)
-            sigma_out += sigma_out.conj().transpose(0, 2, 1)
+            # S + S^H on the float views: the same sums as the complex add
+            re, im = sigma_out.real, sigma_out.imag
+            re += re.transpose(0, 2, 1)
+            im -= im.transpose(0, 2, 1)
             sigma_out *= 0.5
-            finite = (np.isfinite(mu_out).all(axis=1)
-                      & np.isfinite(sigma_out).all(axis=(1, 2)))
-            if not finite.all():
-                step = start + 1 + int(np.argmin(finite))
-                raise ValueError(f"moments diverged to non-finite values at step "
-                                 f"{step} (t = {step * dt:.6g})")
+        # a sample depends only on earlier ones, so the first non-finite
+        # sample is where the run diverged, whatever follows it
+        finite = (np.isfinite(means[1:]).all(axis=1)
+                  & np.isfinite(sigmas[1:].view(float)).all(axis=(1, 2)))
+        if not finite.all():
+            step = 1 + int(np.argmin(finite))
+            raise ValueError(f"moments diverged to non-finite values at step "
+                             f"{step} (t = {step * dt:.6g})")
+    means.setflags(write=False)
+    sigmas.setflags(write=False)
     times = tuple((np.arange(n_steps + 1) * dt).tolist())
-    return MomentTrajectory(times, tuple(means), tuple(sigmas))
+    return MomentTrajectory(times, means, sigmas)
 
 
 def skew_drift(traj: MomentTrajectory, theta_n) -> float:
     """Largest distance of the skew part of Sigma from theta_n over the run."""
     theta_n = np.asarray(theta_n)
     n = theta_n.shape[0]
+    # a view of simulate's stack; a hand-built tuple of samples is stacked
+    # once.  The sample count is given, as -1 is ambiguous when n = 0.
     sigmas = traj.second_moments
+    sigmas = np.asarray(sigmas).reshape(len(sigmas), n, n)
+    two_theta = 2.0 * theta_n
     chunk = max(1, _DRIFT_CHUNK // max(1, n * n))
     worst = 0.0
     for start in range(0, len(sigmas), chunk):
-        part = sigmas[start:start + chunk]
-        s = np.concatenate(part).reshape(len(part), n, n)
-        # the skew part (S - S^T)/2i has real part (Im S - Im S^T)/2 and
-        # imaginary part (Re S^T - Re S)/2
+        s = sigmas[start:start + chunk]
+        # 2 (S - S^T)/2i has real part Im S - Im S^T and imaginary part
+        # Re S^T - Re S; the factor 2 comes off exactly at the end
         re, im = s.real, s.imag
-        dev_re = (im - im.transpose(0, 2, 1)) / 2.0 - theta_n
-        dev_im = (re - re.transpose(0, 2, 1)) / 2.0
-        sq = (dev_re * dev_re + dev_im * dev_im).sum(axis=(1, 2))
-        worst = max(worst, math.sqrt(sq.max()))
-    return worst
+        dev_re = im - im.transpose(0, 2, 1) - two_theta
+        dev_im = re - re.transpose(0, 2, 1)
+        sq = (np.einsum("kij,kij->k", dev_re, dev_re)
+              + np.einsum("kij,kij->k", dev_im, dev_im))
+        worst = max(worst, float(sq.max()))
+    return math.sqrt(worst) / 2.0

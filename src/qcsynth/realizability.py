@@ -59,6 +59,13 @@ class RealizabilityReport:
         raise KeyError(name)
 
 
+# Checkers run with numpy's overflow and invalid-value warnings off.  An
+# overflow in a product or a norm makes that residual and its threshold
+# infinite, and ConditionResult.passed reads that as a failure, so the report
+# already says what the warning would.
+_overflow_fails = np.errstate(over="ignore", invalid="ignore")
+
+
 def _fro(a: np.ndarray) -> float:
     return float(np.linalg.norm(a)) if a.size else 0.0
 
@@ -84,6 +91,7 @@ def _make_report(conditions: list[ConditionResult]) -> RealizabilityReport:
     return RealizabilityReport(verdict, tuple(conditions), worst)
 
 
+@_overflow_fails
 def check_quantum(sys: QuantumOnlySystem, tol: float = DEFAULT_CHECK_TOL,
                   theta: np.ndarray | None = None) -> RealizabilityReport:
     """Realizability of a fully quantum system.
@@ -116,6 +124,7 @@ def check_quantum(sys: QuantumOnlySystem, tol: float = DEFAULT_CHECK_TOL,
     return _make_report(conditions)
 
 
+@_overflow_fails
 def check_standard(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> RealizabilityReport:
     """The three standard-form realizability conditions."""
     st = sys.structure
@@ -131,6 +140,7 @@ def check_standard(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Reali
     return _make_report(conditions)
 
 
+@_overflow_fails
 def check_standard_partitioned(sys: StandardSystem,
                                tol: float = DEFAULT_CHECK_TOL) -> RealizabilityReport:
     """The ten block constraints equivalent to the standard conditions.
@@ -167,6 +177,7 @@ def check_standard_partitioned(sys: StandardSystem,
     return _make_report(conditions)
 
 
+@_overflow_fails
 def check_general(sys: GeneralSystem, tol: float = DEFAULT_CHECK_TOL) -> RealizabilityReport:
     """Realizability of a general-form system via the skew Ito parts."""
     theta = sys.big_theta_n
@@ -184,6 +195,7 @@ def check_general(sys: GeneralSystem, tol: float = DEFAULT_CHECK_TOL) -> Realiza
     return _make_report(conditions)
 
 
+@_overflow_fails
 def nondemolition_residual(sys: StandardSystem) -> float:
     """Frobenius norm of B theta_w D^T + theta_n C^T."""
     st = sys.structure

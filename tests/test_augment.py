@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,22 @@ def test_augmented_pair_conditions_hold():
         assert np.linalg.norm(coupling) <= 1e-8 * scale
         assert np.array_equal(aug.a_tilde[:dims.n, :dims.n], sys.a)
         assert reduced_report(sys, aug).verdict
+
+
+def test_relation_residuals_method_matches_relations():
+    # the method is the one copy the CLI reports; the helper above is an
+    # independent transcription of the same three relations
+    names = ["output-coupling", "auxiliary-skew", "auxiliary-closure"]
+    systems = [mixed_reference()] + [generate_realizable(dims, seed=2100 + i)
+                                     for i, dims in enumerate(grid_sample(12))]
+    for sys in systems:
+        aug = augment(sys)
+        got = aug.relation_residuals(sys)
+        assert list(got) == names
+        assert list(got.values()) == relation_residuals(sys, aug)
+        assert all(type(v) is float for v in got.values())
+        # a broken auxiliary block shows up in its relation only
+        bent = dataclasses.replace(aug, a_dprime=aug.a_dprime + 1e-3)
+        assert list(bent.relation_residuals(sys).values()) == relation_residuals(sys, bent)
+        if sys.dims.n_c:
+            assert bent.relation_residuals(sys)["auxiliary-closure"] > 1e-4

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import qcsynth
 from qcsynth import (Dimensions, GeneralSystem, QuantumOnlySystem, StandardSystem,
-                     simulate, skew_drift)
+                     augment, simulate, skew_drift)
 from qcsynth.cli import (_dumps, _encode_complex, _encode_real, load_system, main,
                          system_to_obj)
 from refsystems import MIXED_D, damped_cavity, mixed_reference
@@ -624,3 +625,52 @@ def test_parser_accepts_numbers_and_pairs_alike(tmp_path):
     for name in ("a_g", "b_g", "c_g", "d_g", "big_theta_n", "f_v", "f_y"):
         assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
     assert loaded.a_g.dtype == float and loaded.f_v.dtype == complex
+
+
+def overflowing_system(tmp_path, capsys):
+    path = str(tmp_path / "s.json")
+    assert run(capsys, "generate", "--n-q", "1", "--n-c", "1", "--m", "2", "--n-yq", "1",
+               "--n-yc", "1", "--seed", "3", "-o", path)[0] == 0
+    obj = json.loads(Path(path).read_text())
+    obj["a"] = [[x * 1e300 for x in row] for row in obj["a"]]
+    return write_json(tmp_path / "s.json", obj)
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["check"], "check: FAIL (worst condition state-commutation, residual inf)"),
+    (["check", "--partitioned"], "check: FAIL (worst condition qq-state, residual inf)"),
+    (["augment"], "augment: FAIL (reduced check worst state-commutation)"),
+    (["synthesize"], "synthesize: FAIL (input fails realizability "
+                     "(worst condition: state-commutation))"),
+])
+def test_overflow_writes_only_the_summary(tmp_path, capsys, argv, summary):
+    # no np.errstate here, unlike test_overflowing_residual_fails_check
+    path = overflowing_system(tmp_path, capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, path)
+    assert code == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err == summary + "\n"
+
+
+def test_overflow_check_process_stderr(tmp_path, capsys):
+    # the same check as its own process, with every warning shown
+    path = overflowing_system(tmp_path, capsys)
+    env = dict(os.environ, PYTHONPATH=str(Path(qcsynth.__file__).resolve().parent.parent))
+    env.pop("QCSYNTH_TOL", None)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-W", "always", "-c",
+                           "from qcsynth.cli import entry; entry()", "check", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "check: FAIL (worst condition state-commutation, residual inf)\n"
+    assert json.loads(proc.stdout)["conditions"][0]["residual"] == np.inf
+
+
+def test_augment_reports_relation_residuals(tmp_path, capsys):
+    model = mixed_reference()
+    path = write_system(tmp_path / "sys.json", model)
+    code, out, _ = run(capsys, "augment", path)
+    assert code == 0
+    assert json.loads(out)["relation_residuals"] == augment(model).relation_residuals(model)

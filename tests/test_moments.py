@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,8 +7,10 @@ import scipy.linalg
 
 from qcsynth import (
     Dimensions,
+    MomentTrajectory,
     StandardSystem,
     generate_realizable,
+    make_structure,
     simulate,
     skew_drift,
 )
@@ -237,3 +241,110 @@ def test_taylor_exponential_matches_40_digits(norm, pump_norm):
             want = np.array(mpmath.expm(mpmath.matrix(block.tolist())).tolist(), dtype=float)
         assert np.abs(e - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
+
+
+# ---------------------------------------------------------------------------
+# stacked trajectories
+
+
+def test_fields_are_read_only_stacks():
+    sys = mixed_reference()
+    traj = simulate(sys, t_final=0.05, dt=0.01, mu0=[1.0, -2.0, 0.5])
+    assert isinstance(traj.times, tuple) and len(traj.times) == 6
+    assert isinstance(traj.means, np.ndarray)
+    assert isinstance(traj.second_moments, np.ndarray)
+    assert (traj.means.shape, traj.means.dtype) == ((6, 3), np.float64)
+    assert (traj.second_moments.shape, traj.second_moments.dtype) == ((6, 3, 3), np.complex128)
+    for field in (traj.means, traj.second_moments):
+        assert not field.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 0.0
+        # a sample is a view of the stack and stays read-only too
+        assert not field[-1].flags.writeable
+
+
+def test_long_blocked_run_matches_single_steps():
+    # 410 steps run in 19 blocks of 21 and a last block of 11; the
+    # reference advances one exact step at a time
+    sys = mixed_reference()
+    n, dt, n_steps = 3, 0.005, 410
+    pump = sys.b @ sys.structure.f_w @ sys.b.T
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n], block[:n, n:], block[n:, n:] = sys.a, pump, -sys.a.T
+    e = scipy.linalg.expm(block * dt)
+    phi, q_d = e[:n, :n].real, e[:n, n:] @ e[:n, :n].real.T
+    mu0 = np.array([1.0, -2.0, 0.5])
+    traj = simulate(sys, t_final=n_steps * dt, dt=dt, mu0=mu0)
+    assert traj.second_moments.shape == (n_steps + 1, n, n)
+    mu, sigma = mu0, traj.second_moments[0]
+    for k in range(1, n_steps + 1):
+        mu, sigma = phi @ mu, phi @ sigma @ phi.T + q_d
+        assert np.linalg.norm(traj.second_moments[k] - sigma) <= 1e-13 * np.linalg.norm(sigma)
+        assert np.linalg.norm(traj.means[k] - mu) <= 1e-13 * np.linalg.norm(mu0)
+
+
+@pytest.mark.parametrize("first_bad", [35, 40, 41])
+def test_divergence_names_first_non_finite_step(first_bad):
+    # 100 steps run in blocks of 10, so step 35 is mid-block, 40 ends a
+    # block and 41 starts one.  A = lam I scales Sigma by exactly 1e4 per
+    # step (up to the pump's 1/2lam), and the initial scale puts step
+    # first_bad - 1 near 1e306 and step first_bad near 1e310, past the
+    # largest double by a factor of 100 either way
+    dt = 0.01
+    lam = math.log(1e4) / (2 * dt)
+    eye = np.eye(2)
+    sys = StandardSystem(CAVITY_DIMS, lam * eye, eye, -eye, eye)
+    scale = 10.0 ** (310.25 - 4 * first_bad)
+    sigma0 = scale * eye + 1j * sys.structure.theta_n
+    with pytest.raises(ValueError) as info:
+        simulate(sys, sigma0, t_final=100 * dt, dt=dt)
+    assert str(info.value) == ("moments diverged to non-finite values at step "
+                               f"{first_bad} (t = {first_bad * dt:.6g})")
+
+
+def test_skew_drift_reads_tuple_fields():
+    sys = mixed_reference()
+    b = sys.b.copy()
+    b[0, 0] += 0.2
+    broken = StandardSystem(sys.dims, sys.a, b, sys.c, sys.d)
+    theta = sys.structure.theta_n
+    traj = simulate(broken, t_final=0.5, dt=1e-3)
+    by_hand = MomentTrajectory(traj.times, tuple(traj.means), tuple(traj.second_moments))
+    assert skew_drift(by_hand, theta) == skew_drift(traj, theta) > 0.0
+    listed = MomentTrajectory(traj.times, traj.means.tolist(), traj.second_moments.tolist())
+    assert skew_drift(listed, theta) == skew_drift(traj, theta)
+
+
+def old_skew_drift(sigmas, theta_n):
+    # the per-sample formula skew_drift used before it stacked its input
+    worst = 0.0
+    for s in sigmas:
+        dev_re = (s.imag - s.imag.T) / 2.0 - theta_n
+        dev_im = (s.real - s.real.T) / 2.0
+        worst = max(worst, np.sqrt((dev_re * dev_re + dev_im * dev_im).sum()))
+    return worst
+
+
+@pytest.mark.parametrize("n_q, n_c", [(1, 0), (1, 1), (4, 4), (16, 16)])
+def test_skew_drift_matches_old_formula(n_q, n_c):
+    rng = np.random.default_rng(97 + n_q)
+    theta = make_structure(Dimensions(n_q, n_c, 2 * n_q, n_q, n_c)).theta_n
+    n = theta.shape[0]
+    for spread in (1.0, 1e-9):
+        # Hermitian samples whose skew part sits `spread` away from theta
+        g = rng.standard_normal((300, n, n))
+        h = rng.standard_normal((300, n, n))
+        stack = (g + g.transpose(0, 2, 1)) + 1j * (theta + spread * (h - h.transpose(0, 2, 1)))
+        traj = MomentTrajectory(tuple(range(300)), np.zeros((300, n)), stack)
+        want = old_skew_drift(stack, theta)
+        assert abs(skew_drift(traj, theta) - want) <= 4 * np.finfo(float).eps * want
+
+
+def test_empty_state_trajectory():
+    dims = Dimensions(n_q=0, n_c=0, m=1, n_yq=1, n_yc=0)
+    sys = StandardSystem(dims, np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.eye(2))
+    traj = simulate(sys, t_final=0.1, dt=0.01)
+    assert traj.means.shape == (11, 0)
+    assert traj.second_moments.shape == (11, 0, 0)
+    assert skew_drift(traj, sys.structure.theta_n) == 0.0
+    assert skew_drift(MomentTrajectory((), (), ()), np.eye(2)) == 0.0

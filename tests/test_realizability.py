@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -348,3 +350,26 @@ def test_trajectory_zero_whenever_nondemolition_holds():
         assert nondemolition_residual(sys) <= 1e-8 * (1 + np.linalg.norm(sys.c))
         for g in commutator_trajectory(sys, [0.5, 2.0]):
             assert np.linalg.norm(g) <= 1e-7 * (1 + np.linalg.norm(sys.c))
+
+
+@pytest.mark.parametrize("field, factor", [("a", 1e300), ("b", 1e200), ("c", 1e300),
+                                           ("d", 1e200)])
+def test_overflow_fails_without_warning(field, factor):
+    # no np.errstate here: every checker keeps the overflow it reports as
+    # an infinite residual out of numpy's warnings
+    sys = generate_realizable(Dimensions(1, 1, 2, 1, 1), 3)
+    mats = {name: getattr(sys, name) for name in "abcd"}
+    mats[field] = mats[field] * factor
+    big = StandardSystem(sys.dims, mats["a"], mats["b"], mats["c"], mats["d"])
+    quantum = QuantumOnlySystem(big.a[:2, :2], big.b[:2], big.c[:2, :2], big.d[:2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reports = [check_standard(big), check_standard_partitioned(big),
+                   check_quantum(quantum)]
+        if field in "ac":
+            # the general form's F_y = D F_w D^T overflows before any check
+            reports.append(check_general(as_general(big)))
+        nondemolition_residual(big)
+    for report in reports:
+        assert not report.verdict
+        assert not report[report.worst].passed
