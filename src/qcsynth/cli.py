@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .augment import augment as run_augment
 from .augment import reduce as run_reduce
 from .matkit import symplectic_complete
 from .moments import simulate, skew_drift
-from .realizability import (check_general, check_quantum, check_standard,
+from .realizability import (_fro, check_general, check_quantum, check_standard,
                             check_standard_partitioned)
 from .synthesis import (NotRealizableError, Realization, ClassicalSubsystem,
                         QuantumSubsystem, close_loop, generate_realizable,
@@ -122,9 +122,9 @@ def _encode_complex(mat) -> list:
     return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
-def _require_int(record, key: str, where: str, default=None) -> int:
+def _require_int(record, key: str, where: str, default=MISSING) -> int:
     if key not in record:
-        if default is not None:
+        if default is not MISSING:
             return default
         raise SystemFileError(f"{where}: missing required field '{key}'")
     value = record[key]
@@ -145,17 +145,11 @@ def _load_json(path: str):
                               f"column {exc.colno}: {exc.msg}")
 
 
-def _dims_to_obj(d: Dimensions) -> dict:
-    return {"n_q": d.n_q, "n_c": d.n_c, "m": d.m,
-            "n_yq": d.n_yq, "n_yc": d.n_yc, "n_w1": d.n_w1}
-
-
 def _parse_dims(record, where: str) -> Dimensions:
     if not isinstance(record, dict):
         raise SystemFileError(f"{where}: expected an object with the counts")
-    kwargs = {key: _require_int(record, key, where)
-              for key in ("n_q", "n_c", "m", "n_yq", "n_yc")}
-    kwargs["n_w1"] = _require_int(record, "n_w1", where, default=0)
+    kwargs = {f.name: _require_int(record, f.name, where, f.default)
+              for f in fields(Dimensions)}
     try:
         return Dimensions(**kwargs)
     except ValueError as exc:
@@ -168,7 +162,7 @@ def _parse_dims(record, where: str) -> Dimensions:
 def _system_arrays(sys_model) -> dict:
     """A system file as a dict whose matrices are still ndarrays."""
     if isinstance(sys_model, StandardSystem):
-        return {"form": "standard", "dims": _dims_to_obj(sys_model.dims),
+        return {"form": "standard", "dims": asdict(sys_model.dims),
                 "a": sys_model.a, "b": sys_model.b, "c": sys_model.c, "d": sys_model.d}
     if isinstance(sys_model, GeneralSystem):
         return {"form": "general", "a": sys_model.a_g, "b": sys_model.b_g,
@@ -344,10 +338,6 @@ def _report_obj(report, form: str, tol: float) -> dict:
     }
 
 
-def _fro(x) -> float:
-    return float(np.linalg.norm(x)) if np.asarray(x).size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -400,7 +390,7 @@ def cmd_to_standard(args) -> int:
 
 def _realization_to_obj(r: Realization) -> dict:
     return {
-        "dims": _dims_to_obj(r.dims),
+        "dims": asdict(r.dims),
         "g1": {f.name: getattr(r.g1, f.name) for f in fields(r.g1)},
         "g2": {f.name: getattr(r.g2, f.name) for f in fields(r.g2)},
         "g_mat": r.g_mat,
@@ -414,35 +404,31 @@ def _realization_to_obj(r: Realization) -> dict:
 
 def _realization_from_obj(obj: dict, where: str) -> Realization:
     dims = _parse_dims(obj.get("dims"), f"{where}.dims")
-    n_q2, n_c, m2 = 2 * dims.n_q, dims.n_c, 2 * dims.m
-    yq2, n_yc, mf2 = 2 * dims.n_yq, dims.n_yc, 2 * (dims.m - dims.n_yq)
     r = _require_int(obj, "r", where)
     g1_obj, g2_obj = obj.get("g1"), obj.get("g2")
     if not isinstance(g1_obj, dict) or not isinstance(g2_obj, dict):
         raise SystemFileError(f"{where}: missing g1/g2 records")
+    n_q2, n_c, m2, split = 2 * dims.n_q, dims.n_c, 2 * dims.m, 2 * dims.n_w1
+    yq2, n_yc, mf2 = 2 * dims.n_yq, dims.n_yc, 2 * (dims.m - dims.n_yq)
+    shapes = {
+        "a_qq": (n_q2, n_q2), "b_q": (n_q2, m2), "e_mat": (n_q2, n_c),
+        "c_qq": (yq2, n_q2), "d_q": (yq2, m2), "c_qq_prime": (mf2, n_q2),
+        "d_q_prime": (mf2, m2), "k_q": (n_q2, n_c),
+        "a_cc_prime": (n_c, n_c), "b_c_prime": (n_c, r), "c_cc_prime": (n_yc, n_c),
+        "d_c_prime": (n_yc, r), "c_c_prime_1": (split, n_c),
+        "c_c_prime_2": (m2 - split, n_c),
+        "g_mat": (r, mf2), "k_sel": (r, mf2), "v_sympl": None,
+        "p_perm": (n_c + n_yc, n_c + n_yc), "z": (n_c + n_yc, r),
+    }
 
-    def real(rec, name, shape):
-        return _parse_matrix(rec.get(name), name, shape)
+    def parse(rec, cls):
+        # the matrix fields of cls, in constructor order
+        return {f.name: _parse_matrix(rec.get(f.name), f.name, shapes[f.name])
+                for f in fields(cls) if f.name in shapes}
 
-    g1 = QuantumSubsystem(
-        real(g1_obj, "a_qq", (n_q2, n_q2)), real(g1_obj, "b_q", (n_q2, m2)),
-        real(g1_obj, "e_mat", (n_q2, n_c)), real(g1_obj, "c_qq", (yq2, n_q2)),
-        real(g1_obj, "d_q", (yq2, m2)), real(g1_obj, "c_qq_prime", (mf2, n_q2)),
-        real(g1_obj, "d_q_prime", (mf2, m2)), real(g1_obj, "k_q", (n_q2, n_c)))
-    split = 2 * dims.n_w1
-    g2 = ClassicalSubsystem(
-        real(g2_obj, "a_cc_prime", (n_c, n_c)), real(g2_obj, "b_c_prime", (n_c, r)),
-        real(g2_obj, "c_cc_prime", (n_yc, n_c)), real(g2_obj, "d_c_prime", (n_yc, r)),
-        real(g2_obj, "c_c_prime_1", (split, n_c)),
-        real(g2_obj, "c_c_prime_2", (m2 - split, n_c)))
-    return Realization(
-        g1, g2,
-        _parse_matrix(obj.get("g_mat"), "g_mat", (r, mf2)),
-        _parse_matrix(obj.get("k_sel"), "k_sel", (r, mf2)),
-        _parse_matrix(obj.get("v_sympl"), "v_sympl"),
-        _parse_matrix(obj.get("p_perm"), "p_perm", (n_c + n_yc, n_c + n_yc)),
-        _parse_matrix(obj.get("z"), "z", (n_c + n_yc, r)),
-        dims)
+    return Realization(QuantumSubsystem(**parse(g1_obj, QuantumSubsystem)),
+                       ClassicalSubsystem(**parse(g2_obj, ClassicalSubsystem)),
+                       dims=dims, **parse(obj, Realization))
 
 
 def _block_errors(got: StandardSystem, want: StandardSystem) -> dict:

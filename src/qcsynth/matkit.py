@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # scipy.linalg loads lazily, on its first use
 
-from .sysmodel import diag_j
+from .sysmodel import _maxabs, diag_j
 
 __all__ = [
     "DEFAULT_TOL",
@@ -31,10 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-
-
-def _maxabs(a: np.ndarray) -> float:
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
 def rank_tol(m_mat, tol: float = DEFAULT_TOL) -> int:

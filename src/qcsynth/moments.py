@@ -126,8 +126,8 @@ def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
 
     Each sample is the exact flow of the moment equations (up to round-off),
     whatever dt is.  t_final must be a nonnegative whole number of dt steps.
-    sigma0 must be Hermitian with skew part equal to theta_n (the vacuum
-    default I + i theta_n is used when omitted).  Every stored Sigma is
+    sigma0 and mu0 must be finite, and sigma0 Hermitian with skew part equal
+    to theta_n (the vacuum default I + i theta_n is used when omitted).  Every stored Sigma is
     re-Hermitized by averaging with its conjugate transpose; the exact flow
     preserves Hermiticity, so this only cancels round-off.  Non-finite
     values abort with the offending step index.
@@ -150,8 +150,12 @@ def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
     if sigma0 is None:
         sigma0 = np.eye(n) + 1j * st.theta_n
     sigma0 = np.asarray(sigma0, dtype=complex)
-    if sigma0.shape != (n, n):
-        raise ValueError(f"sigma0: expected shape {(n, n)}, got {sigma0.shape}")
+    mu = np.zeros(n) if mu0 is None else np.asarray(mu0, dtype=float).copy()
+    for name, value, shape in (("sigma0", sigma0, (n, n)), ("mu0", mu, (n,))):
+        if value.shape != shape:
+            raise ValueError(f"{name}: expected shape {shape}, got {value.shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name}: entries must be finite")
     herm = np.max(np.abs(sigma0 - sigma0.conj().T)) if n else 0.0
     if herm > _SIGMA0_SKEW_TOL:
         raise ValueError(f"sigma0 is not Hermitian (max asymmetry {herm:.3e})")
@@ -159,9 +163,6 @@ def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
     if skew > _SIGMA0_SKEW_TOL:
         raise ValueError("sigma0 skew part does not match the state "
                          f"commutation matrix (max deviation {skew:.3e})")
-    mu = np.zeros(n) if mu0 is None else np.asarray(mu0, dtype=float).copy()
-    if mu.shape != (n,):
-        raise ValueError(f"mu0: expected shape {(n,)}, got {mu.shape}")
 
     means = np.empty((n_steps + 1, n))
     sigmas = np.empty((n_steps + 1, n, n), dtype=complex)

@@ -1,10 +1,12 @@
 """Condition checkers for physical realizability, with residual diagnostics.
 
-Each checker evaluates its defining matrix equations, reports one named
-residual per condition, and passes exactly when every residual stays below
-its threshold.  Thresholds default to tol * (1 + scale), where scale sums
-the norms of the terms entering the condition before cancellation, so that
-systems with large entries are not penalized.
+Every checker builds its conditions from one kernel, `_terms`: the state,
+non-demolition and output-Ito identities for commutation matrices
+(theta_n, theta_w, theta_y), each a list of terms that must sum to zero.
+The blockwise checker takes block slices of the same terms.  A condition
+reports the norm of its sum as its residual and passes exactly when that
+stays below tol * (1 + scale), where scale sums the norms of the terms
+before cancellation, so that systems with large entries are not penalized.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # scipy.linalg loads lazily, on its first use
 
-from .sysmodel import (GeneralSystem, QuantumOnlySystem, StandardSystem,
-                       diag_j, make_structure)
+from .sysmodel import (GeneralSystem, QuantumOnlySystem, StandardSystem, _maxabs,
+                       diag_j)
 
 __all__ = [
     "ConditionResult",
@@ -70,9 +72,21 @@ def _fro(a: np.ndarray) -> float:
     return float(np.linalg.norm(a)) if a.size else 0.0
 
 
-def _condition(name: str, value: np.ndarray, tol: float, terms) -> ConditionResult:
+def _terms(a, b, c, d, theta_n, theta_w, theta_y):
+    """Term lists of the state, non-demolition and output-Ito conditions."""
+    return ([a @ theta_n, theta_n @ a.T, b @ theta_w @ b.T],
+            [b @ theta_w @ d.T, theta_n @ c.T],
+            [d @ theta_w @ d.T, -theta_y])
+
+
+def _standard_terms(sys: StandardSystem):
+    st = sys.structure
+    return _terms(sys.a, sys.b, sys.c, sys.d, st.theta_n, st.theta_w, st.theta_y_target)
+
+
+def _condition(name: str, terms, tol: float) -> ConditionResult:
     scale = sum(_fro(t) for t in terms)
-    return ConditionResult(name, _fro(value), tol * (1.0 + scale))
+    return ConditionResult(name, _fro(sum(terms)), tol * (1.0 + scale))
 
 
 def _make_report(conditions: list[ConditionResult]) -> RealizabilityReport:
@@ -105,39 +119,43 @@ def check_quantum(sys: QuantumOnlySystem, tol: float = DEFAULT_CHECK_TOL,
     a, b, c, d = sys.a, sys.b, sys.c, sys.d
     if theta is None:
         theta = diag_j(sys.n_q)
-    theta_w = diag_j(sys.m)
+    j_z = diag_j(sys.n_z)
+    state = _terms(a, b, c, d, theta, diag_j(sys.m), j_z)[0]
     # the coupling condition pairs outputs against their own commutation
     # blocks, which match theta_w only when the feedthrough is square
-    t_state = [a @ theta, theta @ a.T, b @ theta_w @ b.T]
-    t_out = [b @ d.T, theta @ c.T @ diag_j(sys.n_z)]
-    expected_d = np.zeros_like(d)
-    k = min(d.shape)
-    expected_d[:, :k] = np.eye(d.shape[0], k)
-    form_defect = 0.0 if d.shape[0] <= d.shape[1] else np.inf
-    if np.isfinite(form_defect) and d.size:
-        form_defect = float(np.max(np.abs(d - expected_d)))
-    conditions = [
-        _condition("state-commutation", sum(t_state), tol, t_state),
-        _condition("output-coupling", t_out[0] - t_out[1], tol, t_out),
+    coupling = [b @ d.T, -(theta @ c.T @ j_z)]
+    form_defect = _maxabs(d - np.eye(*d.shape)) if d.shape[0] <= d.shape[1] else np.inf
+    return _make_report([
+        _condition("state-commutation", state, tol),
+        _condition("output-coupling", coupling, tol),
         ConditionResult("output-form", form_defect, 0.0),
-    ]
-    return _make_report(conditions)
+    ])
+
+
+_WHOLE_NAMES = ("state-commutation", "non-demolition", "output-ito")
 
 
 @_overflow_fails
 def check_standard(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> RealizabilityReport:
     """The three standard-form realizability conditions."""
-    st = sys.structure
-    a, b, c, d = sys.a, sys.b, sys.c, sys.d
-    t1 = [a @ st.theta_n, st.theta_n @ a.T, b @ st.theta_w @ b.T]
-    t2 = [b @ st.theta_w @ d.T, st.theta_n @ c.T]
-    t3 = [d @ st.theta_w @ d.T, st.theta_y_target]
-    conditions = [
-        _condition("state-commutation", sum(t1), tol, t1),
-        _condition("non-demolition", t2[0] + t2[1], tol, t2),
-        _condition("output-ito", t3[0] - t3[1], tol, t3),
-    ]
-    return _make_report(conditions)
+    return _make_report([_condition(name, terms, tol)
+                         for name, terms in zip(_WHOLE_NAMES, _standard_terms(sys))])
+
+
+# (name, condition, row block, column block).  The state condition is skew,
+# so its (q, c) block repeats the (c, q) one and is left out.
+_PARTITION = (
+    ("qq-state", 0, "q", "q"),
+    ("cq-coupling", 0, "c", "q"),
+    ("bc-classical", 0, "c", "c"),
+    ("bc-dq-cross", 1, "c", "yq"),
+    ("q-nondemolition", 1, "q", "yq"),
+    ("bc-dc-cross", 1, "c", "yc"),
+    ("c-nondemolition", 1, "q", "yc"),
+    ("dq-ito", 2, "yq", "yq"),
+    ("dq-dc-cross", 2, "yq", "yc"),
+    ("dc-classical", 2, "yc", "yc"),
+)
 
 
 @_overflow_fails
@@ -149,57 +167,27 @@ def check_standard_partitioned(sys: StandardSystem,
     the nonredundant blocks of the three whole-matrix conditions under the
     quantum-first partitioning.
     """
-    st = sys.structure
-    th_q = st.theta_nq
-    th_w = st.theta_w
-    th_yq = st.theta_yq
-    a_qq, a_cq = sys.a_qq, sys.a_cq
-    b_q, b_c = sys.b_q, sys.b_c
-    c_qq, c_cq = sys.c_qq, sys.c_cq
-    d_q, d_c = sys.d_q, sys.d_c
-
-    def cond(name, terms, signs):
-        value = sum(s * t for s, t in zip(signs, terms))
-        return _condition(name, value, tol, terms)
-
-    conditions = [
-        cond("qq-state", [a_qq @ th_q, th_q @ a_qq.T, b_q @ th_w @ b_q.T], (1, 1, 1)),
-        cond("cq-coupling", [a_cq @ th_q, b_c @ th_w @ b_q.T], (1, 1)),
-        cond("bc-classical", [b_c @ th_w @ b_c.T], (1,)),
-        cond("bc-dq-cross", [b_c @ th_w @ d_q.T], (1,)),
-        cond("q-nondemolition", [b_q @ th_w @ d_q.T, th_q @ c_qq.T], (1, 1)),
-        cond("bc-dc-cross", [b_c @ th_w @ d_c.T], (1,)),
-        cond("c-nondemolition", [b_q @ th_w @ d_c.T, th_q @ c_cq.T], (1, 1)),
-        cond("dq-ito", [d_q @ th_w @ d_q.T, th_yq], (1, -1)),
-        cond("dq-dc-cross", [d_q @ th_w @ d_c.T], (1,)),
-        cond("dc-classical", [d_c @ th_w @ d_c.T], (1,)),
-    ]
-    return _make_report(conditions)
+    k, k_y = 2 * sys.dims.n_q, 2 * sys.dims.n_yq
+    blocks = {"q": slice(None, k), "c": slice(k, None),
+              "yq": slice(None, k_y), "yc": slice(k_y, None)}
+    terms = _standard_terms(sys)
+    return _make_report([
+        _condition(name, [t[blocks[rows], blocks[cols]] for t in terms[i]], tol)
+        for name, i, rows, cols in _PARTITION])
 
 
 @_overflow_fails
 def check_general(sys: GeneralSystem, tol: float = DEFAULT_CHECK_TOL) -> RealizabilityReport:
     """Realizability of a general-form system via the skew Ito parts."""
-    theta = sys.big_theta_n
-    theta_v = sys.theta_v
-    theta_y = sys.theta_y
-    a, b, c, d = sys.a_g, sys.b_g, sys.c_g, sys.d_g
-    t1 = [a @ theta, theta @ a.T, b @ theta_v @ b.T]
-    t2 = [b @ theta_v @ d.T, theta @ c.T]
-    t3 = [d @ theta_v @ d.T, theta_y]
-    conditions = [
-        _condition("state-commutation", sum(t1), tol, t1),
-        _condition("non-demolition", t2[0] + t2[1], tol, t2),
-        _condition("output-ito", t3[0] - t3[1], tol, t3),
-    ]
-    return _make_report(conditions)
+    terms = _terms(sys.a_g, sys.b_g, sys.c_g, sys.d_g,
+                   sys.big_theta_n, sys.theta_v, sys.theta_y)
+    return _make_report([_condition(name, t, tol) for name, t in zip(_WHOLE_NAMES, terms)])
 
 
 @_overflow_fails
 def nondemolition_residual(sys: StandardSystem) -> float:
     """Frobenius norm of B theta_w D^T + theta_n C^T."""
-    st = sys.structure
-    return _fro(sys.b @ st.theta_w @ sys.d.T + st.theta_n @ sys.c.T)
+    return _fro(sum(_standard_terms(sys)[1]))
 
 
 def commutator_trajectory(sys: StandardSystem, times) -> list[np.ndarray]:
@@ -216,15 +204,13 @@ def commutator_trajectory(sys: StandardSystem, times) -> list[np.ndarray]:
     if (any(not 0.0 <= t < math.inf for t in times)
             or any(t2 < t1 for t1, t2 in zip(times, times[1:]))):
         raise ValueError("times must be sorted, nonnegative and finite")
-    st = sys.structure
-    a = sys.a
-    drive = st.theta_n @ sys.c.T + sys.b @ st.theta_w @ sys.d.T
-    n = a.shape[0]
+    drive = sum(_standard_terms(sys)[1])
+    n = sys.a.shape[0]
     positive = [t for t in times if t > 0.0]   # sorted, so these come last
     out = [np.zeros_like(drive) for _ in range(len(times) - len(positive))]
     if positive:
         block = np.zeros((2 * n, 2 * n))
-        block[:n, :n] = a
+        block[:n, :n] = sys.a
         block[:n, n:] = np.eye(n)
         exps = scipy.linalg.expm(np.multiply.outer(positive, block))
         out += [e[:n, n:] @ drive for e in exps]

@@ -348,3 +348,18 @@ def test_empty_state_trajectory():
     assert traj.second_moments.shape == (11, 0, 0)
     assert skew_drift(traj, sys.structure.theta_n) == 0.0
     assert skew_drift(MomentTrajectory((), (), ()), np.eye(2)) == 0.0
+
+
+VACUUM_NAN_CORNER = np.array([[np.nan, 1j], [-1j, 1.0]])
+
+
+@pytest.mark.parametrize("sigma0, mu0, name", [
+    (VACUUM_NAN_CORNER, None, "sigma0"),
+    (np.full((2, 2), np.inf), None, "sigma0"),
+    (None, [np.nan, 0.0], "mu0"),
+], ids=["nan-sigma0", "inf-sigma0", "nan-mu0"])
+def test_non_finite_initial_moments_rejected(sigma0, mu0, name):
+    # rejected as input before the Hermitian and skew checks can warn or
+    # the propagation can report a divergence
+    with pytest.raises(ValueError, match=f"^{name}: entries must be finite$"):
+        simulate(damped_cavity(), sigma0, t_final=0.1, dt=0.01, mu0=mu0)

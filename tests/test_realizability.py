@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qcsynth import (
     ConditionResult,
@@ -20,8 +22,10 @@ from qcsynth import (
     generate_realizable,
     make_structure,
     nondemolition_residual,
+    random_symplectic,
 )
-from refsystems import MIXED_DIMS, damped_cavity, grid_sample, mixed_reference
+from refsystems import (MIXED_DIMS, damped_cavity, dimension_grid, grid_sample,
+                        mixed_reference)
 
 PARTITION_NAMES = (
     "qq-state", "cq-coupling", "bc-classical", "bc-dq-cross",
@@ -373,3 +377,65 @@ def test_overflow_fails_without_warning(field, factor):
     for report in reports:
         assert not report.verdict
         assert not report[report.worst].passed
+
+
+# ------------------------------------------- whole and blockwise checkers agree
+
+def _passing_and_broken(count):
+    for i, dims in enumerate(grid_sample(count)):
+        sys = generate_realizable(dims, seed=i)
+        b = sys.b.copy()
+        b[0, 0] += 0.05
+        yield sys
+        yield StandardSystem(dims, sys.a, b, sys.c, sys.d)
+
+
+# Each whole condition against its partitioned blocks; a block counted twice
+# stands for itself and its transpose (the state and Ito conditions are skew).
+BLOCK_SUMS = {
+    "state-commutation": {"qq-state": 1, "cq-coupling": 2, "bc-classical": 1},
+    "non-demolition": {"q-nondemolition": 1, "c-nondemolition": 1,
+                       "bc-dq-cross": 1, "bc-dc-cross": 1},
+    "output-ito": {"dq-ito": 1, "dq-dc-cross": 2, "dc-classical": 1},
+}
+
+
+def test_partitioned_blocks_sum_to_whole_residuals():
+    for sys in _passing_and_broken(100):
+        whole = check_standard(sys)
+        blocks = check_standard_partitioned(sys)
+        for name, parts in BLOCK_SUMS.items():
+            total = sum(k * blocks[part].residual ** 2 for part, k in parts.items())
+            assert abs(np.sqrt(total) - whole[name].residual) <= 1e-4 * whole[name].threshold
+
+
+def test_nondemolition_residual_is_the_checker_residual():
+    for sys in _passing_and_broken(30):
+        assert nondemolition_residual(sys) == check_standard(sys)["non-demolition"].residual
+
+
+GRID = dimension_grid()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hst.integers(0, len(GRID) - 1), hst.integers(0, 2**16), hst.booleans())
+def test_verdicts_survive_a_change_of_state_basis(index, seed, broken):
+    # x -> P x with P = diag(T, S), T symplectic and S invertible, keeps
+    # theta_n and maps each condition block to a congruent one
+    dims = GRID[index]
+    sys = generate_realizable(dims, seed)
+    b = sys.b.copy()
+    if broken:
+        b[0, 0] += 0.05
+    rng = np.random.default_rng(seed)
+    p = scipy.linalg.block_diag(random_symplectic(dims.n_q, rng, 0.25),
+                                np.eye(dims.n_c) + 0.2 * rng.standard_normal((dims.n_c, dims.n_c)))
+    p_inv = np.linalg.inv(p)
+    moved = StandardSystem(dims, p @ sys.a @ p_inv, p @ b, sys.c @ p_inv, sys.d)
+    before = StandardSystem(dims, sys.a, b, sys.c, sys.d)
+
+    def failing(system):
+        return {c.name for c in check_standard_partitioned(system).conditions if not c.passed}
+
+    assert check_standard(moved).verdict == check_standard(before).verdict == (not broken)
+    assert failing(moved) == failing(before)
