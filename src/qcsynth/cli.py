@@ -24,7 +24,7 @@ import numpy as np
 from .augment import augment as run_augment
 from .augment import reduce as run_reduce
 from .matkit import symplectic_complete
-from .moments import simulate, skew_drift
+from .moments import _grid_steps, simulate, skew_drift
 from .realizability import (_fro, check_general, check_quantum, check_standard,
                             check_standard_partitioned)
 from .synthesis import (NotRealizableError, Realization, ClassicalSubsystem,
@@ -501,6 +501,10 @@ def cmd_simulate(args) -> int:
     if not isinstance(model, StandardSystem):
         raise SystemFileError(f"{args.input}: simulate expects a standard-form "
                               "system file")
+    try:
+        _grid_steps(args.t_final, args.dt)
+    except ValueError as exc:
+        raise SystemFileError(str(exc)) from None
     traj = simulate(model, t_final=args.t_final, dt=args.dt)
     drift = skew_drift(traj, model.structure.theta_n)
     obj = {

@@ -264,10 +264,11 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     recovered through Z.  Closed form for v_sympl: the dual rows
     W = (L L^T)^-1 L theta_prime (a solve with the R factor of L^T)
     satisfy L theta W^T = I, and W -= (W theta W^T) L / 2 makes them
-    isotropic; the pairs (L_i, W_i) lead v_sympl, with L copied verbatim,
-    and the symplectic complement of their span completes it as in
-    symplectic_complete.  Both the symplectic identity and the embedded
-    basis rows are verified before returning.
+    isotropic while keeping that identity (L theta L^T = 0).  The remaining
+    rows M_o = X L then give X = M_o theta W^T.  The pairs (L_i, W_i) lead
+    v_sympl, with L copied verbatim, and the symplectic complement of their
+    span completes it as in symplectic_complete.  Both the symplectic
+    identity and the embedded basis rows are verified before returning.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     theta_prime = np.asarray(theta_prime, dtype=float)
@@ -290,11 +291,16 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     basis_idx = _pivot_rows(m_mat, r)
     other_idx = [i for i in range(rows) if i not in basis_idx]
     basis = m_mat[basis_idx, :]
+    q, tri = np.linalg.qr(basis.T)
+    dual = np.linalg.solve(tri, q.T @ theta_prime)
+    dual -= 0.5 * (dual @ theta_prime @ dual.T) @ basis
 
-    # Remaining rows expressed in the chosen basis; consistency is implied
-    # by the rank computation but is still verified by the solver.
-    x = minnorm_right_solve(basis, m_mat[other_idx, :], tol) if other_idx else \
-        np.zeros((0, r))
+    # Remaining rows in the chosen basis: theta_prime @ dual.T is a right
+    # inverse of basis.  Consistency is implied by the rank computation but
+    # is still verified.
+    others = m_mat[other_idx, :]
+    x = others @ theta_prime @ dual.T
+    _check_consistent(x, basis, others, tol)
     z = np.vstack([np.eye(r), x])
     p_perm = np.zeros((rows, rows))
     for pos, orig in enumerate(basis_idx + other_idx):
@@ -302,9 +308,6 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     k_sel = np.zeros((r, two_mp))
     for i in range(r):
         k_sel[i, 2 * i] = 1.0
-    q, tri = np.linalg.qr(basis.T)
-    dual = np.linalg.solve(tri, q.T @ theta_prime)
-    dual -= 0.5 * (dual @ theta_prime @ dual.T) @ basis
     lead = np.empty((2 * r, two_mp))
     lead[0::2], lead[1::2] = basis, dual
     v_sympl = np.vstack([lead, _complement_pairs(lead, theta_prime, tol)])
@@ -328,11 +331,15 @@ def minnorm_right_solve(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
         x = np.zeros((b.shape[0], a.shape[0]))
     else:
         x = np.linalg.lstsq(a.T, b.T, rcond=None)[0].T
+    _check_consistent(x, a, b, tol)
+    return x
+
+
+def _check_consistent(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> None:
     residual = _maxabs(x @ a - b)
     if residual > tol * max(1.0, _maxabs(b)):
         raise ValueError("x @ a = b is inconsistent: b is not in the row "
                          f"space of a (residual {residual:.3e})")
-    return x
 
 
 def random_symplectic(m: int, rng: np.random.Generator, spread: float = 0.5) -> np.ndarray:

@@ -120,6 +120,19 @@ def _congruences(powers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return (powers @ left_t.view(float)).view(complex).transpose(0, 2, 1)
 
 
+def _grid_steps(t_final: float, dt: float) -> int:
+    """Step count of a sample grid; t_final must be a whole number of dt steps."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be nonnegative and finite, got {t_final}")
+    ratio = t_final / dt
+    if not (ratio < math.inf and abs(ratio - round(ratio)) <= _GRID_TOL * ratio):
+        raise ValueError(f"t_final = {t_final} is not a whole number of "
+                         f"dt = {dt} steps")
+    return round(ratio)
+
+
 def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
              mu0=None) -> MomentTrajectory:
     """Exact trajectory of (mu, Sigma) sampled every dt up to t_final.
@@ -136,15 +149,7 @@ def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
     precomputed powers Phi^j and sums Q_j = sum_{i<j} Phi^i Q_d Phi^iT,
     so N steps cost about 2 sqrt(N) batched products.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not 0.0 <= t_final < math.inf:
-        raise ValueError(f"t_final must be nonnegative and finite, got {t_final}")
-    ratio = t_final / dt
-    if not (ratio < math.inf and abs(ratio - round(ratio)) <= _GRID_TOL * ratio):
-        raise ValueError(f"t_final = {t_final} is not a whole number of "
-                         f"dt = {dt} steps")
-    n_steps = round(ratio)
+    n_steps = _grid_steps(t_final, dt)
     st = sys.structure
     n = sys.dims.n
     if sigma0 is None:

@@ -160,15 +160,18 @@ def _assemble(dims: Dimensions, a_qq, b_q, e_mat, c_qq, d_q, c_qq_prime,
     b_cg = b_c_prime @ g_mat
     d_cg = d_c_prime @ g_mat
     feed = g_mat @ d_q_prime @ c_c_prime
-    a = np.block([
-        [a_qq, b_q @ c_c_prime + e_mat],
-        [b_cg @ c_qq_prime, a_cc_prime + b_c_prime @ feed],
-    ])
+    q, yq = 2 * dims.n_q, 2 * dims.n_yq
+    a = np.empty((dims.n, dims.n))
+    a[:q, :q] = a_qq
+    a[:q, q:] = b_q @ c_c_prime + e_mat
+    a[q:, :q] = b_cg @ c_qq_prime
+    a[q:, q:] = a_cc_prime + b_c_prime @ feed
     b = np.vstack([b_q, b_cg @ d_q_prime])
-    c = np.block([
-        [c_qq, d_q @ c_c_prime],
-        [d_cg @ c_qq_prime, c_cc_prime + d_c_prime @ feed],
-    ])
+    c = np.empty((dims.n_y, dims.n))
+    c[:yq, :q] = c_qq
+    c[:yq, q:] = d_q @ c_c_prime
+    c[yq:, :q] = d_cg @ c_qq_prime
+    c[yq:, q:] = c_cc_prime + d_c_prime @ feed
     d = np.vstack([d_q, d_cg @ d_q_prime])
     return StandardSystem(dims, a, b, c, d)
 

@@ -36,8 +36,17 @@ STRUCTURE_TOL = 1e-10
 
 
 def diag_j(k: int) -> np.ndarray:
-    """Block-diagonal stack of k copies of J2, shape (2k, 2k)."""
-    return np.kron(np.eye(k), J2)
+    """Block-diagonal stack of k copies of J2, shape (2k, 2k).
+
+    Bitwise equal to np.kron(np.eye(k), J2), whose off-diagonal blocks carry
+    -0.0 where J2 holds -1.
+    """
+    out = np.zeros((2 * k, 2 * k))
+    below = out[1::2, ::2]
+    below[...] = -0.0
+    np.fill_diagonal(below, -1.0)
+    np.fill_diagonal(out[::2, 1::2], 1.0)
+    return out
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -47,7 +56,7 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 
 def _maxabs(a: np.ndarray) -> float:
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    return 0.0 if a.size == 0 else float(np.abs(a).max())
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,7 @@ def test_simulate(tmp_path, capsys):
 def test_simulate_bad_dt(tmp_path, capsys):
     path = write_system(tmp_path / "sys.json", damped_cavity())
     code, _, err = run(capsys, "simulate", path, "--dt", "0")
-    assert code == 1
+    assert code == 2
     assert "dt must be positive" in err
 
 
@@ -213,7 +213,7 @@ def test_simulate_bad_horizon(tmp_path, capsys):
                           (["--t-final", "0.0025", "--dt", "0.001"], "whole number of dt"),
                           (["--dt", "nan"], "dt must be positive")):
         code, out, err = run(capsys, "simulate", path, *argv)
-        assert code == 1
+        assert code == 2
         assert out == ""
         assert message in err
 

@@ -329,6 +329,39 @@ def test_pzkv_independent_rows_at_even_rows():
         assert np.array_equal(dec.v_sympl[0:2 * k:2], m_mat)
 
 
+def assert_basis_reconstructs(m_mat, dec):
+    # P Z (K V) with K V the basis rows taken from m_mat
+    got = dec.p_perm @ dec.z @ (dec.k_sel @ dec.v_sympl)
+    assert got.shape == m_mat.shape
+    if m_mat.size:
+        assert np.abs(got - m_mat).max() <= 1e-12 * (1 + np.abs(m_mat).max())
+
+
+def test_pzkv_basis_reconstructs_all_row_counts():
+    rng = np.random.default_rng(89)
+    m = 3
+    span = random_symplectic(m, rng)[0::2]
+    cases = [np.zeros((0, 2 * m)), np.zeros((2, 2 * m)),  # rank 0
+             span[:2],                                     # no rows remain
+             rng.standard_normal((4, 2)) @ span[:2]]       # rows remain
+    for m_mat in cases:
+        dec = pzkv_decompose(m_mat, diag_j(m))
+        assert dec.z.shape == (m_mat.shape[0], dec.r)
+        assert_basis_reconstructs(m_mat, dec)
+
+
+def test_pzkv_duplicated_scaled_and_zero_rows():
+    rng = np.random.default_rng(97)
+    m = 4
+    span = random_symplectic(m, rng)[0::2][:3]
+    base = rng.standard_normal((3, 3)) @ span
+    m_mat = np.vstack([base[0], np.zeros(2 * m), base[1], base[0], -2.5 * base[2],
+                       base[2], 1e-3 * base[1], np.zeros(2 * m)])
+    dec = pzkv_decompose(m_mat, diag_j(m))
+    assert dec.r == 3
+    assert_basis_reconstructs(m_mat, dec)
+
+
 def _qr_pivots(m_mat, r):
     return sorted(scipy.linalg.qr(m_mat.T, pivoting=True, mode="economic")[2][:r].tolist())
 

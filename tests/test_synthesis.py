@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qcsynth import (
     Dimensions,
@@ -182,3 +184,66 @@ def test_round_trip_grid():
         if rel.g_mat.size:
             gram = rel.g_mat @ diag_j(m_free) @ rel.g_mat.T
             assert np.abs(gram).max() <= 1e-10 * (1 + np.abs(rel.g_mat).max() ** 2)
+
+
+@hst.composite
+def dimensions(draw):
+    m = draw(hst.integers(0, 4))
+    return Dimensions(n_q=draw(hst.integers(0, 3)), n_c=draw(hst.integers(0, 3)), m=m,
+                      n_yq=draw(hst.integers(0, m)), n_yc=draw(hst.integers(0, 2)),
+                      n_w1=draw(hst.sampled_from((0, m))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dimensions(), hst.integers(0, 2**16))
+def test_round_trip_property(dims, seed):
+    sys = generate_realizable(dims, seed)
+    closed = close_loop(synthesize(sys))
+    for name in MATS:
+        orig, back = getattr(sys, name), getattr(closed, name)
+        assert back.shape == orig.shape
+        scale = 1 + np.abs(orig).max(initial=0.0)
+        assert np.abs(back - orig).max(initial=0.0) <= 1e-8 * scale, name
+
+
+# ---------------------------------------------------------------------------
+# loop assembly and solve count
+
+
+def block_reference(r):
+    # the interconnection of close_loop written out with np.block
+    g1, g2, g_mat = r.g1, r.g2, r.g_mat
+    b_cg, d_cg = g2.b_c_prime @ g_mat, g2.d_c_prime @ g_mat
+    feed = g_mat @ g1.d_q_prime @ g2.c_c_prime
+    a = np.block([[g1.a_qq, g1.b_q @ g2.c_c_prime + g1.e_mat],
+                  [b_cg @ g1.c_qq_prime, g2.a_cc_prime + g2.b_c_prime @ feed]])
+    b = np.vstack([g1.b_q, b_cg @ g1.d_q_prime])
+    c = np.block([[g1.c_qq, g1.d_q @ g2.c_c_prime],
+                  [d_cg @ g1.c_qq_prime, g2.c_cc_prime + g2.d_c_prime @ feed]])
+    d = np.vstack([g1.d_q, d_cg @ g1.d_q_prime])
+    return a, b, c, d
+
+
+def test_close_loop_matches_block_reference_bitwise():
+    shapes = [Dimensions(1, 1, 2, 1, 1), Dimensions(2, 0, 2, 1, 0), Dimensions(0, 2, 2, 0, 1),
+              Dimensions(1, 1, 1, 1, 1), Dimensions(2, 2, 3, 1, 2, 3), Dimensions(0, 0, 0, 0, 0),
+              Dimensions(4, 4, 8, 4, 4)]
+    for i, dims in enumerate(shapes):
+        r = synthesize(generate_realizable(dims, seed=500 + i))
+        closed = close_loop(r)
+        for name, want in zip(MATS, block_reference(r)):
+            got = getattr(closed, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (dims, name)
+
+
+def test_synthesize_makes_two_least_squares_solves(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    synthesize(generate_realizable(Dimensions(2, 2, 4, 1, 2), seed=3))
+    assert len(calls) == 2

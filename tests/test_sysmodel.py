@@ -10,6 +10,7 @@ from qcsynth import (
     make_structure,
     validate,
 )
+from qcsynth.sysmodel import J2, _maxabs
 from refsystems import MIXED_DIMS, mixed_reference
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -23,6 +24,18 @@ def test_diag_j_blocks():
     for k in range(3):
         assert np.array_equal(three[2 * k:2 * k + 2, 2 * k:2 * k + 2], J)
     assert np.count_nonzero(three) == 6
+
+
+def test_diag_j_bitwise_kron():
+    # including the -0.0 entries that kron leaves in the off-diagonal blocks
+    for k in range(65):
+        assert diag_j(k).tobytes() == np.kron(np.eye(k), J2).tobytes()
+
+
+def test_maxabs_nan_and_empty():
+    assert np.isnan(_maxabs(np.array([[1.0, np.nan], [-2.0, 0.0]])))
+    assert _maxabs(np.zeros((0, 3))) == 0.0
+    assert _maxabs(np.array([[1.0, -3.0]])) == 3.0
 
 
 def test_dimensions_derived_counts():

@@ -182,6 +182,28 @@ def test_transfer_equiv_detects_corrupted_w():
     assert transfer_equiv_check(g, bad) > 1e-3
 
 
+def test_transfer_equiv_matches_per_point_loop():
+    # the batched check against one solve per sample point; a corrupted
+    # witness keeps the deviations O(1), so round-off is relative to them
+    points = [1.0, 2.0 + 1.0j, -1.0 + 3.0j, 0.5 - 0.5j, 10.0]
+
+    def xi(a, b, c, d, s):
+        return c @ np.linalg.solve(s * np.eye(a.shape[0]) - a, b.astype(complex)) + d
+
+    # the 48-state model is evaluated in batches of fewer than five points
+    for sys in (mixed_reference(), generate_realizable(Dimensions(2, 2, 4, 1, 2), seed=3),
+                generate_realizable(Dimensions(16, 16, 32, 16, 16), seed=3)):
+        g = as_general(sys)
+        tw = to_standard(g)
+        bad = TransformWitness(tw.p_n, tw.w + 0.01, tw.p_y, tw.standard)
+        std = bad.standard
+        want = max(np.linalg.norm(xi(std.a, std.b, std.c, std.d, s)
+                                  - bad.p_y @ xi(g.a_g, g.b_g, g.c_g, g.d_g, s) @ bad.w)
+                   for s in points)
+        assert transfer_equiv_check(g, bad, sample_points=points) == pytest.approx(want, rel=1e-12)
+        assert transfer_equiv_check(g, bad, sample_points=[]) == 0.0
+
+
 def test_transfer_equiv_shifts_off_eigenvalues():
     g = as_general(damped_cavity())
     tw = to_standard(g)
