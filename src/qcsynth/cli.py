@@ -323,6 +323,17 @@ def _emit(args, obj: dict, summary: str) -> None:
 
 
 def _report_obj(report, form: str, tol: float) -> dict:
+    conditions = []
+    for c in report.conditions:
+        # JSON has no Infinity or NaN: an overflowed residual or threshold is
+        # written as null and its condition flagged non_finite
+        residual, threshold = (x if math.isfinite(x) else None
+                               for x in (c.residual, c.threshold))
+        cond = {"name": c.name, "residual": residual, "threshold": threshold,
+                "passed": c.passed}
+        if None in (residual, threshold):
+            cond["non_finite"] = True
+        conditions.append(cond)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "realizability-report",
@@ -330,11 +341,7 @@ def _report_obj(report, form: str, tol: float) -> dict:
         "tol": tol,
         "verdict": "pass" if report.verdict else "fail",
         "worst": report.worst,
-        "conditions": [
-            {"name": c.name, "residual": c.residual,
-             "threshold": c.threshold, "passed": c.passed}
-            for c in report.conditions
-        ],
+        "conditions": conditions,
     }
 
 

@@ -100,7 +100,9 @@ def transfer_eval(a, b, c, d, s: complex) -> np.ndarray:
 
 def _transfer_stack(a, b, c, d, points) -> np.ndarray:
     # C (sI - A)^{-1} B + D for every s in points, stacked along axis 0: one
-    # batched solve on the pencils sI - A.
+    # batched solve on the pencils sI - A, against B or, when C has fewer
+    # rows than B has columns, on the transposed system, since
+    # Xi(s)^T = B^T (sI - A^T)^{-1} C^T + D^T.
     a = np.asarray(a)
     b = np.asarray(b)
     c = np.asarray(c)
@@ -108,6 +110,8 @@ def _transfer_stack(a, b, c, d, points) -> np.ndarray:
     n = a.shape[0]
     if n == 0:
         return np.repeat(d[None].astype(complex), len(points), axis=0)
+    if c.shape[0] < b.shape[1]:
+        return _transfer_stack(a.T, c.T, b.T, d.T, points).transpose(0, 2, 1)
     pencils = np.asarray(points, dtype=complex)[:, None, None] * np.eye(n) - a
     try:
         resolvent_b = np.linalg.solve(pencils, b.astype(complex))
@@ -117,14 +121,19 @@ def _transfer_stack(a, b, c, d, points) -> np.ndarray:
     return c @ resolvent_b + d
 
 
-def _clear_of_eigenvalues(s: complex, spectra: list[np.ndarray],
-                          clearance: float) -> complex:
+def _clear_of_eigenvalues(points, spectra: list[np.ndarray],
+                          clearance: float) -> np.ndarray:
+    # Shift each point by _RESAMPLE_SHIFT until its distance from every
+    # spectrum exceeds clearance (1 + |s|), at most 100 times; every point
+    # is measured in one distance matrix per round.
+    points = np.array(points, dtype=complex)
+    eig = np.concatenate(spectra)
     for _ in range(100):
-        dist = min((np.min(np.abs(spec - s)) for spec in spectra if spec.size),
-                   default=np.inf)
-        if dist > clearance * (1.0 + abs(s)):
-            return s
-        s = s + _RESAMPLE_SHIFT
+        dist = np.abs(points[:, None] - eig).min(axis=1, initial=np.inf)
+        close = ~(dist > clearance * (1.0 + np.abs(points)))
+        if not close.any():
+            return points
+        points[close] += _RESAMPLE_SHIFT
     raise ValueError("could not clear the sample point of eigenvalues")
 
 
@@ -140,20 +149,22 @@ def transfer_equiv_check(g: GeneralSystem, tw: TransformWitness,
     if sample_points is None:
         sample_points = DEFAULT_SAMPLE_POINTS
     clearance = max(tol, _EIGEN_CLEARANCE)
-    spectra = [np.linalg.eigvals(g.a_g) if g.n else np.zeros(0),
-               np.linalg.eigvals(tw.standard.a) if tw.standard.a.size else np.zeros(0)]
-    points = [_clear_of_eigenvalues(complex(point), spectra, clearance)
-              for point in sample_points]
     std = tw.standard
-    # The general model has the same state and output sizes and half the
-    # input width, so the standard model's temporaries are the larger.
+    spectra = [np.linalg.eigvals(g.a_g) if g.n else np.zeros(0),
+               np.linalg.eigvals(std.a) if std.a.size else np.zeros(0)]
+    points = _clear_of_eigenvalues([complex(point) for point in sample_points],
+                                   spectra, clearance)
+    # p_y Xi_general(s) w is the transfer function of the general model
+    # folded through the witness, (A_g, B_g w, p_y C_g, p_y D_g w), which has
+    # the standard model's shapes.  Per point the largest temporaries are a
+    # pencil (n x n) and a transfer matrix (n_y x width).
+    b_fold, c_fold, d_fold = g.b_g @ tw.w, tw.p_y @ g.c_g, tw.p_y @ g.d_g @ tw.w
     (n_y, n), width = std.c.shape, std.b.shape[1]
-    step = max(1, _BATCH_ENTRIES // max(1, max(n, n_y) * max(n, width)))
+    step = max(1, _BATCH_ENTRIES // max(1, n * n, n_y * width))
     worst = 0.0
     for i in range(0, len(points), step):
         batch = points[i:i + step]
         xi_s = _transfer_stack(std.a, std.b, std.c, std.d, batch)
-        xi_g = _transfer_stack(g.a_g, g.b_g, g.c_g, g.d_g, batch)
-        deviations = np.linalg.norm(xi_s - tw.p_y @ xi_g @ tw.w, axis=(1, 2))
-        worst = max(worst, float(deviations.max()))
+        xi_f = _transfer_stack(g.a_g, b_fold, c_fold, d_fold, batch)
+        worst = max(worst, float(np.linalg.norm(xi_s - xi_f, axis=(1, 2)).max()))
     return worst

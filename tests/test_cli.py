@@ -583,7 +583,7 @@ def test_overflowing_residual_fails_check(tmp_path, capsys):
     assert report["verdict"] == "fail"
     cond = report["conditions"][0]
     assert cond["name"] == "state-commutation"
-    assert (cond["residual"], cond["threshold"], cond["passed"]) == (np.inf, np.inf, False)
+    assert (cond["residual"], cond["threshold"], cond["passed"]) == (None, None, False)
     assert "FAIL" in err
 
 
@@ -665,7 +665,32 @@ def test_overflow_check_process_stderr(tmp_path, capsys):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr == "check: FAIL (worst condition state-commutation, residual inf)\n"
-    assert json.loads(proc.stdout)["conditions"][0]["residual"] == np.inf
+    assert json.loads(proc.stdout)["conditions"][0]["residual"] is None
+
+
+def reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["check", "--partitioned"], ["augment"],
+                                  ["synthesize"]])
+def test_overflow_reports_are_strict_json(tmp_path, capsys, argv):
+    path = overflowing_system(tmp_path, capsys)
+    code, out, _ = run(capsys, *argv, path)
+    assert code == 1
+    report = json.loads(out, parse_constant=reject_constant)
+    if argv == ["augment"]:
+        report = report["reduced_check"]
+    assert report["schema_version"] == 1
+    assert report["verdict"] == "fail"
+    flagged = [c for c in report["conditions"] if c.get("non_finite")]
+    assert flagged and flagged[0]["name"] == report["worst"]
+    for cond in report["conditions"]:
+        values = (cond["residual"], cond["threshold"])
+        if cond.get("non_finite"):
+            assert cond["non_finite"] is True and None in values and not cond["passed"]
+        else:
+            assert "non_finite" not in cond and None not in values
 
 
 def test_augment_reports_relation_residuals(tmp_path, capsys):

@@ -15,7 +15,7 @@ from qcsynth import (
     symplectic_complete,
     synthesize,
 )
-from qcsynth import synthesis
+from qcsynth import matkit, synthesis, sysmodel
 from qcsynth.matkit import _pivot_rows
 from refsystems import FV_ROUNDED, W_REFERENCE, fv_exact
 
@@ -185,6 +185,29 @@ def test_ito_matches_loop_reference():
         f_v = g @ g.conj().T
         err = np.abs(ito_factorize(f_v).w - ito_loop_reference(f_v)).max()
         assert err <= 64 * np.finfo(float).eps * (1 + np.abs(f_v).max())
+
+
+def test_ito_real_verification_matches_complex_form(monkeypatch):
+    # the verification residual, taken in real arithmetic through w J,
+    # against the complex w F_w w^T it stands for
+    recorded = []
+
+    def recording_maxabs(a):
+        recorded.append(sysmodel._maxabs(a))
+        return recorded[-1]
+
+    monkeypatch.setattr(matkit, "_maxabs", recording_maxabs)
+    rng = np.random.default_rng(31)
+    for m in range(1, 17):
+        for k in range(m + 1):
+            g = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+            f_v = g @ g.conj().T
+            w = ito_factorize(f_v).w
+            lam, u = np.linalg.eigh((f_v + f_v.conj().T) / 2.0)
+            target = (u * np.sqrt(np.clip(lam, 0.0, None)) ** 2) @ u.conj().T
+            want = np.abs(w @ vacuum_fw(m) @ w.T - target).max()
+            scale = max(1.0, np.abs(f_v).max())
+            assert abs(recorded[-1] - want) <= 1e-15 * scale
 
 
 # ---------------------------------------------------------- symplectic_complete

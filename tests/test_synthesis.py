@@ -25,7 +25,7 @@ def assert_round_trip(sys, closed, tol=1e-8):
         orig = getattr(sys, name)
         back = getattr(closed, name)
         scale = 1 + (np.abs(orig).max() if orig.size else 0.0)
-        assert np.abs(back - orig).max() <= tol * scale, name
+        assert np.abs(back - orig).max(initial=0.0) <= tol * scale, name
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +107,16 @@ def test_no_free_channels():
     rel = synthesize(sys)
     assert rel.g_mat.shape == (0, 0)
     assert_round_trip(sys, close_loop(rel))
+
+
+@pytest.mark.parametrize("dims", [
+    Dimensions(0, 0, 0, 0, 0),
+    Dimensions(n_q=1, n_c=1, m=0, n_yq=0, n_yc=1),
+    Dimensions(n_q=2, n_c=1, m=3, n_yq=0, n_yc=0),
+])
+def test_empty_block_round_trip(dims):
+    sys = generate_realizable(dims, seed=7)
+    assert_round_trip(sys, close_loop(synthesize(sys)))
 
 
 def test_zeroed_network_drops_classical_noise():

@@ -14,6 +14,7 @@ from qcsynth import (
     transfer_equiv_check,
     transfer_eval,
 )
+from qcsynth.transform import _clear_of_eigenvalues
 from refsystems import damped_cavity, grid_sample, mixed_reference
 
 
@@ -225,3 +226,125 @@ def test_transfer_equiv_exact_witness_near_an_eigenvalue():
     scale = 1 + max(np.abs(m).max() for m in (g.a_g, g.b_g, g.c_g, g.d_g))
     assert witness_defects(g, tw) < 1e-12 * scale
     assert transfer_equiv_check(g, tw) < 1e-10 * scale
+
+
+def dense_transfer(a, b, c, d, s):
+    return c @ np.linalg.inv(s * np.eye(a.shape[0]) - a) @ b + d
+
+
+@pytest.mark.parametrize("dims, rhs_width", [
+    # pulled_back gives the general model 2m inputs, so the standard one has 4m
+    (Dimensions(2, 1, 3, 1, 1), 3),   # n_y = 3 < 4m = 12: the transposed system
+    (Dimensions(1, 1, 1, 0, 6), 4),   # n_y = 6 > 4m = 4: the direct system
+])
+def test_transfer_equiv_solves_on_the_short_side(monkeypatch, dims, rhs_width):
+    points = [40j, 30.0 + 25j, -20.0 - 35j]
+    g = pulled_back(generate_realizable(dims, seed=11), np.random.default_rng(11))
+    tw = to_standard(g)
+    bad = TransformWitness(tw.p_n, tw.w + 0.01, tw.p_y, tw.standard)
+    std = bad.standard
+    for spec in (np.linalg.eigvals(g.a_g), np.linalg.eigvals(std.a)):
+        assert min(np.abs(spec - s).min() / (1 + abs(s)) for s in points) > 0.1
+    want = max(np.linalg.norm(dense_transfer(std.a, std.b, std.c, std.d, s)
+                              - bad.p_y @ dense_transfer(g.a_g, g.b_g, g.c_g, g.d_g, s)
+                              @ bad.w)
+               for s in points)
+    widths = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        widths.append(b.shape[-1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    got = transfer_equiv_check(g, bad, sample_points=points)
+    assert widths == [rhs_width, rhs_width]
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got > 1e-3
+
+
+@pytest.mark.parametrize("n_y, width", [(2, 5), (5, 2), (3, 3)])
+def test_transfer_eval_complex_matrices(n_y, width):
+    rng = np.random.default_rng(n_y * 10 + width)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b, c, d = cplx(4, 4), cplx(4, width), cplx(n_y, 4), cplx(n_y, width)
+    s = 3.0 - 2.0j
+    got = transfer_eval(a, b, c, d, s)
+    assert got.shape == (n_y, width)
+    assert np.allclose(got, dense_transfer(a, b, c, d, s), rtol=1e-12, atol=1e-12)
+
+
+def clear_one_point(s, spectra, clearance):
+    # the per-point shift loop that _clear_of_eigenvalues replaced
+    for _ in range(100):
+        dist = min((np.min(np.abs(spec - s)) for spec in spectra if spec.size),
+                   default=np.inf)
+        if dist > clearance * (1.0 + abs(s)):
+            return s
+        s = s + 0.37
+    raise ValueError("could not clear the sample point of eigenvalues")
+
+
+@pytest.mark.parametrize("points, spectra", [
+    # 1.0 sits on a run of eigenvalues 0.37 apart and needs three shifts
+    ([1.0, 2.0 + 1.0j, -1.0 + 3.0j, 0.5 - 0.5j, 10.0],
+     [1.0 + 0.37 * np.arange(3), np.array([-1.0 + 3.004j, 10.05, 0.5 - 0.5j])]),
+    ([1.0, 2.0 + 1.0j], [np.zeros(0), np.zeros(0)]),
+    ([1.0, 2.0 + 1.0j], [np.zeros(0), np.array([2.0 + 1.0j])]),
+    ([], [np.array([1.0]), np.array([2.0])]),
+])
+def test_clear_of_eigenvalues_matches_per_point_loop(points, spectra):
+    got = _clear_of_eigenvalues(points, spectra, 1e-2)
+    want = [clear_one_point(complex(s), spectra, 1e-2) for s in points]
+    assert got.dtype == complex
+    assert np.array_equal(got, np.array(want, dtype=complex))
+
+
+def test_clear_of_eigenvalues_gives_up_after_100_shifts():
+    spectra = [1.0 + 0.37 * np.arange(101), np.zeros(0)]
+    message = "could not clear the sample point of eigenvalues"
+    with pytest.raises(ValueError, match=message):
+        clear_one_point(1.0, spectra, 1e-2)
+    with pytest.raises(ValueError, match=message):
+        _clear_of_eigenvalues([5.0 + 1j, 1.0], spectra, 1e-2)
+
+
+class MatmulCounter(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            MatmulCounter.products += 1
+        inputs = [np.asarray(x) if isinstance(x, MatmulCounter) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("dims, n_points, batches", [(None, 5, 1),
+                                                     (Dimensions(8, 8, 16, 8, 8), 40, 8)])
+def test_transfer_equiv_call_counts(monkeypatch, dims, n_points, batches):
+    # as_general doubles the inputs: the reference's 3 x 12 transfer matrices
+    # allow 227 points per batch, the 24-state model's 24 x 64 ones 5
+    g = as_general(mixed_reference() if dims is None else generate_realizable(dims, seed=5))
+    tw = to_standard(g)
+    counted = TransformWitness(tw.p_n, tw.w.view(MatmulCounter), tw.p_y, tw.standard)
+    calls = {"solve": 0, "eigvals": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    monkeypatch.setattr(MatmulCounter, "products", 0)
+    points = np.linspace(0.5, 20.0, n_points) + 1j
+    deviation = transfer_equiv_check(g, counted, sample_points=points)
+    assert calls == {"solve": 2 * batches, "eigvals": 2}
+    # B_g w and (p_y D_g) w, once per call, never per point or per batch
+    assert MatmulCounter.products == 2
+    assert deviation == transfer_equiv_check(g, tw, sample_points=points)
