@@ -25,19 +25,19 @@ from .augment import augment as run_augment
 from .augment import reduce as run_reduce
 from .matkit import symplectic_complete
 from .moments import _grid_steps, simulate, skew_drift
-from .realizability import (_fro, check_general, check_quantum, check_standard,
-                            check_standard_partitioned)
+from .realizability import (DEFAULT_CHECK_TOL, _fro, check_general, check_quantum,
+                            check_standard, check_standard_partitioned)
 from .synthesis import (NotRealizableError, Realization, ClassicalSubsystem,
                         QuantumSubsystem, close_loop, generate_realizable,
                         synthesize)
 from .sysmodel import (Dimensions, GeneralSystem, QuantumOnlySystem,
-                       StandardSystem, diag_j, validate)
+                       StandardSystem, _COMPLEX, _build, _maxabs, diag_j,
+                       validate)
 from .transform import to_standard, transfer_equiv_check
 
 __all__ = ["SystemFileError", "main", "entry"]
 
 SCHEMA_VERSION = 1
-DEFAULT_CLI_TOL = 1e-8
 TOL_ENV_VAR = "QCSYNTH_TOL"
 
 
@@ -159,19 +159,22 @@ def _parse_dims(record, where: str) -> Dimensions:
 # ---------------------------------------------------------------------------
 # System files
 
+# Each form tag's model class, and the file key of each field named otherwise.
+_FORMS = {
+    "standard": (StandardSystem, {}),
+    "general": (GeneralSystem, {"a_g": "a", "b_g": "b", "c_g": "c", "d_g": "d",
+                                "big_theta_n": "theta"}),
+    "quantum": (QuantumOnlySystem, {}),
+}
+_FORM_OF = {cls: form for form, (cls, _) in _FORMS.items()}
+
+
 def _system_arrays(sys_model) -> dict:
     """A system file as a dict whose matrices are still ndarrays."""
-    if isinstance(sys_model, StandardSystem):
-        return {"form": "standard", "dims": asdict(sys_model.dims),
-                "a": sys_model.a, "b": sys_model.b, "c": sys_model.c, "d": sys_model.d}
-    if isinstance(sys_model, GeneralSystem):
-        return {"form": "general", "a": sys_model.a_g, "b": sys_model.b_g,
-                "c": sys_model.c_g, "d": sys_model.d_g, "theta": sys_model.big_theta_n,
-                "f_v": sys_model.f_v, "f_y": sys_model.f_y}
-    if isinstance(sys_model, QuantumOnlySystem):
-        return {"form": "quantum",
-                "a": sys_model.a, "b": sys_model.b, "c": sys_model.c, "d": sys_model.d}
-    raise TypeError(f"unsupported system type {type(sys_model).__name__}")
+    form = _FORM_OF[type(sys_model)]
+    keys = _FORMS[form][1]
+    return {"form": form, **{keys.get(name, name): asdict(value) if name == "dims" else value
+                             for name, value in vars(sys_model).items()}}
 
 
 def system_to_obj(sys_model) -> dict:
@@ -183,51 +186,28 @@ def system_to_obj(sys_model) -> dict:
     return obj
 
 
-def load_system(path: str):
-    """Parse a system file; returns a sysmodel instance or raises SystemFileError."""
+def load_system(path: str, expect: str | None = None):
+    """Parse a system file; returns a sysmodel instance or raises SystemFileError.
+
+    expect, when given, is the form the file must declare.
+    """
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise SystemFileError(f"{path}: expected a JSON object")
     form = obj.get("form")
-    if form not in ("standard", "general", "quantum"):
-        raise SystemFileError(f"{path}: 'form' must be one of standard, general, "
-                              f"quantum; got {form!r}")
-    if form == "standard":
-        dims = _parse_dims(obj.get("dims"), "dims")
-        model = StandardSystem(
-            dims,
-            _parse_matrix(obj.get("a"), "a", (dims.n, dims.n)),
-            _parse_matrix(obj.get("b"), "b", (dims.n, 2 * dims.m)),
-            _parse_matrix(obj.get("c"), "c", (dims.n_y, dims.n)),
-            _parse_matrix(obj.get("d"), "d", (dims.n_y, 2 * dims.m)),
-        )
-    elif form == "general":
-        a = _parse_matrix(obj.get("a"), "a")
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise SystemFileError(f"a: expected a square matrix, got {a.shape}")
-        b = _parse_matrix(obj.get("b"), "b")
-        if b.shape[0] != n:
-            raise SystemFileError(f"b: expected {n} rows, got {b.shape[0]}")
-        m = b.shape[1]
-        c = _parse_matrix(obj.get("c"), "c")
-        if c.shape[1] != n:
-            raise SystemFileError(f"c: expected {n} columns, got {c.shape[1]}")
-        n_y = c.shape[0]
-        model = GeneralSystem(
-            a, b, c,
-            _parse_matrix(obj.get("d"), "d", (n_y, m)),
-            _parse_matrix(obj.get("theta"), "theta", (n, n)),
-            _parse_matrix(obj.get("f_v"), "f_v", (m, m), complex_entries=True),
-            _parse_matrix(obj.get("f_y"), "f_y", (n_y, n_y), complex_entries=True),
-        )
-    else:
-        a = _parse_matrix(obj.get("a"), "a")
-        n = a.shape[0]
-        b = _parse_matrix(obj.get("b"), "b")
-        c = _parse_matrix(obj.get("c"), "c")
-        d = _parse_matrix(obj.get("d"), "d")
-        model = QuantumOnlySystem(a, b, c, d)
+    if not isinstance(form, str) or form not in _FORMS:
+        raise SystemFileError(f"{path}: 'form' must be one of {', '.join(_FORMS)}; "
+                              f"got {form!r}")
+    if expect is not None and form != expect:
+        raise SystemFileError(f"{path}: expected a {expect}-form system file, "
+                              f"got form '{form}'")
+    cls, keys = _FORMS[form]
+    values = {}
+    for f in fields(cls):
+        key = keys.get(f.name, f.name)
+        values[f.name] = (_parse_dims(obj.get(key), key) if f.name == "dims" else
+                          _parse_matrix(obj.get(key), key, complex_entries=f.name in _COMPLEX))
+    model = _build(cls, values)
     problems = validate(model)
     if problems:
         raise SystemFileError(f"{path}: " + "; ".join(problems))
@@ -242,7 +222,7 @@ def _resolve_tol(args) -> float:
     if tol is None:
         source, env = TOL_ENV_VAR, os.environ.get(TOL_ENV_VAR)
         if env is None:
-            return DEFAULT_CLI_TOL
+            return DEFAULT_CHECK_TOL
         try:
             tol = float(env)
         except ValueError:
@@ -349,20 +329,12 @@ def _report_obj(report, form: str, tol: float) -> dict:
 # Commands
 
 def cmd_check(args) -> int:
-    model = load_system(args.input)
+    model = load_system(args.input, args.form)
     tol = _resolve_tol(args)
-    form = {StandardSystem: "standard", GeneralSystem: "general",
-            QuantumOnlySystem: "quantum"}[type(model)]
-    if args.form and args.form != form:
-        raise SystemFileError(f"{args.input} declares form '{form}', "
-                              f"but --form {args.form} was requested")
-    if form == "standard":
-        checker = check_standard_partitioned if args.partitioned else check_standard
-        report = checker(model, tol)
-    elif form == "general":
-        report = check_general(model, tol)
-    else:
-        report = check_quantum(model, tol)
+    form = _FORM_OF[type(model)]
+    checkers = {"standard": check_standard_partitioned if args.partitioned else check_standard,
+                "general": check_general, "quantum": check_quantum}
+    report = checkers[form](model, tol)
     worst = report[report.worst] if report.conditions else None
     detail = (f"worst condition {report.worst}, residual {worst.residual:.3e}"
               if worst else "no conditions")
@@ -372,10 +344,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_to_standard(args) -> int:
-    model = load_system(args.input)
-    if not isinstance(model, GeneralSystem):
-        raise SystemFileError(f"{args.input}: to-standard expects a general-form "
-                              "system file")
+    model = load_system(args.input, "general")
     tol = _resolve_tol(args)
     witness = to_standard(model, tol)
     deviation = transfer_equiv_check(model, witness, tol=tol)
@@ -389,7 +358,8 @@ def cmd_to_standard(args) -> int:
         "standard": _system_arrays(witness.standard),
         "transfer_max_deviation": deviation,
     }
-    ok = deviation <= tol
+    scale = max(_maxabs(m) for m in (model.a_g, model.b_g, model.c_g, model.d_g))
+    ok = deviation <= tol * (1.0 + scale)
     _emit(args, obj, f"to-standard: {'OK' if ok else 'FAIL'} "
                      f"(transfer deviation {deviation:.3e})")
     return 0 if ok else 1
@@ -447,10 +417,7 @@ def _block_errors(got: StandardSystem, want: StandardSystem) -> dict:
 
 
 def cmd_synthesize(args) -> int:
-    model = load_system(args.input)
-    if not isinstance(model, StandardSystem):
-        raise SystemFileError(f"{args.input}: synthesize expects a standard-form "
-                              "system file")
+    model = load_system(args.input, "standard")
     tol = _resolve_tol(args)
     try:
         realization = synthesize(model, tol)
@@ -477,10 +444,7 @@ def cmd_verify_realization(args) -> int:
         raise SystemFileError(f"{args.input}: expected a realization report "
                               "(kind = 'realization')")
     realization = _realization_from_obj(obj, args.input)
-    reference = load_system(args.reference)
-    if not isinstance(reference, StandardSystem):
-        raise SystemFileError(f"{args.reference}: reference must be a "
-                              "standard-form system file")
+    reference = load_system(args.reference, "standard")
     if reference.dims != realization.dims:
         raise SystemFileError("realization and reference dimensions differ: "
                               f"{realization.dims} vs {reference.dims}")
@@ -504,10 +468,7 @@ def cmd_verify_realization(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = load_system(args.input)
-    if not isinstance(model, StandardSystem):
-        raise SystemFileError(f"{args.input}: simulate expects a standard-form "
-                              "system file")
+    model = load_system(args.input, "standard")
     try:
         _grid_steps(args.t_final, args.dt)
     except ValueError as exc:
@@ -554,10 +515,7 @@ def cmd_complete_symplectic(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    model = load_system(args.input)
-    if not isinstance(model, StandardSystem):
-        raise SystemFileError(f"{args.input}: augment expects a standard-form "
-                              "system file")
+    model = load_system(args.input, "standard")
     tol = _resolve_tol(args)
     st = model.structure
     aug = run_augment(model, tol)

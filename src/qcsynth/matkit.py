@@ -33,6 +33,14 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+def _exceeds(defect: float, tol: float, mat: np.ndarray, factor: float = 1.0) -> bool:
+    # defect > tol * max(1, max|mat|^2 * factor).  The float product
+    # overflows to inf where ** 2 raises, and an infinite bound fails its
+    # check, as an infinite threshold fails in ConditionResult.passed.
+    peak = _maxabs(mat)
+    return not defect <= tol * max(1.0, peak * peak * factor) < np.inf
+
+
 def rank_tol(m_mat, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank: count of singular values above tol times the largest."""
     m_mat = np.asarray(m_mat, dtype=float)
@@ -152,7 +160,7 @@ def _check_canonical_form(theta: np.ndarray, tol: float, name: str) -> None:
     dim = theta.shape[0]
     if dim % 2:
         raise ValueError(f"{name} must have even size, got {dim}")
-    if _maxabs(theta @ theta + np.eye(dim)) > max(tol, 1e-12) * max(1.0, _maxabs(theta) ** 2):
+    if _exceeds(_maxabs(theta @ theta + np.eye(dim)), max(tol, 1e-12), theta):
         raise ValueError(f"{name} must square to -I (canonical J blocks)")
 
 
@@ -178,7 +186,7 @@ def _complement_pairs(rows: np.ndarray, theta: np.ndarray, tol: float) -> np.nda
 
 def _verify_symplectic(full: np.ndarray, theta: np.ndarray, what: str) -> None:
     check = _maxabs(full @ theta @ full.T - theta)
-    if check > 1e-6 * max(1.0, _maxabs(full) ** 2):
+    if _exceeds(check, 1e-6, full):
         raise ValueError(f"{what} failed to verify (residual {check:.3e}); "
                          "the input rows are numerically rank deficient")
 
@@ -214,9 +222,8 @@ def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCom
     if n_yq > m:
         raise ValueError(f"d_q has {n_yq} quadrature pairs but only m={m} channels")
     gram = d_q @ theta_w @ d_q.T
-    scale = max(1.0, _maxabs(d_q) ** 2 * _maxabs(theta_w) * two_m)
     defect = _maxabs(gram - diag_j(n_yq))
-    if defect > tol * scale:
+    if _exceeds(defect, tol, d_q, _maxabs(theta_w) * two_m):
         raise ValueError("d_q does not satisfy the quadrature pairing "
                          f"precondition (residual {defect:.3e})")
     n_mat = _complement_pairs(d_q, theta_w, tol)
@@ -285,8 +292,7 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     m_prime = two_mp // 2
     rows = m_mat.shape[0]
     iso = _maxabs(m_mat @ theta_prime @ m_mat.T)
-    scale = max(1.0, _maxabs(m_mat) ** 2 * two_mp)
-    if iso > tol * scale:
+    if _exceeds(iso, tol, m_mat, two_mp):
         raise ValueError(f"m_mat is not isotropic (residual {iso:.3e})")
     r = rank_tol(m_mat, tol)
     if r > m_prime:

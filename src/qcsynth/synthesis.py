@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import (DEFAULT_TOL, minnorm_right_solve, pzkv_decompose,
-                     random_symplectic, symplectic_complete)
+from .matkit import (minnorm_right_solve, pzkv_decompose, random_symplectic,
+                     symplectic_complete)
 from .realizability import DEFAULT_CHECK_TOL, RealizabilityReport, check_standard
 from .sysmodel import Dimensions, StandardSystem, diag_j, make_structure
 

@@ -30,8 +30,9 @@ __all__ = [
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J2.setflags(write=False)
 
-# Absolute max-norm tolerance for user-supplied structure matrices; inputs
-# are short decimals in practice, so anything larger signals a real defect.
+# Max-norm tolerance for user-supplied structure matrices, relative to
+# max(1, max|M|): the zero eigenvalues of a singular Ito matrix come out as
+# -eps * |M|, so an absolute bound rejects valid models with large entries.
 STRUCTURE_TOL = 1e-10
 
 
@@ -57,6 +58,13 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 def _maxabs(a: np.ndarray) -> float:
     return 0.0 if a.size == 0 else float(np.abs(a).max())
+
+
+def _freeze_matrices(model) -> None:
+    # the __post_init__ of each system class: its fields in _SHAPES, read-only
+    for name in _SHAPES[type(model)]:
+        value = _frozen(getattr(model, name), complex if name in _COMPLEX else float)
+        object.__setattr__(model, name, value)
 
 
 @dataclass(frozen=True)
@@ -170,9 +178,7 @@ class StandardSystem:
     c: np.ndarray
     d: np.ndarray
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+    __post_init__ = _freeze_matrices
 
     @property
     def structure(self) -> StructureMatrices:
@@ -255,11 +261,7 @@ class GeneralSystem:
     f_v: np.ndarray
     f_y: np.ndarray
 
-    def __post_init__(self):
-        for name in ("a_g", "b_g", "c_g", "d_g", "big_theta_n"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        for name in ("f_v", "f_y"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), complex))
+    __post_init__ = _freeze_matrices
 
     @property
     def n(self) -> int:
@@ -297,9 +299,7 @@ class QuantumOnlySystem:
     c: np.ndarray
     d: np.ndarray
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+    __post_init__ = _freeze_matrices
 
     @property
     def n_q(self) -> int:
@@ -314,28 +314,63 @@ class QuantumOnlySystem:
         return self.c.shape[0] // 2
 
 
-def _shape_violations(pairs) -> list[str]:
-    out = []
-    for name, mat, expected in pairs:
-        if mat.shape != expected:
-            out.append(f"{name}: expected shape {expected}, got {mat.shape}")
+# Each form's matrix fields in constructor order, with their shapes in symbols.
+# Standard-form symbols are Dimensions attributes; the other forms bind
+# theirs to the matrices (see _symbols).
+_SHAPES = {
+    StandardSystem: {"a": ("n", "n"), "b": ("n", "input_width"),
+                     "c": ("n_y", "n"), "d": ("n_y", "input_width")},
+    GeneralSystem: {"a_g": ("n", "n"), "b_g": ("n", "m"), "c_g": ("n_y", "n"),
+                    "d_g": ("n_y", "m"), "big_theta_n": ("n", "n"),
+                    "f_v": ("m", "m"), "f_y": ("n_y", "n_y")},
+    QuantumOnlySystem: {"a": ("2n_q", "2n_q"), "b": ("2n_q", "2m"),
+                        "c": ("2n_z", "2n_q"), "d": ("2n_z", "2m")},
+}
+_COMPLEX = ("f_v", "f_y")
+
+
+def _symbols(cls, values: dict) -> dict:
+    """Sizes of the shape symbols of cls, given its field values.
+
+    They are the dims attributes if there are dims.  Otherwise a symbol takes
+    its size from the first matrix that uses it, matrices with rows first:
+    a file's [] gives no column count.
+    """
+    if "dims" in values:
+        return {sym: getattr(values["dims"], sym) for pair in _SHAPES[cls].values()
+                for sym in pair}
+    out = {}
+    for name, pair in sorted(_SHAPES[cls].items(), key=lambda item: not len(values[item[0]])):
+        for sym, size in zip(pair, values[name].shape):
+            out.setdefault(sym, size)
     return out
 
 
-def _hermitian_psd_violations(name: str, mat: np.ndarray) -> list[str]:
-    out = []
-    if mat.shape[0] != mat.shape[1]:
-        out.append(f"{name}: expected a square matrix, got shape {mat.shape}")
-        return out
+def _build(cls, values: dict):
+    """cls(**values), each matrix without rows first given the column count
+    its symbol binds to; validate judges the shapes."""
+    sym = _symbols(cls, values)
+    values = dict(values)
+    for name, (_, cols) in _SHAPES[cls].items():
+        if not len(values[name]):
+            values[name] = values[name].reshape(0, sym[cols])
+    return cls(**values)
+
+
+def _structure_violations(name: str, mat: np.ndarray) -> list[str]:
+    # big_theta_n must be skew, f_v and f_y Hermitian and nonnegative, each
+    # to within STRUCTURE_TOL relative to max(1, max|M|)
+    bound = STRUCTURE_TOL * max(1.0, _maxabs(mat))
+    if name == "big_theta_n":
+        skew = _maxabs(mat + mat.T)
+        return [f"{name}: not skew-symmetric (max residual {skew:.3e})"] if skew > bound else []
     herm = _maxabs(mat - mat.conj().T)
-    if herm > STRUCTURE_TOL:
-        out.append(f"{name}: not Hermitian (max asymmetry {herm:.3e})")
-        return out
-    if mat.shape[0]:
-        lo = float(np.linalg.eigvalsh(mat).min())
-        if lo < -STRUCTURE_TOL:
-            out.append(f"{name}: not nonnegative definite (eigenvalue {lo:.6e})")
-    return out
+    if herm > bound:
+        return [f"{name}: not Hermitian (max asymmetry {herm:.3e})"]
+    lo = float(np.linalg.eigvalsh(mat).min()) if len(mat) else 0.0
+    if lo < -bound:
+        return [f"{name}: not nonnegative definite (eigenvalue {lo:.6e})"]
+    return []
 
 
 def validate(sys) -> list[str]:
@@ -345,59 +380,31 @@ def validate(sys) -> list[str]:
     Violations are data, not exceptions; callers decide what is fatal.
     Non-finite entries are reported alone, before any structure check.
     """
-    if not isinstance(sys, (StandardSystem, GeneralSystem, QuantumOnlySystem)):
+    if type(sys) not in _SHAPES:
         raise TypeError(f"unsupported system type {type(sys).__name__}")
-    nonfinite = [f"{name}: entries must be finite" for name, value in vars(sys).items()
-                 if isinstance(value, np.ndarray) and not np.isfinite(value).all()]
-    if nonfinite:
-        return nonfinite
-    if isinstance(sys, StandardSystem):
-        d = sys.dims
-        return _shape_violations([
-            ("a", sys.a, (d.n, d.n)),
-            ("b", sys.b, (d.n, 2 * d.m)),
-            ("c", sys.c, (d.n_y, d.n)),
-            ("d", sys.d, (d.n_y, 2 * d.m)),
-        ])
+    shapes = _SHAPES[type(sys)]
+    mats = {name: getattr(sys, name) for name in shapes}
+    early = ([f"{name}: entries must be finite" for name, mat in mats.items()
+              if not np.isfinite(mat).all()]
+             or [f"{name}: expected a matrix, got shape {mat.shape}"
+                 for name, mat in mats.items() if mat.ndim != 2])
+    if isinstance(sys, QuantumOnlySystem) and not early:
+        early = [f"{name}: dimensions must be even, got {mat.shape}"
+                 for name, mat in mats.items()
+                 if mat.shape[0] % 2 or (name != "a" and mat.shape[1] % 2)]
+    if early:
+        return early
+    sym = _symbols(type(sys), vars(sys))
+    expected = {name: (sym[rows], sym[cols]) for name, (rows, cols) in shapes.items()}
+    out = [f"{name}: expected shape {expected[name]}, got {mat.shape}"
+           for name, mat in mats.items() if mat.shape != expected[name]]
     if isinstance(sys, GeneralSystem):
-        n, m, n_y = sys.n, sys.m, sys.n_y
-        out = _shape_violations([
-            ("a_g", sys.a_g, (n, n)),
-            ("b_g", sys.b_g, (n, m)),
-            ("c_g", sys.c_g, (n_y, n)),
-            ("d_g", sys.d_g, (n_y, m)),
-            ("big_theta_n", sys.big_theta_n, (n, n)),
-            ("f_v", sys.f_v, (m, m)),
-            ("f_y", sys.f_y, (n_y, n_y)),
-        ])
-        if sys.big_theta_n.shape == (n, n):
-            skew = _maxabs(sys.big_theta_n + sys.big_theta_n.T)
-            if skew > STRUCTURE_TOL:
-                out.append(f"big_theta_n: not skew-symmetric (max residual {skew:.3e})")
-        if sys.f_v.shape == (m, m):
-            out.extend(_hermitian_psd_violations("f_v", sys.f_v))
-        if sys.f_y.shape == (n_y, n_y):
-            out.extend(_hermitian_psd_violations("f_y", sys.f_y))
-        return out
-    if isinstance(sys, QuantumOnlySystem):
-        out = []
-        for name in ("a", "b", "c", "d"):
-            mat = getattr(sys, name)
-            if mat.shape[0] % 2 or (name != "a" and mat.shape[1] % 2):
-                out.append(f"{name}: dimensions must be even, got {mat.shape}")
-        if out:
-            return out
-        n, w = 2 * sys.n_q, 2 * sys.m
-        out = _shape_violations([
-            ("a", sys.a, (n, n)),
-            ("b", sys.b, (n, w)),
-            ("c", sys.c, (2 * sys.n_z, n)),
-            ("d", sys.d, (2 * sys.n_z, w)),
-        ])
-        if not out:
-            expected = np.zeros((2 * sys.n_z, w))
-            expected[:, : 2 * sys.n_z] = np.eye(2 * sys.n_z)
-            if sys.n_z > sys.m or _maxabs(sys.d - expected) > 0.0:
-                out.append("d: must equal the identity or an identity padded "
-                           "with zero columns")
-        return out
+        for name in ("big_theta_n", "f_v", "f_y"):
+            if mats[name].shape == expected[name]:
+                out.extend(_structure_violations(name, mats[name]))
+    if isinstance(sys, QuantumOnlySystem) and not out:
+        d = sys.d
+        if d.shape[0] > d.shape[1] or _maxabs(d - np.eye(*d.shape)) > 0.0:
+            out.append("d: must equal the identity or an identity padded "
+                       "with zero columns")
+    return out

@@ -3,14 +3,17 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import qcsynth
 from qcsynth import (Dimensions, GeneralSystem, QuantumOnlySystem, StandardSystem,
-                     augment, simulate, skew_drift)
+                     augment, diag_j, generate_realizable, simulate, skew_drift)
 from qcsynth.cli import (_dumps, _encode_complex, _encode_real, load_system, main,
                          system_to_obj)
 from refsystems import MIXED_D, damped_cavity, mixed_reference
@@ -699,3 +702,116 @@ def test_augment_reports_relation_residuals(tmp_path, capsys):
     code, out, _ = run(capsys, "augment", path)
     assert code == 0
     assert json.loads(out)["relation_residuals"] == augment(model).relation_residuals(model)
+
+
+# ---------------------------------------------------------------------------
+# one form table behind the reader and the writer
+
+
+@hst.composite
+def system_models(draw):
+    """A valid model of any form, every block count from 0 to 2."""
+    form = draw(hst.sampled_from(["standard", "general", "quantum"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**16)))
+    size = hst.integers(0, 2)
+    if form == "standard":
+        m = draw(size)
+        dims = Dimensions(draw(size), draw(size), m, draw(hst.integers(0, m)), draw(size))
+        n, n_y, w = dims.n, dims.n_y, 2 * m
+        return StandardSystem(dims, rng.standard_normal((n, n)), rng.standard_normal((n, w)),
+                              rng.standard_normal((n_y, n)), rng.standard_normal((n_y, w)))
+    if form == "general":
+        n, m, n_y = draw(size), draw(size), draw(size)
+        x = rng.standard_normal((n, n))
+        y_v = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        y_y = rng.standard_normal((n_y, n_y)) + 1j * rng.standard_normal((n_y, n_y))
+        return GeneralSystem(rng.standard_normal((n, n)), rng.standard_normal((n, m)),
+                             rng.standard_normal((n_y, n)), rng.standard_normal((n_y, m)),
+                             x - x.T, y_v @ y_v.conj().T, y_y @ y_y.conj().T)
+    n_q, m = draw(size), draw(size)
+    n_z = draw(hst.integers(0, m))
+    if n_q == n_z == 0:
+        m = 0   # with no state and no output rows a file has no input count
+    return QuantumOnlySystem(rng.standard_normal((2 * n_q, 2 * n_q)),
+                             rng.standard_normal((2 * n_q, 2 * m)),
+                             rng.standard_normal((2 * n_z, 2 * n_q)), np.eye(2 * n_z, 2 * m))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system_models())
+def test_system_files_round_trip_bitwise(tmp_path_factory, model):
+    path = write_system(tmp_path_factory.getbasetemp() / "round_trip.json", model)
+    loaded = load_system(path)
+    assert type(loaded) is type(model)
+    for f in fields(model):
+        got, want = getattr(loaded, f.name), getattr(model, f.name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), f.name
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("model", [
+    GeneralSystem(-0.5 * np.eye(2), np.eye(2), np.zeros((0, 2)), np.zeros((0, 2)),
+                  diag_j(1), np.eye(2) + 1j * diag_j(1), np.zeros((0, 0))),
+    QuantumOnlySystem(-0.5 * np.eye(2), np.eye(2), np.zeros((0, 2)), np.zeros((0, 2))),
+], ids=["general", "quantum"])
+def test_check_reads_files_without_outputs(tmp_path, capsys, model):
+    path = write_system(tmp_path / "sys.json", model)
+    assert json.loads(Path(path).read_text())["c"] == []
+    code, out, err = run(capsys, "check", path)
+    assert code == 0, err
+    assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv, have, want", [
+    (["check", "--form", "general"], "standard", "general"),
+    (["check", "--form", "quantum"], "general", "quantum"),
+    (["to-standard"], "quantum", "general"),
+    (["synthesize"], "general", "standard"),
+    (["simulate"], "quantum", "standard"),
+    (["augment"], "general", "standard"),
+])
+def test_wrong_form_exits_two_without_report(tmp_path, capsys, argv, have, want):
+    cavity = damped_cavity()
+    models = {"standard": mixed_reference(), "general": as_general(mixed_reference()),
+              "quantum": QuantumOnlySystem(cavity.a, cavity.b, cavity.c, cavity.d)}
+    path = write_system(tmp_path / "sys.json", models[have])
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: expected a {want}-form system file, got form '{have}'\n"
+
+
+def test_verify_reference_of_wrong_form(tmp_path, capsys):
+    spath = write_system(tmp_path / "sys.json", mixed_reference())
+    rpath = str(tmp_path / "real.json")
+    run(capsys, "synthesize", spath, "-o", rpath, "--quiet")
+    gpath = write_system(tmp_path / "g.json", as_general(mixed_reference()))
+    code, out, err = run(capsys, "verify-realization", rpath, "--reference", gpath)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {gpath}: expected a standard-form system file, "
+                   "got form 'general'\n")
+
+
+def test_to_standard_judges_deviation_against_model_scale(tmp_path, capsys):
+    # entries near 1e7: the transfer deviation is round-off relative to them,
+    # yet far above tol in absolute terms
+    model = generate_realizable(Dimensions(2, 2, 4, 2, 2), 1)
+    st = model.structure
+    d = 1e6 * model.d
+    f_y = d @ st.f_w @ d.T
+    general = GeneralSystem(1e6 * model.a, 1e6 * model.b, 1e6 * model.c, d, st.theta_n,
+                            st.f_w, (f_y + f_y.conj().T) / 2)
+    path = write_system(tmp_path / "g.json", general)
+    code, out, err = run(capsys, "to-standard", path)
+    assert code == 0, err
+    assert "to-standard: OK" in err
+    assert json.loads(out)["transfer_max_deviation"] > 1e-8
+
+
+def test_complete_symplectic_overflowing_scale_is_one_error(tmp_path, capsys):
+    path = write_json(tmp_path / "dq.json", {"d_q": [[1e200, 0, 0, 0], [0, 1e-200, 0, 0]]})
+    code, out, err = run(capsys, "complete-symplectic", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1

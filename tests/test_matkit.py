@@ -500,3 +500,11 @@ def test_random_symplectic():
     a = random_symplectic(3, np.random.default_rng(9))
     b = random_symplectic(3, np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+def test_overflowing_scale_fails_its_check():
+    # the scales square max|.|, which overflows past 1.34e154
+    with pytest.raises(ValueError, match="precondition"):
+        symplectic_complete(np.array([[1e200, 0, 0, 0], [0, 1e-200, 0, 0]]), diag_j(2))
+    with pytest.raises(ValueError, match="isotropic"):
+        pzkv_decompose(np.array([[1e200, 0.0]]), diag_j(1))

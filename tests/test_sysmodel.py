@@ -7,6 +7,7 @@ from qcsynth import (
     QuantumOnlySystem,
     StandardSystem,
     diag_j,
+    generate_realizable,
     make_structure,
     validate,
 )
@@ -183,3 +184,38 @@ def test_validate_rejects_nonfinite_entries(bad):
         else:
             mats[name][0, 0] = bad
         assert validate(GeneralSystem(**mats)) == [f"{name}: entries must be finite"]
+
+
+def test_validate_scales_structure_tolerance():
+    # every quantum output pair makes f_y singular; at scale its zero
+    # eigenvalues come out as -eps * |f_y|
+    model = generate_realizable(Dimensions(2, 2, 4, 2, 2), 0)
+    st = model.structure
+    d = 1e4 * model.d
+    f_y = d @ st.f_w @ d.T
+    general = GeneralSystem(model.a, model.b, model.c, d, st.theta_n, st.f_w,
+                            (f_y + f_y.conj().T) / 2)
+    assert np.linalg.eigvalsh(general.f_y).min() < -1e-10
+    assert validate(general) == []
+
+
+def test_validate_rejects_indefinite_ito_matrix_at_scale():
+    f_v = 1e6 * (np.eye(2) + 1j * diag_j(1)) - 1e-2 * np.eye(2)
+    general = GeneralSystem(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((1, 2)),
+                            np.zeros((1, 2)), diag_j(1), f_v, np.zeros((1, 1)))
+    problems = validate(general)
+    assert len(problems) == 1
+    assert problems[0].startswith("f_v: not nonnegative definite (eigenvalue -1.0000")
+
+
+def test_validate_reports_a_vector_where_a_matrix_belongs():
+    ref = mixed_reference()
+    eye = np.eye(2)
+    cases = [
+        (StandardSystem(ref.dims, ref.a, ref.b[0], ref.c, ref.d), "b", (6,)),
+        (GeneralSystem(np.zeros((2, 2)), np.zeros(2), np.zeros((1, 2)), np.zeros((1, 2)),
+                       diag_j(1), np.eye(2), np.zeros((1, 1))), "b_g", (2,)),
+        (QuantumOnlySystem(np.zeros((2, 2)), np.zeros(2), eye, eye), "b", (2,)),
+    ]
+    for model, name, shape in cases:
+        assert validate(model) == [f"{name}: expected a matrix, got shape {shape}"]
