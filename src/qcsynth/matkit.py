@@ -33,12 +33,19 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-def _exceeds(defect: float, tol: float, mat: np.ndarray, factor: float = 1.0) -> bool:
-    # defect > tol * max(1, max|mat|^2 * factor).  The float product
-    # overflows to inf where ** 2 raises, and an infinite bound fails its
-    # check, as an infinite threshold fails in ConditionResult.passed.
+def _excess(defect: float, tol: float, mat: np.ndarray, factor: float = 1.0) -> str:
+    # "" when defect <= tol * max(1, max|mat|^2 * factor), else the text an
+    # error message quotes.  The float product overflows to inf where ** 2
+    # raises, and a bound that is not finite fails its check, as an infinite
+    # threshold fails in ConditionResult.passed; the text says so, because
+    # the residual itself may then be exact.
     peak = _maxabs(mat)
-    return not defect <= tol * max(1.0, peak * peak * factor) < np.inf
+    bound = tol * max(1.0, peak * peak * factor)
+    if defect <= bound < np.inf:
+        return ""
+    if not np.isfinite(bound):
+        return f"residual {defect:.3e}, but the scale overflowed"
+    return f"residual {defect:.3e}"
 
 
 def rank_tol(m_mat, tol: float = DEFAULT_TOL) -> int:
@@ -160,12 +167,61 @@ def _check_canonical_form(theta: np.ndarray, tol: float, name: str) -> None:
     dim = theta.shape[0]
     if dim % 2:
         raise ValueError(f"{name} must have even size, got {dim}")
-    if _exceeds(_maxabs(theta @ theta + np.eye(dim)), max(tol, 1e-12), theta):
+    if _excess(_maxabs(theta @ theta + np.eye(dim)), max(tol, 1e-12), theta):
         raise ValueError(f"{name} must square to -I (canonical J blocks)")
 
 
-def _complement_pairs(rows: np.ndarray, theta: np.ndarray, tol: float) -> np.ndarray:
-    """Canonical J-pairs spanning the symplectic complement of `rows`.
+@dataclass(frozen=True)
+class SymplecticCompletion:
+    """Rows n_mat extending d_q to a symplectic matrix, with the factors behind them.
+
+    With k = d_q.shape[0], the complete QR (d_q @ theta_w).T = q @ r gives
+    d_q.T = theta_w @ Q1 @ R1 for Q1 = q[:, :k] and R1 = r[:k] (theta_w is
+    orthogonal and equals its own inverse transpose).  The trailing columns
+    B = q[:, k:].T are an orthonormal basis of the symplectic complement,
+    the congruence p from skew_canonical brings B @ theta_w @ B.T to
+    diag(J), and n_mat = p @ B.  solve_d_q and solve_n_mat reuse these
+    factors for the minimum-norm solves against d_q and n_mat.
+    """
+
+    n_mat: np.ndarray
+    d_q: np.ndarray
+    theta_w: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    p: np.ndarray
+
+    def solve_d_q(self, c, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Minimum-Frobenius-norm solution x of d_q @ x = c.
+
+        x = theta_w Q1 R1^-T c lies in the row space of d_q, and
+        d_q @ x = R1^T R1^-T c: one k x k triangular solve.  Every column of
+        c has to lie in the column space of d_q; raises with the residual
+        norm otherwise.
+        """
+        c = np.asarray(c, dtype=float)
+        k = self.d_q.shape[0]
+        x = self.theta_w @ (self.q[:, :k] @ np.linalg.solve(self.r[:k].T, c))
+        _check_consistent(x.T, self.d_q.T, c.T, tol)
+        return x
+
+    def solve_n_mat(self, m_rhs, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Minimum-Frobenius-norm solution x of x @ n_mat = m_rhs.
+
+        x = (m_rhs B^T) p^-1, one square solve against p: B^T p^-1 is the
+        Moore-Penrose inverse of n_mat = p B because the rows of B are
+        orthonormal and p is invertible.  Every row of m_rhs has to lie in
+        the row space of n_mat; raises with the residual norm otherwise.
+        """
+        m_rhs = np.asarray(m_rhs, dtype=float)
+        k = self.d_q.shape[0]
+        x = np.linalg.solve(self.p.T, (m_rhs @ self.q[:, k:]).T).T
+        _check_consistent(x, self.n_mat, m_rhs, tol)
+        return x
+
+
+def _complete(rows: np.ndarray, theta: np.ndarray, tol: float) -> SymplecticCompletion:
+    """Complete `rows` with canonical J-pairs spanning their symplectic complement.
 
     rows must satisfy rows @ theta @ rows.T = diag(J, ..., J), so they have
     full row rank k and their complement {x : rows @ theta @ x = 0} is a
@@ -175,27 +231,20 @@ def _complement_pairs(rows: np.ndarray, theta: np.ndarray, tol: float) -> np.nda
     a congruence p, and p @ B are the pairs.
     """
     k = rows.shape[0]
-    q, _ = np.linalg.qr((rows @ theta).T, mode="complete")
+    q, r = np.linalg.qr((rows @ theta).T, mode="complete")
     basis = q[:, k:].T
     canon = skew_canonical(basis @ theta @ basis.T, tol)
     if canon.n_c:
         raise ValueError("completion failed: the symplectic complement is "
                          "degenerate (input rows numerically rank deficient)")
-    return canon.p @ basis
+    return SymplecticCompletion(canon.p @ basis, rows, theta, q, r, canon.p)
 
 
 def _verify_symplectic(full: np.ndarray, theta: np.ndarray, what: str) -> None:
-    check = _maxabs(full @ theta @ full.T - theta)
-    if _exceeds(check, 1e-6, full):
-        raise ValueError(f"{what} failed to verify (residual {check:.3e}); "
+    excess = _excess(_maxabs(full @ theta @ full.T - theta), 1e-6, full)
+    if excess:
+        raise ValueError(f"{what} failed to verify ({excess}); "
                          "the input rows are numerically rank deficient")
-
-
-@dataclass(frozen=True)
-class SymplecticCompletion:
-    """Rows extending d_q to a symplectic matrix (with d_q stacked on top)."""
-
-    n_mat: np.ndarray
 
 
 def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCompletion:
@@ -206,7 +255,9 @@ def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCom
     V @ theta_w @ V.T = theta_w.  Closed form: n_mat is an orthonormal
     basis of the symplectic complement of d_q's rows, brought to canonical
     pairs by skew_canonical on the restricted form.  The identity is
-    verified before returning.
+    verified before returning.  The result keeps the QR factors and the
+    congruence, which serve minimum-norm solves against d_q and n_mat
+    (see SymplecticCompletion).
     """
     d_q = np.asarray(d_q, dtype=float)
     theta_w = np.asarray(theta_w, dtype=float)
@@ -222,13 +273,12 @@ def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCom
     if n_yq > m:
         raise ValueError(f"d_q has {n_yq} quadrature pairs but only m={m} channels")
     gram = d_q @ theta_w @ d_q.T
-    defect = _maxabs(gram - diag_j(n_yq))
-    if _exceeds(defect, tol, d_q, _maxabs(theta_w) * two_m):
-        raise ValueError("d_q does not satisfy the quadrature pairing "
-                         f"precondition (residual {defect:.3e})")
-    n_mat = _complement_pairs(d_q, theta_w, tol)
-    _verify_symplectic(np.vstack([d_q, n_mat]), theta_w, "completion")
-    return SymplecticCompletion(n_mat)
+    excess = _excess(_maxabs(gram - diag_j(n_yq)), tol, d_q, _maxabs(theta_w) * two_m)
+    if excess:
+        raise ValueError(f"d_q does not satisfy the quadrature pairing precondition ({excess})")
+    completion = _complete(d_q, theta_w, tol)
+    _verify_symplectic(np.vstack([d_q, completion.n_mat]), theta_w, "completion")
+    return completion
 
 
 @dataclass(frozen=True)
@@ -291,9 +341,9 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
         raise ValueError(f"m_mat must have {two_mp} columns, got shape {m_mat.shape}")
     m_prime = two_mp // 2
     rows = m_mat.shape[0]
-    iso = _maxabs(m_mat @ theta_prime @ m_mat.T)
-    if _exceeds(iso, tol, m_mat, two_mp):
-        raise ValueError(f"m_mat is not isotropic (residual {iso:.3e})")
+    excess = _excess(_maxabs(m_mat @ theta_prime @ m_mat.T), tol, m_mat, two_mp)
+    if excess:
+        raise ValueError(f"m_mat is not isotropic ({excess})")
     r = rank_tol(m_mat, tol)
     if r > m_prime:
         raise ValueError(f"rank {r} exceeds the isotropic bound m'={m_prime}")
@@ -320,7 +370,7 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
         k_sel[i, 2 * i] = 1.0
     lead = np.empty((2 * r, two_mp))
     lead[0::2], lead[1::2] = basis, dual
-    v_sympl = np.vstack([lead, _complement_pairs(lead, theta_prime, tol)])
+    v_sympl = np.vstack([lead, _complete(lead, theta_prime, tol).n_mat])
     _verify_symplectic(v_sympl, theta_prime, "network")
     if not np.array_equal(k_sel @ v_sympl, basis):
         raise ValueError("network does not embed the basis rows verbatim")

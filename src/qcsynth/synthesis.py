@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import (minnorm_right_solve, pzkv_decompose, random_symplectic,
-                     symplectic_complete)
+from .matkit import pzkv_decompose, random_symplectic, symplectic_complete
 from .realizability import DEFAULT_CHECK_TOL, RealizabilityReport, check_standard
 from .sysmodel import Dimensions, StandardSystem, diag_j, make_structure
 
@@ -104,12 +103,17 @@ class Realization:
 def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realization:
     """Split a realizable standard-form system into its feedback realization.
 
-    Steps: solve d_q c_c_prime = c_qc (minimum norm) and peel the actuation
-    e_mat = a_qc - b_q c_c_prime; complete d_q symplectically and form the
-    paired auxiliary read-out c_qq_prime; solve for the classical couplings
-    against d_q_prime; decompose the stacked couplings into permutation,
-    basis, selection and network factors, which yields g_mat, b_c_prime and
-    d_c_prime; subtract the feedback-through terms from a_cc and c_cc.
+    Steps:
+
+    1. complete d_q symplectically with d_q_prime, and form the paired
+       auxiliary read-out c_qq_prime;
+    2. solve d_q c_c_prime = c_qc (minimum norm) with the completion's QR
+       factor of d_q, and peel the actuation e_mat = a_qc - b_q c_c_prime;
+    3. solve for the classical couplings against d_q_prime (minimum norm)
+       with the completion's orthonormal basis and congruence;
+    4. decompose the stacked couplings into permutation, basis, selection
+       and network factors, which yields g_mat, b_c_prime and d_c_prime;
+    5. subtract the feedback-through terms from a_cc and c_cc.
 
     Every linear solve is consistent exactly when the input satisfies the
     block realizability constraints; inconsistency raises with a residual.
@@ -123,14 +127,15 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
     th_w, th_q = st.theta_w, st.theta_nq
     m_free = d.m - d.n_yq
 
-    c_c_prime = minnorm_right_solve(sys.d_q.T, sys.c_qc.T, tol).T
-    e_mat = sys.a_qc - sys.b_q @ c_c_prime
-    d_q_prime = symplectic_complete(sys.d_q, th_w, tol).n_mat
+    completion = symplectic_complete(sys.d_q, th_w, tol)
+    d_q_prime = completion.n_mat
     c_qq_prime = d_q_prime @ th_w @ sys.b_q.T @ th_q
+    c_c_prime = completion.solve_d_q(sys.c_qc, tol)
+    e_mat = sys.a_qc - sys.b_q @ c_c_prime
 
     # Couplings of the classical side to the auxiliary outputs: consistency
     # of both solves is exactly the cross and classical block constraints.
-    coupling = minnorm_right_solve(d_q_prime, np.vstack([sys.b_c, sys.d_c]), tol)
+    coupling = completion.solve_n_mat(np.vstack([sys.b_c, sys.d_c]), tol)
     b_bar_c, d_bar_c = coupling[: d.n_c], coupling[d.n_c:]
 
     pzkv = pzkv_decompose(coupling, diag_j(m_free), tol)

@@ -13,6 +13,8 @@ from qcsynth import (
     close_loop,
     diag_j,
     generate_realizable,
+    random_symplectic,
+    symplectic_complete,
     synthesize,
 )
 from refsystems import grid_sample, mixed_reference
@@ -246,7 +248,7 @@ def test_close_loop_matches_block_reference_bitwise():
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (dims, name)
 
 
-def test_synthesize_makes_two_least_squares_solves(monkeypatch):
+def test_synthesize_makes_no_least_squares_solve(monkeypatch):
     calls = []
     lstsq = np.linalg.lstsq
 
@@ -256,4 +258,60 @@ def test_synthesize_makes_two_least_squares_solves(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
     synthesize(generate_realizable(Dimensions(2, 2, 4, 1, 2), seed=3))
-    assert len(calls) == 2
+    assert len(calls) == 0
+
+
+# ---------------------------------------------------------------------------
+# the two minimum-norm solves on the completion's factors
+
+
+def assert_matches_pinv(completion, c, m_rhs):
+    # the oracle: x = pinv(d_q) c and x = m_rhs pinv(n_mat), 1e-12 relative
+    pairs = [(completion.solve_d_q(c), np.linalg.pinv(completion.d_q) @ c),
+             (completion.solve_n_mat(m_rhs), m_rhs @ np.linalg.pinv(completion.n_mat))]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def assert_solves_match_pinv(sys):
+    # the right-hand sides synthesize solves for
+    completion = symplectic_complete(sys.d_q, sys.structure.theta_w)
+    assert_matches_pinv(completion, sys.c_qc, np.vstack([sys.b_c, sys.d_c]))
+
+
+def test_solves_match_pinv_on_generated_systems():
+    for k in range(1, 33):
+        assert_solves_match_pinv(generate_realizable(Dimensions(k, k, 2 * k, k, k), seed=k))
+
+
+@pytest.mark.parametrize("dims", [
+    Dimensions(n_q=2, n_c=1, m=3, n_yq=0, n_yc=1),
+    Dimensions(n_q=1, n_c=2, m=2, n_yq=2, n_yc=1),
+    Dimensions(n_q=2, n_c=0, m=3, n_yq=1, n_yc=0),
+    Dimensions(n_q=1, n_c=2, m=3, n_yq=1, n_yc=1, n_w1=2),
+])
+def test_solves_match_pinv_on_adversarial_shapes(dims):
+    assert_solves_match_pinv(generate_realizable(dims, seed=21))
+
+
+def test_solves_match_pinv_on_poorly_conditioned_rows():
+    rng = np.random.default_rng(0)
+    d_q = random_symplectic(16, rng, spread=1.0)[:16]
+    completion = symplectic_complete(d_q, diag_j(16))
+    assert np.linalg.cond(d_q) > 100
+    assert_matches_pinv(completion, d_q @ rng.standard_normal((32, 3)),
+                        rng.standard_normal((3, 16)) @ completion.n_mat)
+
+
+def test_coupling_solve_rejects_rows_of_d_q():
+    sys = generate_realizable(Dimensions(2, 2, 4, 2, 2), seed=8)
+    completion = symplectic_complete(sys.d_q, sys.structure.theta_w)
+    with pytest.raises(ValueError, match=r"inconsistent.*\(residual \d\.\d{3}e[+-]\d+\)"):
+        completion.solve_n_mat(sys.d_q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dimensions(), hst.integers(0, 2**16))
+def test_solves_match_pinv_property(dims, seed):
+    assert_solves_match_pinv(generate_realizable(dims, seed))
