@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkit import DEFAULT_TOL, minnorm_right_solve
-from .sysmodel import StandardSystem
+from .sysmodel import StandardSystem, _maxabs
 
 __all__ = ["AugmentedSystem", "ReducedSystem", "augment", "reduce"]
 
@@ -46,19 +46,21 @@ class AugmentedSystem:
         S^T a_prime^T - a_prime S - b_prime theta_w b_prime^T; and
         auxiliary-closure: a_dprime - (a_prime theta_n - S^T A^T
         + b_prime theta_w B^T) S, with S the classical-state selector.
+        A norm that overflows is returned as inf, without a warning.
         """
         st = sys.structure
         th_w = st.theta_w
         sel = _classical_selector(sys.dims.n, sys.dims.n_c)
-        relations = {
-            "output-coupling": self.b_prime @ th_w @ sys.d_q.T - sys.c_qc.T,
-            "auxiliary-skew": (sel.T @ self.a_prime.T - self.a_prime @ sel
-                               - self.b_prime @ th_w @ self.b_prime.T),
-            "auxiliary-closure": self.a_dprime - (self.a_prime @ st.theta_n
-                                                  - sel.T @ sys.a.T
-                                                  + self.b_prime @ th_w @ sys.b.T) @ sel,
-        }
-        return {name: float(np.linalg.norm(r)) for name, r in relations.items()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            relations = {
+                "output-coupling": self.b_prime @ th_w @ sys.d_q.T - sys.c_qc.T,
+                "auxiliary-skew": (sel.T @ self.a_prime.T - self.a_prime @ sel
+                                   - self.b_prime @ th_w @ self.b_prime.T),
+                "auxiliary-closure": self.a_dprime - (self.a_prime @ st.theta_n
+                                                      - sel.T @ sys.a.T
+                                                      + self.b_prime @ th_w @ sys.b.T) @ sel,
+            }
+            return {name: float(np.linalg.norm(r)) for name, r in relations.items()}
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,19 @@ def augment(sys: StandardSystem, tol: float = DEFAULT_TOL) -> AugmentedSystem:
     th_w, th_q = st.theta_w, st.theta_nq
 
     b_prime = minnorm_right_solve(th_w @ sys.d_q.T, sys.c_qc.T, tol)
-    k_skew = b_prime @ th_w @ b_prime.T
-    a_prime_q = (b_prime @ th_w @ sys.b_q.T - sys.a_qc.T) @ th_q
-    a_prime = np.hstack([a_prime_q, -k_skew / 2.0])
     s_sel = _classical_selector(n, n_c)
-    a_dprime = (a_prime @ st.theta_n - s_sel.T @ sys.a.T
-                + b_prime @ th_w @ sys.b.T) @ s_sel
+    # An overflow in the products below is raised as one error, not warned
+    # about and passed on as inf or nan entries.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_skew = b_prime @ th_w @ b_prime.T
+        a_prime_q = (b_prime @ th_w @ sys.b_q.T - sys.a_qc.T) @ th_q
+        a_prime = np.hstack([a_prime_q, -k_skew / 2.0])
+        a_dprime = (a_prime @ st.theta_n - s_sel.T @ sys.a.T
+                    + b_prime @ th_w @ sys.b.T) @ s_sel
+    if not (np.isfinite(a_prime).all() and np.isfinite(a_dprime).all()):
+        raise ValueError("augmentation overflowed: the auxiliary dynamics blocks "
+                         f"a_prime and a_dprime are not finite (max|b_prime| "
+                         f"{_maxabs(b_prime):.3e})")
 
     a_tilde = np.block([[sys.a, np.zeros((n, n_c))], [a_prime, a_dprime]])
     b_tilde = np.vstack([sys.b, b_prime])

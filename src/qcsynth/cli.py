@@ -21,19 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import augment as run_augment
-from .augment import reduce as run_reduce
-from .matkit import symplectic_complete
-from .moments import _grid_steps, simulate, skew_drift
-from .realizability import (DEFAULT_CHECK_TOL, _fro, check_general, check_quantum,
-                            check_standard, check_standard_partitioned)
-from .synthesis import (NotRealizableError, Realization, ClassicalSubsystem,
-                        QuantumSubsystem, close_loop, generate_realizable,
-                        synthesize)
-from .sysmodel import (Dimensions, GeneralSystem, QuantumOnlySystem,
-                       StandardSystem, _COMPLEX, _build, _maxabs, diag_j,
-                       validate)
-from .transform import to_standard, transfer_equiv_check
+# Only sysmodel at module level: each command imports the modules it runs
+# once its input has loaded, so a bad file is rejected before any of them.
+from .sysmodel import (DEFAULT_CHECK_TOL, Dimensions, GeneralSystem,
+                       QuantumOnlySystem, StandardSystem, _COMPLEX, _build, _fro,
+                       _maxabs, diag_j, validate)
 
 __all__ = ["SystemFileError", "main", "entry"]
 
@@ -330,6 +322,8 @@ def _report_obj(report, form: str, tol: float) -> dict:
 
 def cmd_check(args) -> int:
     model = load_system(args.input, args.form)
+    from .realizability import (check_general, check_quantum, check_standard,
+                                check_standard_partitioned)
     tol = _resolve_tol(args)
     form = _FORM_OF[type(model)]
     checkers = {"standard": check_standard_partitioned if args.partitioned else check_standard,
@@ -345,6 +339,7 @@ def cmd_check(args) -> int:
 
 def cmd_to_standard(args) -> int:
     model = load_system(args.input, "general")
+    from .transform import to_standard, transfer_equiv_check
     tol = _resolve_tol(args)
     witness = to_standard(model, tol)
     deviation = transfer_equiv_check(model, witness, tol=tol)
@@ -365,7 +360,7 @@ def cmd_to_standard(args) -> int:
     return 0 if ok else 1
 
 
-def _realization_to_obj(r: Realization) -> dict:
+def _realization_to_obj(r) -> dict:
     return {
         "dims": asdict(r.dims),
         "g1": {f.name: getattr(r.g1, f.name) for f in fields(r.g1)},
@@ -379,7 +374,8 @@ def _realization_to_obj(r: Realization) -> dict:
     }
 
 
-def _realization_from_obj(obj: dict, where: str) -> Realization:
+def _realization_from_obj(obj: dict, where: str):
+    from .synthesis import ClassicalSubsystem, QuantumSubsystem, Realization
     dims = _parse_dims(obj.get("dims"), f"{where}.dims")
     r = _require_int(obj, "r", where)
     g1_obj, g2_obj = obj.get("g1"), obj.get("g2")
@@ -418,6 +414,7 @@ def _block_errors(got: StandardSystem, want: StandardSystem) -> dict:
 
 def cmd_synthesize(args) -> int:
     model = load_system(args.input, "standard")
+    from .synthesis import NotRealizableError, close_loop, synthesize
     tol = _resolve_tol(args)
     try:
         realization = synthesize(model, tol)
@@ -449,6 +446,7 @@ def cmd_verify_realization(args) -> int:
         raise SystemFileError("realization and reference dimensions differ: "
                               f"{realization.dims} vs {reference.dims}")
     tol = _resolve_tol(args)
+    from .synthesis import close_loop
     closed = close_loop(realization)
     errors = _block_errors(closed, reference)
     worst = max(errors.values())
@@ -469,6 +467,7 @@ def cmd_verify_realization(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_system(args.input, "standard")
+    from .moments import _grid_steps, simulate, skew_drift
     try:
         _grid_steps(args.t_final, args.dt)
     except ValueError as exc:
@@ -497,6 +496,7 @@ def cmd_complete_symplectic(args) -> int:
     d_q = _parse_matrix(obj["d_q"], "d_q")
     if d_q.shape[1] % 2:
         raise SystemFileError(f"d_q: column count must be even, got {d_q.shape[1]}")
+    from .matkit import symplectic_complete
     tol = _resolve_tol(args)
     theta_w = diag_j(d_q.shape[1] // 2)
     completion = symplectic_complete(d_q, theta_w, tol)
@@ -516,11 +516,16 @@ def cmd_complete_symplectic(args) -> int:
 
 def cmd_augment(args) -> int:
     model = load_system(args.input, "standard")
+    from .augment import augment, reduce
+    from .realizability import check_quantum
     tol = _resolve_tol(args)
     st = model.structure
-    aug = run_augment(model, tol)
-    red = run_reduce(aug, st.theta_w)
+    aug = augment(model, tol)
+    red = reduce(aug, st.theta_w)
     relations = aug.relation_residuals(model)
+    if not all(map(math.isfinite, relations.values())):
+        raise ValueError("augment: a relation residual overflowed: "
+                         + ", ".join(f"{name} {value:.3e}" for name, value in relations.items()))
     two_m = 2 * model.dims.m
     quantum = QuantumOnlySystem(aug.a_tilde, aug.b_tilde, red.c_bar, np.eye(two_m))
     reduced_report = check_quantum(quantum, tol, theta=aug.theta_tilde)
@@ -554,6 +559,7 @@ def cmd_generate(args) -> int:
                           args.n_w1)
     except ValueError as exc:
         raise SystemFileError(str(exc))
+    from .synthesis import generate_realizable
     model = generate_realizable(dims, args.seed)
     _emit(args, _system_arrays(model),
           f"generate: wrote a standard system (n={dims.n}, m={dims.m}, "
@@ -646,9 +652,6 @@ def main(argv=None) -> int:
     except SystemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotRealizableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -656,3 +659,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # scipy.linalg loads lazily, on its first use
 
-from .sysmodel import (GeneralSystem, QuantumOnlySystem, StandardSystem, _maxabs,
-                       diag_j)
+from .sysmodel import (DEFAULT_CHECK_TOL, GeneralSystem, QuantumOnlySystem,
+                       StandardSystem, _fro, _maxabs, diag_j)
 
 __all__ = [
     "ConditionResult",
@@ -30,8 +30,6 @@ __all__ = [
     "nondemolition_residual",
     "commutator_trajectory",
 ]
-
-DEFAULT_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,6 @@ class RealizabilityReport:
 # infinite, and ConditionResult.passed reads that as a failure, so the report
 # already says what the warning would.
 _overflow_fails = np.errstate(over="ignore", invalid="ignore")
-
-
-def _fro(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a)) if a.size else 0.0
 
 
 def _terms(a, b, c, d, theta_n, theta_w, theta_y):

@@ -35,6 +35,9 @@ J2.setflags(write=False)
 # -eps * |M|, so an absolute bound rejects valid models with large entries.
 STRUCTURE_TOL = 1e-10
 
+# Default tolerance of the realizability checks, of synthesize and of the CLI.
+DEFAULT_CHECK_TOL = 1e-8
+
 
 def diag_j(k: int) -> np.ndarray:
     """Block-diagonal stack of k copies of J2, shape (2k, 2k).
@@ -58,6 +61,10 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 def _maxabs(a: np.ndarray) -> float:
     return 0.0 if a.size == 0 else float(np.abs(a).max())
+
+
+def _fro(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a)) if a.size else 0.0
 
 
 def _freeze_matrices(model) -> None:

@@ -10,7 +10,7 @@ loose tolerance.
 
 import numpy as np
 
-from qcsynth import Dimensions, StandardSystem
+from qcsynth import Dimensions, StandardSystem, generate_realizable
 
 MIXED_DIMS = Dimensions(n_q=1, n_c=1, m=3, n_yq=1, n_yc=1)
 
@@ -97,6 +97,19 @@ G_REFERENCE = np.array([
     [0.0, 0.0971, 0.0, 0.2769],
     [0.0, 0.8235, 0.0, 0.0462],
 ])
+
+
+def scaled_generated(factor: float) -> StandardSystem:
+    """The generated Dimensions(1, 1, 2, 1, 1) seed-3 system with a and c
+    times `factor`.
+
+    Scaling a and c together keeps the system realizable in exact
+    arithmetic; augment's b_prime then grows like c, and its
+    b_prime theta_w b_prime^T like c^2, so 1e160 overflows the auxiliary
+    blocks and 1e140 only the norm of the auxiliary-skew residual.
+    """
+    model = generate_realizable(Dimensions(1, 1, 2, 1, 1), seed=3)
+    return StandardSystem(model.dims, model.a * factor, model.b, model.c * factor, model.d)
 
 
 def dimension_grid() -> list:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from qcsynth import (
     generate_realizable,
     reduce,
 )
-from refsystems import MIXED_DIMS, damped_cavity, grid_sample, mixed_reference
+from refsystems import (MIXED_DIMS, damped_cavity, grid_sample, mixed_reference,
+                        scaled_generated)
 
 
 def selector(n, n_c):
@@ -162,3 +164,24 @@ def test_relation_residuals_method_matches_relations():
         assert list(bent.relation_residuals(sys).values()) == relation_residuals(sys, bent)
         if sys.dims.n_c:
             assert bent.relation_residuals(sys)["auxiliary-closure"] > 1e-4
+
+
+def test_augment_overflow_raises_without_warning():
+    # pytest turns an escaping RuntimeWarning into an error as well
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="augmentation overflowed"):
+            augment(scaled_generated(1e160))
+
+
+def test_relation_residual_overflow_is_inf_without_warning():
+    # the blocks stay finite, but the norm of the auxiliary-skew residual
+    # (entries near 1e264) overflows its sum of squares
+    sys = scaled_generated(1e140)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        aug = augment(sys)
+        got = aug.relation_residuals(sys)
+    assert np.isfinite(aug.a_tilde).all() and np.isfinite(aug.b_tilde).all()
+    assert got["auxiliary-skew"] == np.inf
+    assert np.isfinite(got["output-coupling"])

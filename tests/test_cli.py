@@ -16,7 +16,7 @@ from qcsynth import (Dimensions, GeneralSystem, QuantumOnlySystem, StandardSyste
                      augment, diag_j, generate_realizable, simulate, skew_drift)
 from qcsynth.cli import (_dumps, _encode_complex, _encode_real, load_system, main,
                          system_to_obj)
-from refsystems import MIXED_D, damped_cavity, mixed_reference
+from refsystems import MIXED_D, damped_cavity, mixed_reference, scaled_generated
 
 
 def write_json(path, obj):
@@ -815,3 +815,97 @@ def test_complete_symplectic_overflowing_scale_is_one_error(tmp_path, capsys):
     code, out, err = run(capsys, "complete-symplectic", path)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("factor, message", [
+    (1e160, "error: augmentation overflowed"),
+    (1e140, "error: augment: a relation residual overflowed"),
+])
+def test_augment_overflow_is_one_error(tmp_path, capsys, factor, message):
+    path = write_system(tmp_path / "s.json", scaled_generated(factor))
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "augment", path, "-o", str(report))
+    assert (code, out) == (1, "")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not report.exists()
+
+
+# ---------------------------------------------------------------------------
+# processes: `python -m` and the modules each command imports
+
+
+def run_process(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(qcsynth.__file__).resolve().parent.parent))
+    env.pop("QCSYNTH_TOL", None)
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("module", ["qcsynth", "qcsynth.cli"])
+def test_python_m_runs_the_command(tmp_path, module):
+    missing = str(tmp_path / "missing.json")
+    proc = run_process("-m", module, "check", missing)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: cannot read {missing}")
+
+
+def test_augment_overflow_process_under_warnings_as_errors(tmp_path):
+    path = write_system(tmp_path / "s.json", scaled_generated(1e160))
+    proc = run_process("-W", "error", "-m", "qcsynth", "augment", path)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: augmentation overflowed")
+    assert proc.stderr.count("\n") == 1
+
+
+def loaded_modules(*argv):
+    """Exit code and the qcsynth and scipy modules loaded by one command, in a
+    fresh interpreter."""
+    probe = ("import json, sys\n"
+             "from qcsynth.cli import main\n"
+             "code = main(json.loads(sys.argv[1]))\n"
+             "print(json.dumps([code, sorted(name for name in sys.modules\n"
+             "                               if name.split('.')[0] in ('qcsynth', 'scipy'))]))\n")
+    proc = run_process("-c", probe, json.dumps([*argv, "--quiet"]))
+    assert proc.returncode == 0, proc.stderr
+    code, names = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(names)
+
+
+def test_bad_file_loads_only_the_reader(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"form": "standard", "dims":')
+    code, names = loaded_modules("check", str(path))
+    assert code == 2
+    assert names == {"qcsynth", "qcsynth.cli", "qcsynth.sysmodel"}
+
+
+def test_check_loads_no_synthesis_modules(tmp_path):
+    path = write_system(tmp_path / "sys.json", mixed_reference())
+    code, names = loaded_modules("check", path, "-o", str(tmp_path / "report.json"))
+    assert code == 0
+    assert "qcsynth.realizability" in names
+    assert not names & {f"qcsynth.{name}" for name in
+                        ("synthesis", "transform", "augment", "moments", "matkit")}
+
+
+def test_simulate_loads_neither_matkit_nor_scipy(tmp_path):
+    path = write_system(tmp_path / "sys.json", mixed_reference())
+    code, names = loaded_modules("simulate", path, "--t-final", "0.01",
+                                 "-o", str(tmp_path / "trajectory.json"))
+    assert code == 0
+    assert "qcsynth.moments" in names
+    assert "qcsynth.matkit" not in names
+    assert not any(name.split(".")[0] == "scipy" for name in names)
+
+
+def test_to_standard_loads_no_checker_module(tmp_path):
+    path = write_system(tmp_path / "g.json", as_general(mixed_reference()))
+    code, names = loaded_modules("to-standard", path, "-o", str(tmp_path / "witness.json"))
+    assert code == 0
+    assert "qcsynth.transform" in names
+    assert not names & {f"qcsynth.{name}" for name in
+                        ("realizability", "synthesis", "augment", "moments")}
