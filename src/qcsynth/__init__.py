@@ -15,7 +15,8 @@ import importlib
 import sys
 import types
 
-# Defining module of each exported name, in the order of __all__.
+# Module of each exported name, in the order of __all__: the defining module,
+# but synthesis for the realization records it re-exports from sysmodel.
 _EXPORTS = {
     "sysmodel": ("J2", "Dimensions", "GeneralSystem", "QuantumOnlySystem", "StandardSystem",
                  "StructureMatrices", "diag_j", "make_structure", "validate"),

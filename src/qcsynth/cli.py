@@ -16,15 +16,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 # Only sysmodel at module level: each command imports the modules it runs
 # once its input has loaded, so a bad file is rejected before any of them.
-from .sysmodel import (DEFAULT_CHECK_TOL, Dimensions, GeneralSystem,
-                       QuantumOnlySystem, StandardSystem, _COMPLEX, _build, _fro,
+from .sysmodel import (DEFAULT_CHECK_TOL, _COMPLEX, _SHAPES, Dimensions, GeneralSystem,
+                       QuantumOnlySystem, Realization, StandardSystem, _build, _fro,
                        _maxabs, diag_j, validate)
 
 __all__ = ["SystemFileError", "main", "entry"]
@@ -76,13 +76,13 @@ def _bulk_matrix(obj: list, rows: int, cols: int, complex_entries: bool):
     return mat.reshape(rows, cols).astype(complex if complex_entries else float)
 
 
-def _parse_matrix(obj, name: str, shape=None, complex_entries: bool = False) -> np.ndarray:
+def _parse_matrix(obj, name: str, complex_entries: bool = False) -> np.ndarray:
     """A list of rows as a real matrix, or as a complex one whose entries may
     be numbers or [re, im] pairs."""
     if not isinstance(obj, list) or (obj and not isinstance(obj[0], list)):
         raise SystemFileError(f"{name}: expected a list of rows")
     rows = len(obj)
-    cols = len(obj[0]) if rows else (shape[1] if shape else 0)
+    cols = len(obj[0]) if rows else 0
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise SystemFileError(f"{name}: row {i} has inconsistent length")
@@ -98,9 +98,6 @@ def _parse_matrix(obj, name: str, shape=None, complex_entries: bool = False) -> 
                     mat[i, j] = complex(_num(value[0], where), _num(value[1], where))
                 else:
                     mat[i, j] = _num(value, where)
-    if shape is not None and mat.shape != tuple(shape):
-        raise SystemFileError(f"{name}: expected shape {tuple(shape)}, "
-                              f"got {mat.shape}")
     return mat
 
 
@@ -149,33 +146,61 @@ def _parse_dims(record, where: str) -> Dimensions:
 
 
 # ---------------------------------------------------------------------------
-# System files
+# Records: system files and the matrices of every report
 
-# Each form tag's model class, and the file key of each field named otherwise.
-_FORMS = {
-    "standard": (StandardSystem, {}),
-    "general": (GeneralSystem, {"a_g": "a", "b_g": "b", "c_g": "c", "d_g": "d",
-                                "big_theta_n": "theta"}),
-    "quantum": (QuantumOnlySystem, {}),
-}
-_FORM_OF = {cls: form for form, (cls, _) in _FORMS.items()}
+# Each form tag's model class; the file key of each field named otherwise.
+_FORMS = {"standard": StandardSystem, "general": GeneralSystem, "quantum": QuantumOnlySystem}
+_FORM_OF = {cls: form for form, cls in _FORMS.items()}
+_KEYS = {GeneralSystem: {"a_g": "a", "b_g": "b", "c_g": "c", "d_g": "d", "big_theta_n": "theta"}}
 
 
-def _system_arrays(sys_model) -> dict:
-    """A system file as a dict whose matrices are still ndarrays."""
-    form = _FORM_OF[type(sys_model)]
-    keys = _FORMS[form][1]
-    return {"form": form, **{keys.get(name, name): asdict(value) if name == "dims" else value
-                             for name, value in vars(sys_model).items()}}
+def _record(obj) -> dict:
+    """A dataclass record as report data: its fields in order under their
+    file keys, led by the form tag of a system model.  Nested records (dims
+    among them) become dicts; matrices stay ndarrays, which _emit encodes."""
+    out = {"form": _FORM_OF[type(obj)]} if type(obj) in _FORM_OF else {}
+    keys = _KEYS.get(type(obj), {})
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[keys.get(f.name, f.name)] = _record(value) if is_dataclass(value) else value
+    return out
 
 
 def system_to_obj(sys_model) -> dict:
     """A system file as plain JSON data (matrices as nested lists)."""
-    obj = _system_arrays(sys_model)
-    for key, value in obj.items():
-        if isinstance(value, np.ndarray):
-            obj[key] = _encode_complex(value) if value.dtype.kind == "c" else _encode_real(value)
-    return obj
+    return {key: (_encode_complex(value) if value.dtype.kind == "c" else _encode_real(value))
+            if isinstance(value, np.ndarray) else value
+            for key, value in _record(sys_model).items()}
+
+
+def _fields_of(cls, obj, name: str) -> dict:
+    """The field values of cls read from obj, the record under key `name`;
+    nested records stay dicts."""
+    if not isinstance(obj, dict):
+        raise SystemFileError(f"{name}: expected an object with its matrices")
+    keys = _KEYS.get(cls, {})
+    prefix = f"{name}." if name else ""
+    values = {}
+    for f in fields(cls):
+        key = keys.get(f.name, f.name)
+        shape = _SHAPES[cls].get(f.name)
+        if f.name == "dims":
+            values[f.name] = _parse_dims(obj.get(key), prefix + key)
+        elif isinstance(shape, type):
+            values[f.name] = _fields_of(shape, obj.get(key), prefix + key)
+        else:
+            values[f.name] = _parse_matrix(obj.get(key), prefix + key,
+                                           complex_entries=f.name in _COMPLEX)
+    return values
+
+
+def _decode(cls, obj: dict, where: str):
+    """The cls record that obj encodes, its shapes judged by validate."""
+    record = _build(cls, _fields_of(cls, obj, ""))
+    problems = validate(record)
+    if problems:
+        raise SystemFileError(f"{where}: " + "; ".join(problems))
+    return record
 
 
 def load_system(path: str, expect: str | None = None):
@@ -193,17 +218,7 @@ def load_system(path: str, expect: str | None = None):
     if expect is not None and form != expect:
         raise SystemFileError(f"{path}: expected a {expect}-form system file, "
                               f"got form '{form}'")
-    cls, keys = _FORMS[form]
-    values = {}
-    for f in fields(cls):
-        key = keys.get(f.name, f.name)
-        values[f.name] = (_parse_dims(obj.get(key), key) if f.name == "dims" else
-                          _parse_matrix(obj.get(key), key, complex_entries=f.name in _COMPLEX))
-    model = _build(cls, values)
-    problems = validate(model)
-    if problems:
-        raise SystemFileError(f"{path}: " + "; ".join(problems))
-    return model
+    return _decode(_FORMS[form], obj, path)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +309,14 @@ def _emit(args, obj: dict, summary: str) -> None:
         print(summary, file=sys.stderr)
 
 
+def _require_finite(what: str, values: dict) -> None:
+    """Raise, for exit 1 and no report, when a value a report would carry
+    has overflowed: JSON has no Infinity or NaN."""
+    if not all(map(math.isfinite, values.values())):
+        raise ValueError(f"{what} overflowed: "
+                         + ", ".join(f"{name} {value:.3e}" for name, value in values.items()))
+
+
 def _report_obj(report, form: str, tol: float) -> dict:
     conditions = []
     for c in report.conditions:
@@ -343,16 +366,9 @@ def cmd_to_standard(args) -> int:
     tol = _resolve_tol(args)
     witness = to_standard(model, tol)
     deviation = transfer_equiv_check(model, witness, tol=tol)
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "transform-witness",
-        "tol": tol,
-        "p_n": witness.p_n,
-        "w": witness.w,
-        "p_y": witness.p_y,
-        "standard": _system_arrays(witness.standard),
-        "transfer_max_deviation": deviation,
-    }
+    _require_finite("to-standard: the transfer deviation", {"transfer_max_deviation": deviation})
+    obj = {"schema_version": SCHEMA_VERSION, "kind": "transform-witness", "tol": tol,
+           **_record(witness), "transfer_max_deviation": deviation}
     scale = max(_maxabs(m) for m in (model.a_g, model.b_g, model.c_g, model.d_g))
     ok = deviation <= tol * (1.0 + scale)
     _emit(args, obj, f"to-standard: {'OK' if ok else 'FAIL'} "
@@ -360,55 +376,13 @@ def cmd_to_standard(args) -> int:
     return 0 if ok else 1
 
 
-def _realization_to_obj(r) -> dict:
-    return {
-        "dims": asdict(r.dims),
-        "g1": {f.name: getattr(r.g1, f.name) for f in fields(r.g1)},
-        "g2": {f.name: getattr(r.g2, f.name) for f in fields(r.g2)},
-        "g_mat": r.g_mat,
-        "r": int(r.g_mat.shape[0]),
-        "k_sel": r.k_sel,
-        "v_sympl": r.v_sympl,
-        "p_perm": r.p_perm,
-        "z": r.z,
-    }
-
-
-def _realization_from_obj(obj: dict, where: str):
-    from .synthesis import ClassicalSubsystem, QuantumSubsystem, Realization
-    dims = _parse_dims(obj.get("dims"), f"{where}.dims")
-    r = _require_int(obj, "r", where)
-    g1_obj, g2_obj = obj.get("g1"), obj.get("g2")
-    if not isinstance(g1_obj, dict) or not isinstance(g2_obj, dict):
-        raise SystemFileError(f"{where}: missing g1/g2 records")
-    n_q2, n_c, m2, split = 2 * dims.n_q, dims.n_c, 2 * dims.m, 2 * dims.n_w1
-    yq2, n_yc, mf2 = 2 * dims.n_yq, dims.n_yc, 2 * (dims.m - dims.n_yq)
-    shapes = {
-        "a_qq": (n_q2, n_q2), "b_q": (n_q2, m2), "e_mat": (n_q2, n_c),
-        "c_qq": (yq2, n_q2), "d_q": (yq2, m2), "c_qq_prime": (mf2, n_q2),
-        "d_q_prime": (mf2, m2), "k_q": (n_q2, n_c),
-        "a_cc_prime": (n_c, n_c), "b_c_prime": (n_c, r), "c_cc_prime": (n_yc, n_c),
-        "d_c_prime": (n_yc, r), "c_c_prime_1": (split, n_c),
-        "c_c_prime_2": (m2 - split, n_c),
-        "g_mat": (r, mf2), "k_sel": (r, mf2), "v_sympl": None,
-        "p_perm": (n_c + n_yc, n_c + n_yc), "z": (n_c + n_yc, r),
-    }
-
-    def parse(rec, cls):
-        # the matrix fields of cls, in constructor order
-        return {f.name: _parse_matrix(rec.get(f.name), f.name, shapes[f.name])
-                for f in fields(cls) if f.name in shapes}
-
-    return Realization(QuantumSubsystem(**parse(g1_obj, QuantumSubsystem)),
-                       ClassicalSubsystem(**parse(g2_obj, ClassicalSubsystem)),
-                       dims=dims, **parse(obj, Realization))
-
-
-def _block_errors(got: StandardSystem, want: StandardSystem) -> dict:
+def _block_errors(command: str, got: StandardSystem, want: StandardSystem) -> dict:
     out = {}
-    for name in ("a", "b", "c", "d"):
-        diff = _fro(getattr(got, name) - getattr(want, name))
-        out[name] = diff / (1.0 + _fro(getattr(want, name)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in ("a", "b", "c", "d"):
+            diff = _fro(getattr(got, name) - getattr(want, name))
+            out[name] = diff / (1.0 + _fro(getattr(want, name)))
+    _require_finite(f"{command}: a block error", out)
     return out
 
 
@@ -423,12 +397,11 @@ def cmd_synthesize(args) -> int:
               f"synthesize: FAIL ({exc})")
         return 1
     closed = close_loop(realization)
-    errors = _block_errors(closed, model)
-    residual = max(errors.values())
-    obj = {"schema_version": SCHEMA_VERSION, "kind": "realization", "tol": tol}
-    obj.update(_realization_to_obj(realization))
-    obj["closed_loop"] = _system_arrays(closed)
-    obj["reconstruction_residual"] = residual
+    residual = max(_block_errors("synthesize", closed, model).values())
+    # r, the rank of the read-out network, is the row count of g_mat
+    obj = {"schema_version": SCHEMA_VERSION, "kind": "realization", "tol": tol,
+           **_record(realization), "r": len(realization.g_mat),
+           "closed_loop": _record(closed), "reconstruction_residual": residual}
     ok = residual <= tol
     _emit(args, obj, f"synthesize: {'OK' if ok else 'FAIL'} "
                      f"(reconstruction residual {residual:.3e})")
@@ -440,7 +413,10 @@ def cmd_verify_realization(args) -> int:
     if not isinstance(obj, dict) or obj.get("kind") != "realization":
         raise SystemFileError(f"{args.input}: expected a realization report "
                               "(kind = 'realization')")
-    realization = _realization_from_obj(obj, args.input)
+    realization = _decode(Realization, obj, args.input)
+    if _require_int(obj, "r", args.input) != len(realization.g_mat):
+        raise SystemFileError(f"{args.input}: r: expected {len(realization.g_mat)}, the row "
+                              f"count of g_mat, got {obj['r']}")
     reference = load_system(args.reference, "standard")
     if reference.dims != realization.dims:
         raise SystemFileError("realization and reference dimensions differ: "
@@ -448,18 +424,12 @@ def cmd_verify_realization(args) -> int:
     tol = _resolve_tol(args)
     from .synthesis import close_loop
     closed = close_loop(realization)
-    errors = _block_errors(closed, reference)
+    errors = _block_errors("verify-realization", closed, reference)
     worst = max(errors.values())
     ok = worst <= tol
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verification",
-        "tol": tol,
-        "block_errors": errors,
-        "max_error": worst,
-        "verdict": "pass" if ok else "fail",
-        "closed_loop": _system_arrays(closed),
-    }
+    report = {"schema_version": SCHEMA_VERSION, "kind": "verification", "tol": tol,
+              "block_errors": errors, "max_error": worst, "verdict": "pass" if ok else "fail",
+              "closed_loop": _record(closed)}
     _emit(args, report, f"verify-realization: {'PASS' if ok else 'FAIL'} "
                         f"(max block error {worst:.3e})")
     return 0 if ok else 1
@@ -523,26 +493,14 @@ def cmd_augment(args) -> int:
     aug = augment(model, tol)
     red = reduce(aug, st.theta_w)
     relations = aug.relation_residuals(model)
-    if not all(map(math.isfinite, relations.values())):
-        raise ValueError("augment: a relation residual overflowed: "
-                         + ", ".join(f"{name} {value:.3e}" for name, value in relations.items()))
+    _require_finite("augment: a relation residual", relations)
     two_m = 2 * model.dims.m
     quantum = QuantumOnlySystem(aug.a_tilde, aug.b_tilde, red.c_bar, np.eye(two_m))
     reduced_report = check_quantum(quantum, tol, theta=aug.theta_tilde)
     relations_ok = max(relations.values()) <= tol * (1.0 + _fro(model.c))
     ok = relations_ok and reduced_report.verdict
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "augmentation",
-        "tol": tol,
-        "a_tilde": aug.a_tilde,
-        "b_tilde": aug.b_tilde,
-        "c_tilde": aug.c_tilde,
-        "d_tilde": aug.d_tilde,
-        "theta_tilde": aug.theta_tilde,
-        "a_prime": aug.a_prime,
-        "a_dprime": aug.a_dprime,
-        "b_prime": aug.b_prime,
+        "schema_version": SCHEMA_VERSION, "kind": "augmentation", "tol": tol, **_record(aug),
         "relation_residuals": relations,
         "c_bar": red.c_bar,
         "reduced_check": _report_obj(reduced_report, "quantum", tol),
@@ -561,7 +519,7 @@ def cmd_generate(args) -> int:
         raise SystemFileError(str(exc))
     from .synthesis import generate_realizable
     model = generate_realizable(dims, args.seed)
-    _emit(args, _system_arrays(model),
+    _emit(args, _record(model),
           f"generate: wrote a standard system (n={dims.n}, m={dims.m}, "
           f"seed={args.seed})")
     return 0
@@ -658,7 +616,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`qcsynth ... | head`): exit as SIGPIPE would,
+        # stdout on devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

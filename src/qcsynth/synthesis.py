@@ -10,13 +10,13 @@ running the same construction in reverse from random ingredients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .matkit import pzkv_decompose, random_symplectic, symplectic_complete
 from .realizability import DEFAULT_CHECK_TOL, RealizabilityReport, check_standard
-from .sysmodel import Dimensions, StandardSystem, diag_j, make_structure
+# The realization records are defined in sysmodel, next to their shapes.
+from .sysmodel import (ClassicalSubsystem, Dimensions, QuantumSubsystem, Realization,
+                       StandardSystem, diag_j, make_structure)
 
 __all__ = [
     "NotRealizableError",
@@ -38,66 +38,6 @@ class NotRealizableError(ValueError):
     def __init__(self, message: str, report: RealizabilityReport):
         super().__init__(message)
         self.report = report
-
-
-@dataclass(frozen=True)
-class QuantumSubsystem:
-    """Fully quantum part: original quantum blocks plus completion outputs.
-
-    d_q_prime completes d_q to a symplectic matrix (stacked underneath);
-    c_qq_prime = d_q_prime theta_w b_q^T theta_nq pairs with it so that the
-    stacked outputs keep the quantum realizability conditions.  e_mat
-    carries the classical actuation x_c -> x_q and k_q = -theta_nq e_mat is
-    the corresponding coupling gain.
-    """
-
-    a_qq: np.ndarray
-    b_q: np.ndarray
-    e_mat: np.ndarray
-    c_qq: np.ndarray
-    d_q: np.ndarray
-    c_qq_prime: np.ndarray
-    d_q_prime: np.ndarray
-    k_q: np.ndarray
-
-
-@dataclass(frozen=True)
-class ClassicalSubsystem:
-    """Classical part driven by the measurement signal u_c.
-
-    c_c_prime_1 / c_c_prime_2 split the actuation read-out by the stored
-    channel partition; stacked they solve d_q c_c_prime = c_qc.
-    """
-
-    a_cc_prime: np.ndarray
-    b_c_prime: np.ndarray
-    c_cc_prime: np.ndarray
-    d_c_prime: np.ndarray
-    c_c_prime_1: np.ndarray
-    c_c_prime_2: np.ndarray
-
-    @property
-    def c_c_prime(self) -> np.ndarray:
-        return np.vstack([self.c_c_prime_1, self.c_c_prime_2])
-
-
-@dataclass(frozen=True)
-class Realization:
-    """Quantum subsystem, classical subsystem and measurement network.
-
-    g_mat = k_sel v_sympl taps commuting quadratures of the completion
-    outputs (g_mat theta' g_mat^T = 0), and p_perm, z, k_sel, v_sympl are
-    the factors of the read-out decomposition that produced it.
-    """
-
-    g1: QuantumSubsystem
-    g2: ClassicalSubsystem
-    g_mat: np.ndarray
-    k_sel: np.ndarray
-    v_sympl: np.ndarray
-    p_perm: np.ndarray
-    z: np.ndarray
-    dims: Dimensions
 
 
 def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realization:
@@ -136,7 +76,6 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
     # Couplings of the classical side to the auxiliary outputs: consistency
     # of both solves is exactly the cross and classical block constraints.
     coupling = completion.solve_n_mat(np.vstack([sys.b_c, sys.d_c]), tol)
-    b_bar_c, d_bar_c = coupling[: d.n_c], coupling[d.n_c:]
 
     pzkv = pzkv_decompose(coupling, diag_j(m_free), tol)
     g_mat = pzkv.k_sel @ pzkv.v_sympl if pzkv.r else np.zeros((0, 2 * m_free))
@@ -146,47 +85,43 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
     feed = g_mat @ d_q_prime @ c_c_prime
     a_cc_prime = sys.a_cc - b_c_prime @ feed
     c_cc_prime = sys.c_cc - d_c_prime @ feed
-    k_q = -th_q @ e_mat
 
     split = 2 * d.n_w1
     g1 = QuantumSubsystem(sys.a_qq, sys.b_q, e_mat, sys.c_qq, sys.d_q,
-                          c_qq_prime, d_q_prime, k_q)
+                          c_qq_prime, d_q_prime, -th_q @ e_mat)
     g2 = ClassicalSubsystem(a_cc_prime, b_c_prime, c_cc_prime, d_c_prime,
                             c_c_prime[:split], c_c_prime[split:])
     return Realization(g1, g2, g_mat, pzkv.k_sel, pzkv.v_sympl,
                        pzkv.p_perm, pzkv.z, d)
 
 
-def _assemble(dims: Dimensions, a_qq, b_q, e_mat, c_qq, d_q, c_qq_prime,
-              d_q_prime, c_c_prime, a_cc_prime, b_c_prime, c_cc_prime,
-              d_c_prime, g_mat) -> StandardSystem:
+def _assemble(dims: Dimensions, g1: QuantumSubsystem, g2: ClassicalSubsystem,
+              g_mat: np.ndarray) -> StandardSystem:
     # Interconnection: u = x_c into the quantum side, du_c = g_mat dy'_q
     # into the classical side.
-    b_cg = b_c_prime @ g_mat
-    d_cg = d_c_prime @ g_mat
-    feed = g_mat @ d_q_prime @ c_c_prime
+    c_c_prime = g2.c_c_prime
+    b_cg = g2.b_c_prime @ g_mat
+    d_cg = g2.d_c_prime @ g_mat
+    feed = g_mat @ g1.d_q_prime @ c_c_prime
     q, yq = 2 * dims.n_q, 2 * dims.n_yq
     a = np.empty((dims.n, dims.n))
-    a[:q, :q] = a_qq
-    a[:q, q:] = b_q @ c_c_prime + e_mat
-    a[q:, :q] = b_cg @ c_qq_prime
-    a[q:, q:] = a_cc_prime + b_c_prime @ feed
-    b = np.vstack([b_q, b_cg @ d_q_prime])
+    a[:q, :q] = g1.a_qq
+    a[:q, q:] = g1.b_q @ c_c_prime + g1.e_mat
+    a[q:, :q] = b_cg @ g1.c_qq_prime
+    a[q:, q:] = g2.a_cc_prime + g2.b_c_prime @ feed
+    b = np.vstack([g1.b_q, b_cg @ g1.d_q_prime])
     c = np.empty((dims.n_y, dims.n))
-    c[:yq, :q] = c_qq
-    c[:yq, q:] = d_q @ c_c_prime
-    c[yq:, :q] = d_cg @ c_qq_prime
-    c[yq:, q:] = c_cc_prime + d_c_prime @ feed
-    d = np.vstack([d_q, d_cg @ d_q_prime])
+    c[:yq, :q] = g1.c_qq
+    c[:yq, q:] = g1.d_q @ c_c_prime
+    c[yq:, :q] = d_cg @ g1.c_qq_prime
+    c[yq:, q:] = g2.c_cc_prime + g2.d_c_prime @ feed
+    d = np.vstack([g1.d_q, d_cg @ g1.d_q_prime])
     return StandardSystem(dims, a, b, c, d)
 
 
 def close_loop(r: Realization) -> StandardSystem:
     """Reassemble the interconnected system from a realization."""
-    return _assemble(r.dims, r.g1.a_qq, r.g1.b_q, r.g1.e_mat, r.g1.c_qq,
-                     r.g1.d_q, r.g1.c_qq_prime, r.g1.d_q_prime,
-                     r.g2.c_c_prime, r.g2.a_cc_prime, r.g2.b_c_prime,
-                     r.g2.c_cc_prime, r.g2.d_c_prime, r.g_mat)
+    return _assemble(r.dims, r.g1, r.g2, r.g_mat)
 
 
 def generate_realizable(dims: Dimensions, seed: int) -> StandardSystem:
@@ -230,6 +165,8 @@ def generate_realizable(dims: Dimensions, seed: int) -> StandardSystem:
     c_cc_prime = draw(n_yc, n_c)
     b_c_prime = draw(n_c, r)
     d_c_prime = draw(n_yc, r)
-    return _assemble(dims, a_qq, b_q, e_mat, c_qq, d_q, c_qq_prime, d_q_prime,
-                     c_c_prime, a_cc_prime, b_c_prime, c_cc_prime, d_c_prime,
-                     g_mat)
+    split = 2 * dims.n_w1
+    g1 = QuantumSubsystem(a_qq, b_q, e_mat, c_qq, d_q, c_qq_prime, d_q_prime, -th_q @ e_mat)
+    g2 = ClassicalSubsystem(a_cc_prime, b_c_prime, c_cc_prime, d_c_prime,
+                            c_c_prime[:split], c_c_prime[split:])
+    return _assemble(dims, g1, g2, g_mat)

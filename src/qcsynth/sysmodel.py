@@ -321,46 +321,138 @@ class QuantumOnlySystem:
         return self.c.shape[0] // 2
 
 
-# Each form's matrix fields in constructor order, with their shapes in symbols.
-# Standard-form symbols are Dimensions attributes; the other forms bind
-# theirs to the matrices (see _symbols).
+@dataclass(frozen=True)
+class QuantumSubsystem:
+    """Fully quantum part: original quantum blocks plus completion outputs.
+
+    d_q_prime completes d_q to a symplectic matrix (stacked underneath);
+    c_qq_prime = d_q_prime theta_w b_q^T theta_nq pairs with it so that the
+    stacked outputs keep the quantum realizability conditions.  e_mat
+    carries the classical actuation x_c -> x_q and k_q = -theta_nq e_mat is
+    the corresponding coupling gain.
+    """
+
+    a_qq: np.ndarray
+    b_q: np.ndarray
+    e_mat: np.ndarray
+    c_qq: np.ndarray
+    d_q: np.ndarray
+    c_qq_prime: np.ndarray
+    d_q_prime: np.ndarray
+    k_q: np.ndarray
+
+
+@dataclass(frozen=True)
+class ClassicalSubsystem:
+    """Classical part driven by the measurement signal u_c.
+
+    c_c_prime_1 / c_c_prime_2 split the actuation read-out by the stored
+    channel partition; stacked they solve d_q c_c_prime = c_qc.
+    """
+
+    a_cc_prime: np.ndarray
+    b_c_prime: np.ndarray
+    c_cc_prime: np.ndarray
+    d_c_prime: np.ndarray
+    c_c_prime_1: np.ndarray
+    c_c_prime_2: np.ndarray
+
+    @property
+    def c_c_prime(self) -> np.ndarray:
+        return np.vstack([self.c_c_prime_1, self.c_c_prime_2])
+
+
+@dataclass(frozen=True)
+class Realization:
+    """Quantum subsystem, classical subsystem and measurement network.
+
+    g_mat = k_sel v_sympl taps commuting quadratures of the completion
+    outputs (g_mat theta' g_mat^T = 0), and p_perm, z, k_sel, v_sympl are
+    the factors of the read-out decomposition that produced it.
+    """
+
+    g1: QuantumSubsystem
+    g2: ClassicalSubsystem
+    g_mat: np.ndarray
+    k_sel: np.ndarray
+    v_sympl: np.ndarray
+    p_perm: np.ndarray
+    z: np.ndarray
+    dims: Dimensions
+
+
+# Each record's matrix fields in constructor order, with their shapes in
+# symbols (see _symbols); a record class in place of a shape nests its
+# matrices.  r is the rank of a realization's read-out network.
 _SHAPES = {
-    StandardSystem: {"a": ("n", "n"), "b": ("n", "input_width"),
-                     "c": ("n_y", "n"), "d": ("n_y", "input_width")},
+    StandardSystem: {"a": ("n", "n"), "b": ("n", "2m"), "c": ("n_y", "n"), "d": ("n_y", "2m")},
     GeneralSystem: {"a_g": ("n", "n"), "b_g": ("n", "m"), "c_g": ("n_y", "n"),
                     "d_g": ("n_y", "m"), "big_theta_n": ("n", "n"),
                     "f_v": ("m", "m"), "f_y": ("n_y", "n_y")},
     QuantumOnlySystem: {"a": ("2n_q", "2n_q"), "b": ("2n_q", "2m"),
                         "c": ("2n_z", "2n_q"), "d": ("2n_z", "2m")},
+    QuantumSubsystem: {"a_qq": ("2n_q", "2n_q"), "b_q": ("2n_q", "2m"),
+                       "e_mat": ("2n_q", "n_c"), "c_qq": ("2n_yq", "2n_q"),
+                       "d_q": ("2n_yq", "2m"), "c_qq_prime": ("2(m-n_yq)", "2n_q"),
+                       "d_q_prime": ("2(m-n_yq)", "2m"), "k_q": ("2n_q", "n_c")},
+    ClassicalSubsystem: {"a_cc_prime": ("n_c", "n_c"), "b_c_prime": ("n_c", "r"),
+                         "c_cc_prime": ("n_yc", "n_c"), "d_c_prime": ("n_yc", "r"),
+                         "c_c_prime_1": ("2n_w1", "n_c"), "c_c_prime_2": ("2n_w2", "n_c")},
+    Realization: {"g1": QuantumSubsystem, "g2": ClassicalSubsystem,
+                  "g_mat": ("r", "2(m-n_yq)"), "k_sel": ("r", "2(m-n_yq)"),
+                  "v_sympl": ("2(m-n_yq)", "2(m-n_yq)"),
+                  "p_perm": ("n_c+n_yc", "n_c+n_yc"), "z": ("n_c+n_yc", "r")},
 }
 _COMPLEX = ("f_v", "f_y")
+
+
+def _dims_sizes(d: Dimensions) -> dict:
+    """Size of each shape symbol that a Dimensions record fixes."""
+    return {"n": d.n, "n_y": d.n_y, "2m": 2 * d.m, "2n_q": 2 * d.n_q, "n_c": d.n_c,
+            "2n_yq": 2 * d.n_yq, "n_yc": d.n_yc, "2n_w1": 2 * d.n_w1, "2n_w2": 2 * d.n_w2,
+            "2(m-n_yq)": 2 * (d.m - d.n_yq), "n_c+n_yc": d.n_c + d.n_yc}
+
+
+def _matrices(cls, values: dict, prefix: str = "") -> dict:
+    """name -> (matrix, shape in symbols) over the matrices of cls and of the
+    records nested in it, given as dicts or instances; nested names are
+    dotted (g1.a_qq)."""
+    out = {}
+    for name, shape in _SHAPES[cls].items():
+        value = values[name]
+        if isinstance(shape, type):
+            out.update(_matrices(shape, value if isinstance(value, dict) else vars(value),
+                                 f"{prefix}{name}."))
+        else:
+            out[prefix + name] = (value, shape)
+    return out
 
 
 def _symbols(cls, values: dict) -> dict:
     """Sizes of the shape symbols of cls, given its field values.
 
-    They are the dims attributes if there are dims.  Otherwise a symbol takes
-    its size from the first matrix that uses it, matrices with rows first:
-    a file's [] gives no column count.
+    The dims, if any, fix the symbols they can; every other symbol takes its
+    size from the first matrix that uses it, matrices with rows first: a
+    file's [] gives no column count.
     """
-    if "dims" in values:
-        return {sym: getattr(values["dims"], sym) for pair in _SHAPES[cls].values()
-                for sym in pair}
-    out = {}
-    for name, pair in sorted(_SHAPES[cls].items(), key=lambda item: not len(values[item[0]])):
-        for sym, size in zip(pair, values[name].shape):
+    out = _dims_sizes(values["dims"]) if "dims" in values else {}
+    for mat, pair in sorted(_matrices(cls, values).values(), key=lambda item: not len(item[0])):
+        for sym, size in zip(pair, mat.shape):
             out.setdefault(sym, size)
     return out
 
 
-def _build(cls, values: dict):
-    """cls(**values), each matrix without rows first given the column count
-    its symbol binds to; validate judges the shapes."""
-    sym = _symbols(cls, values)
+def _build(cls, values: dict, sym: dict | None = None):
+    """cls(**values), nested records built from their dicts and each matrix
+    without rows given the column count its symbol binds to; validate
+    judges the shapes."""
+    sym = _symbols(cls, values) if sym is None else sym
     values = dict(values)
-    for name, (_, cols) in _SHAPES[cls].items():
-        if not len(values[name]):
-            values[name] = values[name].reshape(0, sym[cols])
+    for name, shape in _SHAPES[cls].items():
+        if isinstance(shape, type):
+            values[name] = _build(shape, values[name], sym)
+        elif not len(values[name]):
+            values[name] = values[name].reshape(0, sym[shape[1]])
     return cls(**values)
 
 
@@ -389,8 +481,8 @@ def validate(sys) -> list[str]:
     """
     if type(sys) not in _SHAPES:
         raise TypeError(f"unsupported system type {type(sys).__name__}")
-    shapes = _SHAPES[type(sys)]
-    mats = {name: getattr(sys, name) for name in shapes}
+    shapes = _matrices(type(sys), vars(sys))
+    mats = {name: mat for name, (mat, _) in shapes.items()}
     early = ([f"{name}: entries must be finite" for name, mat in mats.items()
               if not np.isfinite(mat).all()]
              or [f"{name}: expected a matrix, got shape {mat.shape}"
@@ -402,7 +494,7 @@ def validate(sys) -> list[str]:
     if early:
         return early
     sym = _symbols(type(sys), vars(sys))
-    expected = {name: (sym[rows], sym[cols]) for name, (rows, cols) in shapes.items()}
+    expected = {name: (sym[rows], sym[cols]) for name, (_, (rows, cols)) in shapes.items()}
     out = [f"{name}: expected shape {expected[name]}, got {mat.shape}"
            for name, mat in mats.items() if mat.shape != expected[name]]
     if isinstance(sys, GeneralSystem):

@@ -144,7 +144,7 @@ def transfer_equiv_check(g: GeneralSystem, tw: TransformWitness,
     Evaluates || Xi_standard(s) - p_y Xi_general(s) w ||_F at each sample,
     shifting any sample that lands within tol (at least a fixed clearance)
     of an eigenvalue of either dynamics matrix.  A valid witness keeps the
-    result at round-off level.
+    result at round-off level.  An overflow gives inf or NaN, without a warning.
     """
     if sample_points is None:
         sample_points = DEFAULT_SAMPLE_POINTS
@@ -158,13 +158,16 @@ def transfer_equiv_check(g: GeneralSystem, tw: TransformWitness,
     # folded through the witness, (A_g, B_g w, p_y C_g, p_y D_g w), which has
     # the standard model's shapes.  Per point the largest temporaries are a
     # pencil (n x n) and a transfer matrix (n_y x width).
-    b_fold, c_fold, d_fold = g.b_g @ tw.w, tw.p_y @ g.c_g, tw.p_y @ g.d_g @ tw.w
     (n_y, n), width = std.c.shape, std.b.shape[1]
     step = max(1, _BATCH_ENTRIES // max(1, n * n, n_y * width))
     worst = 0.0
-    for i in range(0, len(points), step):
-        batch = points[i:i + step]
-        xi_s = _transfer_stack(std.a, std.b, std.c, std.d, batch)
-        xi_f = _transfer_stack(g.a_g, b_fold, c_fold, d_fold, batch)
-        worst = max(worst, float(np.linalg.norm(xi_s - xi_f, axis=(1, 2)).max()))
-    return worst
+    # An overflow leaves inf or NaN entries, without a warning; np.maximum,
+    # unlike max (max(0.0, nan) is 0.0), carries a NaN through.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_fold, c_fold, d_fold = g.b_g @ tw.w, tw.p_y @ g.c_g, tw.p_y @ g.d_g @ tw.w
+        for i in range(0, len(points), step):
+            batch = points[i:i + step]
+            xi_s = _transfer_stack(std.a, std.b, std.c, std.d, batch)
+            xi_f = _transfer_stack(g.a_g, b_fold, c_fold, d_fold, batch)
+            worst = np.maximum(worst, np.linalg.norm(xi_s - xi_f, axis=(1, 2)).max())
+    return float(worst)

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import qcsynth
-from qcsynth import (Dimensions, GeneralSystem, QuantumOnlySystem, StandardSystem,
-                     augment, diag_j, generate_realizable, simulate, skew_drift)
-from qcsynth.cli import (_dumps, _encode_complex, _encode_real, load_system, main,
+from qcsynth import (Dimensions, GeneralSystem, QuantumOnlySystem, Realization,
+                     StandardSystem, augment, diag_j, generate_realizable, simulate,
+                     skew_drift, synthesize)
+from qcsynth.cli import (_decode, _dumps, _encode_complex, _encode_real, load_system, main,
                          system_to_obj)
 from refsystems import MIXED_D, damped_cavity, mixed_reference, scaled_generated
+from test_synthesis import dimensions
 
 
 def write_json(path, obj):
@@ -752,6 +754,52 @@ def test_system_files_round_trip_bitwise(tmp_path_factory, model):
             assert got == want
 
 
+def assert_same_record(got, want, where=""):
+    """Every field of two records equal, each matrix bit for bit."""
+    assert type(got) is type(want), where
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                where + f.name
+        elif is_dataclass(b):
+            assert_same_record(a, b, f"{where}{f.name}.")
+        else:
+            assert a == b, where + f.name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dimensions(), hst.integers(0, 2**16))
+def test_realization_reports_round_trip_bitwise(tmp_path_factory, dims, seed):
+    model = generate_realizable(dims, seed)
+    base = tmp_path_factory.getbasetemp()
+    report = base / "realization.json"
+    assert main(["synthesize", write_system(base / "standard.json", model), "--quiet",
+                 "-o", str(report)]) == 0
+    obj = json.loads(report.read_text())
+    want = synthesize(model)
+    assert obj["r"] == len(want.g_mat)
+    assert_same_record(_decode(Realization, obj, str(report)), want)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda body: body.update(v_sympl=[[1.0]]), "v_sympl: expected shape (4, 4), got (1, 1)"),
+    (lambda body: body["g1"].pop("k_q"), "g1.k_q: expected a list of rows"),
+    (lambda body: body.pop("g2"), "g2: expected an object"),
+    (lambda body: body.update(r=body["r"] + 1), "r: expected 2, the row count of g_mat, got 3"),
+], ids=["mis-shaped v_sympl", "missing g1 matrix", "missing g2", "r against g_mat"])
+def test_tampered_realization_is_an_input_error(tmp_path, capsys, edit, message):
+    spath = write_system(tmp_path / "sys.json", mixed_reference())
+    rpath = tmp_path / "real.json"
+    assert run(capsys, "synthesize", spath, "--quiet", "-o", str(rpath))[0] == 0
+    body = json.loads(rpath.read_text())
+    edit(body)
+    write_json(rpath, body)
+    code, out, err = run(capsys, "verify-realization", str(rpath), "--reference", spath)
+    assert (code, out) == (2, "")
+    assert message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("model", [
     GeneralSystem(-0.5 * np.eye(2), np.eye(2), np.zeros((0, 2)), np.zeros((0, 2)),
                   diag_j(1), np.eye(2) + 1j * diag_j(1), np.zeros((0, 0))),
@@ -909,3 +957,91 @@ def test_to_standard_loads_no_checker_module(tmp_path):
     assert "qcsynth.transform" in names
     assert not names & {f"qcsynth.{name}" for name in
                         ("realizability", "synthesis", "augment", "moments")}
+
+
+# ---------------------------------------------------------------------------
+# overflowing inputs and closed pipes
+
+
+def overflowing_general(a_factor, bc_factor):
+    """The generated Dimensions(2, 2, 4, 2, 2) system behind a random
+    orthogonal congruence, with a_g times a_factor and b_g, c_g times
+    bc_factor."""
+    model = generate_realizable(Dimensions(2, 2, 4, 2, 2), 1)
+    st = model.structure
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((model.dims.n,) * 2))
+    return GeneralSystem(a_factor * q @ model.a @ q.T, bc_factor * q @ model.b,
+                         bc_factor * model.c @ q.T, model.d, q @ st.theta_n @ q.T, st.f_w,
+                         model.d @ st.f_w @ model.d.T)
+
+
+def overflow_inputs(tmp_path):
+    """The overflow input files by name, and a realization of the system the
+    first of them scales."""
+    model = generate_realizable(Dimensions(1, 1, 2, 1, 1), seed=3)
+    paths = {
+        "a1e300": write_system(tmp_path / "a1e300.json", StandardSystem(
+            model.dims, model.a * 1e300, model.b, model.c, model.d)),
+        "general1e200": write_system(tmp_path / "general1e200.json",
+                                     overflowing_general(1e200, 1e200)),
+        # both transfer functions overflow, so their difference is NaN
+        "bc1e160": write_system(tmp_path / "bc1e160.json", overflowing_general(1.0, 1e160)),
+        "dq1e200": write_json(tmp_path / "dq1e200.json",
+                              {"d_q": [[1e200, 0, 0, 0], [0, 1e-200, 0, 0]]}),
+        "augment1e160": write_system(tmp_path / "augment1e160.json", scaled_generated(1e160)),
+        "realization": str(tmp_path / "realization.json"),
+    }
+    assert main(["synthesize", write_system(tmp_path / "s.json", model), "--quiet",
+                 "-o", paths["realization"]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "a1e300"], ["check", "--partitioned", "a1e300"], ["synthesize", "a1e300"],
+    ["simulate", "a1e300"], ["augment", "a1e300"],
+    ["verify-realization", "realization", "--reference", "a1e300"],
+    ["check", "general1e200"], ["to-standard", "general1e200"], ["to-standard", "bc1e160"],
+    ["complete-symplectic", "dq1e200"], ["augment", "augment1e160"],
+], ids=" ".join)
+def test_overflow_warns_nothing_under_warnings_as_errors(tmp_path, argv):
+    # a RuntimeWarning that escapes numpy would end this process in a traceback
+    paths = overflow_inputs(tmp_path)
+    proc = run_process("-W", "error::RuntimeWarning", "-m", "qcsynth",
+                       *(paths.get(arg, arg) for arg in argv), "-o", str(tmp_path / "out.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["to-standard", "general1e200"],
+     "error: to-standard: the transfer deviation overflowed: transfer_max_deviation inf\n"),
+    (["to-standard", "bc1e160"],
+     "error: to-standard: the transfer deviation overflowed: transfer_max_deviation nan\n"),
+    (["verify-realization", "realization", "--reference", "a1e300"],
+     "error: verify-realization: a block error overflowed: a nan, "),
+])
+def test_overflowed_report_value_is_one_error(tmp_path, capsys, argv, message):
+    paths = overflow_inputs(tmp_path)
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv), "-o", str(report))
+    assert (code, out) == (1, "")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_closed_pipe_exits_141_without_traceback(tmp_path):
+    # the default simulate report of a 3-state system is about 4 MB, far
+    # more than a pipe buffers, so the write meets the closed pipe
+    path = write_system(tmp_path / "small.json", generate_realizable(Dimensions(1, 1, 2, 1, 1), 1))
+    env = dict(os.environ, PYTHONPATH=str(Path(qcsynth.__file__).resolve().parent.parent))
+    env.pop("QCSYNTH_TOL", None)
+    proc = subprocess.Popen([sys.executable, "-m", "qcsynth", "simulate", path, "--quiet"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert err == ""
