@@ -444,6 +444,7 @@ def cmd_simulate(args) -> int:
         raise SystemFileError(str(exc)) from None
     traj = simulate(model, t_final=args.t_final, dt=args.dt)
     drift = skew_drift(traj, model.structure.theta_n)
+    _require_finite("simulate: the skew drift", {"skew_drift": drift})
     obj = {
         "schema_version": SCHEMA_VERSION,
         "kind": "trajectory",

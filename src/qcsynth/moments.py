@@ -72,6 +72,17 @@ def _expm_taylor(x: np.ndarray) -> np.ndarray:
     return acc + eye
 
 
+def _halvings(a: np.ndarray, h: float) -> int | None:
+    """Halvings of h that bring h max(|A|_1, |A|_inf) to at most 1; None
+    when that product overflows, as no count of halvings reaches it."""
+    mags = np.abs(a)
+    scale = h * float(max(mags.sum(axis=0).max(initial=0.0),
+                          mags.sum(axis=1).max(initial=0.0)))
+    if scale == math.inf:
+        return None
+    return math.ceil(math.log2(scale)) if scale > 1.0 else 0
+
+
 def _exact_step(a: np.ndarray, pump: np.ndarray, dt: float):
     """Transition Phi = exp(A dt) and noise term Q_d of one step of length dt.
 
@@ -87,10 +98,8 @@ def _exact_step(a: np.ndarray, pump: np.ndarray, dt: float):
     whatever P is.
     """
     n = a.shape[0]
-    mags = np.abs(a)
-    scale = dt * float(max(mags.sum(axis=0).max(initial=0.0),
-                           mags.sum(axis=1).max(initial=0.0)))
-    halvings = math.ceil(math.log2(scale)) if 1.0 < scale < math.inf else 0
+    # an overflowed scale runs unscaled, and simulate reports the non-finite step
+    halvings = _halvings(a, dt) or 0
     blocks = np.zeros((2, 2 * n, 2 * n))
     blocks[:, :n, :n] = a
     blocks[:, n:, n:] = -a.T

@@ -15,7 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.linalg loads lazily, on its first use
+# Kept only because perfbench/tracing.py Tracer.install reads
+# realizability.scipy, and its getattr raises without this name; nothing
+# here calls scipy.
+import scipy
 
 from .sysmodel import (DEFAULT_CHECK_TOL, GeneralSystem, QuantumOnlySystem,
                        StandardSystem, _fro, _maxabs, diag_j)
@@ -188,24 +191,39 @@ def commutator_trajectory(sys: StandardSystem, times) -> list[np.ndarray]:
     """State/output commutator evolution at the requested times.
 
     Returns g(t)/2i = (integral_0^t exp(A u) du) (theta_n C^T + B theta_w D^T)
-    for each t; the result is identically zero exactly when the
-    non-demolition condition holds.  The integral is the top-right block of
-    expm([[A, I], [0, 0]] t) (Van Loan, IEEE TAC 1978), which holds for
-    every A, singular or not; all positive times share one batched
-    exponential.
+    for each t, exactly zero at t = 0; it is identically zero exactly when
+    the non-demolition condition holds.  The integral is the top-right block
+    of exp([[A, I], [0, 0]] t) (Van Loan, IEEE TAC 1978), for every A: each t
+    is halved as in moments._exact_step, one batched Taylor step takes all
+    sub-steps, and doubling (I <- Phi I + I, Phi <- Phi^2) carries each back.
+    An overflow raises ValueError naming the first time that is not finite.
     """
     times = [float(t) for t in times]
     if (any(not 0.0 <= t < math.inf for t in times)
             or any(t2 < t1 for t1, t2 in zip(times, times[1:]))):
         raise ValueError("times must be sorted, nonnegative and finite")
-    drive = sum(_standard_terms(sys)[1])
+    from .moments import _expm_taylor, _halvings
+    counts = [_halvings(sys.a, t) for t in times]
+    if None in counts:
+        raise ValueError(f"t = {times[counts.index(None)]:.6g} cannot be scaled: "
+                         "t max(|A|_1, |A|_inf) overflows")
     n = sys.a.shape[0]
-    positive = [t for t in times if t > 0.0]   # sorted, so these come last
-    out = [np.zeros_like(drive) for _ in range(len(times) - len(positive))]
-    if positive:
-        block = np.zeros((2 * n, 2 * n))
-        block[:n, :n] = sys.a
-        block[:n, n:] = np.eye(n)
-        exps = scipy.linalg.expm(np.multiply.outer(positive, block))
-        out += [e[:n, n:] @ drive for e in exps]
-    return out
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = sys.a
+    block[:n, n:] = np.eye(n)
+    steps = [math.ldexp(t, -k) for t, k in zip(times, counts)]
+    # overflow is reported through the non-finite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _expm_taylor(np.multiply.outer(steps, block))
+        phi, integral = e[:, :n, :n], e[:, :n, n:]
+        for k in range(max(counts, default=0)):
+            # counts grow with the sorted times: those still doubling are a suffix
+            j = np.searchsorted(counts, k, side="right")
+            integral[j:] = phi[j:] @ integral[j:] + integral[j:]
+            phi[j:] = phi[j:] @ phi[j:]
+        out = integral @ sum(_standard_terms(sys)[1])
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        t = times[int(np.argmin(finite))]
+        raise ValueError(f"commutator trajectory diverged to non-finite values at t = {t:.6g}")
+    return list(out)

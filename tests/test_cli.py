@@ -1045,3 +1045,24 @@ def test_closed_pipe_exits_141_without_traceback(tmp_path):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 141
     assert err == ""
+
+
+def skew_overflow_input(tmp_path):
+    """A one-mode file whose default simulate run has a finite trajectory,
+    second moments near 1e160, and a skew drift whose square overflows."""
+    model = StandardSystem(Dimensions(1, 0, 1, 0, 0), 36.8 * np.eye(2), np.zeros((2, 2)),
+                           np.zeros((0, 2)), np.zeros((0, 2)))
+    return write_system(tmp_path / "skew.json", model)
+
+
+def test_simulate_overflowed_skew_drift_is_one_error(tmp_path, capsys):
+    report = tmp_path / "trajectory.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "simulate", skew_overflow_input(tmp_path),
+                             "-o", str(report))
+    assert (code, out) == (1, "")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err == "error: simulate: the skew drift overflowed: skew_drift inf\n"
+    assert not report.exists()
+

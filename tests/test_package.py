@@ -109,3 +109,35 @@ def test_a_name_rebound_in_its_module_is_seen_at_once(monkeypatch):
     assert qcsynth.rank_tol is sentinel
     monkeypatch.undo()
     assert qcsynth.rank_tol is matkit.rank_tol
+
+
+def test_library_entry_points_leave_scipy_linalg_unloaded():
+    # Every entry point but the scipy-based generators (random_symplectic,
+    # and generate_realizable through it) runs on numpy alone.
+    tests = str(Path(__file__).resolve().parent)
+    probe = f"""
+import sys
+sys.path.insert(0, {tests!r})
+from refsystems import mixed_reference
+from qcsynth import (GeneralSystem, QuantumOnlySystem, augment, check_general, check_quantum,
+                     check_standard, check_standard_partitioned, close_loop,
+                     commutator_trajectory, nondemolition_residual, reduce, simulate,
+                     skew_drift, synthesize, to_standard, transfer_equiv_check, transfer_eval)
+ref = mixed_reference()
+st = ref.structure
+commutator_trajectory(ref, [0.0, 0.5, 2.0])
+skew_drift(simulate(ref, t_final=0.1, dt=0.01), st.theta_n)
+check_standard(ref)
+check_standard_partitioned(ref)
+nondemolition_residual(ref)
+check_quantum(QuantumOnlySystem(ref.a[:2, :2], ref.b[:2], ref.c[:2, :2], ref.d[:2]))
+general = GeneralSystem(ref.a, ref.b, ref.c, ref.d, st.theta_n, st.f_w,
+                        ref.d @ st.f_w @ ref.d.T)
+check_general(general)
+transfer_equiv_check(general, to_standard(general))
+transfer_eval(ref.a, ref.b, ref.c, ref.d, 1j)
+close_loop(synthesize(ref))
+reduce(augment(ref), st.theta_w)
+print("scipy.linalg" in sys.modules)
+"""
+    assert fresh(probe) == "False"

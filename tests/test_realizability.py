@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -439,3 +440,92 @@ def test_verdicts_survive_a_change_of_state_basis(index, seed, broken):
 
     assert check_standard(moved).verdict == check_standard(before).verdict == (not broken)
     assert failing(moved) == failing(before)
+
+
+# ------------------------------------- commutator_trajectory: digits and overflow
+
+def integral_40_digits(a, t):
+    """integral_0^t exp(A u) du, the top right block of the 40-digit
+    exponential of [[A, I], [0, 0]] t."""
+    n = a.shape[0]
+    with mpmath.workdps(40):
+        block = mpmath.zeros(2 * n, 2 * n)
+        for i in range(n):
+            block[i, n + i] = mpmath.mpf(t)
+            for j in range(n):
+                block[i, j] = mpmath.mpf(a[i, j]) * mpmath.mpf(t)
+        e = mpmath.expm(block).tolist()
+    return np.array([[float(x) for x in row[n:]] for row in e[:n]])
+
+
+@hst.composite
+def drifts_and_times(draw):
+    """A system with 1 <= n <= 6 whose drift has the drawn rows zeroed, and
+    sorted times in [0, 5] that include 0."""
+    n_q = draw(hst.integers(0, 3))
+    m = draw(hst.integers(1, 3))
+    dims = Dimensions(n_q=n_q, n_c=draw(hst.integers(0 if n_q else 1, 6 - 2 * n_q)), m=m,
+                      n_yq=draw(hst.integers(0, m)), n_yc=draw(hst.integers(0, 2)))
+    n, n_y = dims.n, 2 * dims.n_yq + dims.n_yc
+    rng = np.random.default_rng(draw(hst.integers(0, 2**16)))
+    a = draw(hst.sampled_from((0.1, 1.0, 3.0))) * rng.standard_normal((n, n))
+    a[draw(hst.lists(hst.booleans(), min_size=n, max_size=n))] = 0.0
+    sys = StandardSystem(dims, a, rng.standard_normal((n, 2 * m)),
+                         rng.standard_normal((n_y, n)), rng.standard_normal((n_y, 2 * m)))
+    times = sorted([0.0, *draw(hst.lists(hst.floats(0.0, 5.0), max_size=3))])
+    return sys, times
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drifts_and_times())
+def test_trajectory_matches_40_digit_integral(case):
+    sys, times = case
+    st = sys.structure
+    drive = st.theta_n @ sys.c.T + sys.b @ st.theta_w @ sys.d.T
+    for t, got in zip(times, commutator_trajectory(sys, times)):
+        if t == 0.0:
+            assert np.count_nonzero(got) == 0
+            continue
+        want = integral_40_digits(sys.a, t) @ drive
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def perturbed_mixed(a):
+    ref = mixed_reference()
+    c = ref.c.copy()
+    c[0, 0] += 1.0
+    return StandardSystem(MIXED_DIMS, a, ref.b, c, ref.d)
+
+
+def test_trajectory_overflow_names_the_first_diverged_time():
+    unstable = perturbed_mixed(-mixed_reference().a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"non-finite values at t = 1000$"):
+            commutator_trajectory(unstable, [0.0, 1.0, 1e3, 2e3])
+        assert np.isfinite(commutator_trajectory(unstable, [0.0, 1.0])[1]).all()
+
+
+def test_trajectory_reaches_the_limit_of_a_stable_drift():
+    # integral_0^inf exp(A u) du = -A^-1 for Hurwitz A; every time is halved
+    # by its own count, so t = 1e6 keeps its digits next to t = 1e300
+    sys = perturbed_mixed(mixed_reference().a)
+    st = sys.structure
+    limit = np.linalg.solve(-sys.a, st.theta_n @ sys.c.T + sys.b @ st.theta_w @ sys.d.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = commutator_trajectory(sys, [1e6, 1e300])
+        alone = [commutator_trajectory(sys, [t])[0] for t in (1e6, 1e300)]
+    for got, single in zip(together, alone):
+        np.testing.assert_array_equal(got, single)
+        assert np.linalg.norm(got - limit) <= 1e-14 * np.linalg.norm(limit)
+
+
+def test_trajectory_overflowing_halving_scale_raises():
+    # t max(|A|_1, |A|_inf) overflows at t = 1e10: no halving count reaches
+    # it, and the Taylor step must not run unscaled
+    sys = perturbed_mixed(1e300 * mixed_reference().a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"t = 1e\+10 cannot be scaled"):
+            commutator_trajectory(sys, [0.0, 1.0, 1e10])
