@@ -518,6 +518,8 @@ def cmd_generate(args) -> int:
                           args.n_w1)
     except ValueError as exc:
         raise SystemFileError(str(exc))
+    if args.seed < 0:
+        raise SystemFileError(f"--seed must be non-negative, got {args.seed}")
     from .synthesis import generate_realizable
     model = generate_realizable(dims, args.seed)
     _emit(args, _record(model),

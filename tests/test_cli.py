@@ -334,6 +334,13 @@ def test_generate_rejects_bad_counts(capsys):
     assert err.startswith("error:")
 
 
+def test_generate_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, "generate", "--n-q", "1", "--n-c", "1", "--m", "2",
+                         "--n-yq", "1", "--n-yc", "1", "--seed", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be non-negative, got -5\n"
+
+
 # ---------------------------------------------------------------------------
 # tolerance plumbing
 
@@ -451,8 +458,8 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, value):
 
 
 def test_numpy_only_commands_leave_scipy_linalg_unloaded(tmp_path, capsys):
-    # scipy.linalg is imported on first use; of the commands only generate
-    # needs it.  The commands share one fresh interpreter.
+    # No command loads any scipy module, generate included.  The commands
+    # share one fresh interpreter.
     sys_path = write_system(tmp_path / "sys.json", mixed_reference())
     real_path = str(tmp_path / "real.json")
     assert run(capsys, "synthesize", sys_path, "-o", real_path)[0] == 0
@@ -473,10 +480,12 @@ def test_numpy_only_commands_leave_scipy_linalg_unloaded(tmp_path, capsys):
         "import json, sys\n"
         "from qcsynth.cli import main\n"
         "codes = [main(argv + ['--quiet', '-o', sys.argv[1]]) for argv in json.loads(sys.argv[2])]\n"
-        "before = 'scipy.linalg' in sys.modules\n"
+        "def scipy_loaded():\n"
+        "    return any(name.split('.')[0] == 'scipy' for name in sys.modules)\n"
+        "before = scipy_loaded()\n"
         "main(['generate', '--n-q', '1', '--n-c', '1', '--m', '2', '--n-yq', '1',\n"
         "      '--n-yc', '1', '--quiet', '-o', sys.argv[1]])\n"
-        "print(json.dumps([codes, before, 'scipy.linalg' in sys.modules]))\n"
+        "print(json.dumps([codes, before, scipy_loaded()]))\n"
     )
     src = str(Path(qcsynth.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -488,7 +497,7 @@ def test_numpy_only_commands_leave_scipy_linalg_unloaded(tmp_path, capsys):
     codes, before, after = json.loads(proc.stdout)
     assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 2]
     assert not before
-    assert after
+    assert not after
 
 
 # ---------------------------------------------------------------------------
@@ -921,6 +930,41 @@ def loaded_modules(*argv):
     assert proc.returncode == 0, proc.stderr
     code, names = json.loads(proc.stdout.splitlines()[-1])
     return code, set(names)
+
+
+def test_every_command_runs_without_scipy(tmp_path, capsys):
+    # scipy made unimportable before qcsynth loads: each command still
+    # gives its usual exit code
+    sys_path = write_system(tmp_path / "sys.json", mixed_reference())
+    real_path = str(tmp_path / "real.json")
+    assert run(capsys, "synthesize", sys_path, "-o", real_path)[0] == 0
+    bad = system_to_obj(mixed_reference())
+    bad["a"] = bad["a"][:-1]
+    generate = ["generate", "--n-q", "1", "--n-c", "1", "--m", "2", "--n-yq", "1", "--n-yc", "1"]
+    commands = [
+        (["check", sys_path], 0),
+        (["check", "--partitioned", sys_path], 0),
+        (["check", write_system(tmp_path / "broken.json", perturbed_reference())], 1),
+        (["check", write_json(tmp_path / "bad.json", bad)], 2),
+        (["to-standard", write_system(tmp_path / "g.json", as_general(mixed_reference()))], 0),
+        (["complete-symplectic",
+          write_json(tmp_path / "dq.json", {"d_q": MIXED_D[:2].tolist()})], 0),
+        (["augment", sys_path], 0),
+        (["synthesize", sys_path], 0),
+        (["verify-realization", real_path, "--reference", sys_path], 0),
+        (["simulate", sys_path, "--t-final", "0.01"], 0),
+        (generate, 0),
+        ([*generate, "--seed", "-5"], 2),
+    ]
+    probe = ("import json, sys\n"
+             "sys.modules['scipy'] = None\n"
+             "from qcsynth.cli import main\n"
+             "print(json.dumps([main(argv + ['--quiet', '-o', sys.argv[1]])\n"
+             "                  for argv in json.loads(sys.argv[2])]))\n")
+    proc = run_process("-c", probe, str(tmp_path / "out.json"),
+                       json.dumps([argv for argv, _ in commands]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [code for _, code in commands]
 
 
 def test_bad_file_loads_only_the_reader(tmp_path):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -500,6 +501,51 @@ def test_random_symplectic():
     a = random_symplectic(3, np.random.default_rng(9))
     b = random_symplectic(3, np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+def hamiltonian_draw(m, seed, spread):
+    """diag_m(J) @ S for the S that random_symplectic(m, default_rng(seed), spread) draws."""
+    s = np.random.default_rng(seed).standard_normal((2 * m, 2 * m)) * spread
+    return diag_j(m) @ ((s + s.T) / 2.0)
+
+
+SYMPLECTIC_GRID = [(m, spread) for m in (1, 2, 4, 8, 16, 32, 64) for spread in (0.25, 0.5, 1.0)]
+
+
+def test_random_symplectic_matches_scipy_expm():
+    scaled = set()
+    for m, spread in SYMPLECTIC_GRID:
+        x = hamiltonian_draw(m, m, spread)
+        scaled.add(bool(np.abs(x).sum(axis=0).max() > matkit._THETA13))
+        t = random_symplectic(m, np.random.default_rng(m), spread)
+        ref = scipy.linalg.expm(x)
+        assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max(), (m, spread)
+    assert scaled == {False, True}
+
+
+def test_random_symplectic_matches_40_digit_exponential():
+    # spread 8 takes every m past theta_13, so the squarings run too
+    for m in (1, 2, 3):
+        for spread in (0.25, 1.0, 8.0):
+            x = hamiltonian_draw(m, 7, spread)
+            with mpmath.workdps(40):
+                ref = np.array(mpmath.expm(mpmath.matrix(x.tolist())).tolist(), dtype=float)
+            t = random_symplectic(m, np.random.default_rng(7), spread)
+            assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max(), (m, spread)
+
+
+def test_random_symplectic_defect_is_round_off():
+    for m, spread in SYMPLECTIC_GRID:
+        t = random_symplectic(m, np.random.default_rng(m), spread)
+        defect = np.abs(t @ diag_j(m) @ t.T - diag_j(m)).max()
+        assert defect <= 1e-14 * np.abs(t).max() ** 2, (m, spread)
+
+
+def test_random_symplectic_edge_cases():
+    assert random_symplectic(0, np.random.default_rng(0)).shape == (0, 0)
+    for m in (16, 64):
+        assert np.array_equal(random_symplectic(m, np.random.default_rng(5), 1.0),
+                              random_symplectic(m, np.random.default_rng(5), 1.0))
 
 
 def test_overflowing_scale_fails_its_check():

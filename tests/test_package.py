@@ -111,18 +111,31 @@ def test_a_name_rebound_in_its_module_is_seen_at_once(monkeypatch):
     assert qcsynth.rank_tol is matkit.rank_tol
 
 
+def test_scipy_names_resolve_for_the_benchmark_tracer():
+    # perfbench's tracer reads and rebinds these two names
+    import scipy
+    for module in ("matkit", "realizability"):
+        mod = importlib.import_module(f"qcsynth.{module}")
+        assert getattr(mod, "scipy") is scipy
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(mod, "no_such_name")
+
+
 def test_library_entry_points_leave_scipy_linalg_unloaded():
-    # Every entry point but the scipy-based generators (random_symplectic,
-    # and generate_realizable through it) runs on numpy alone.
+    # Every entry point, the generators included, runs on numpy alone.
     tests = str(Path(__file__).resolve().parent)
     probe = f"""
 import sys
+import numpy as np
 sys.path.insert(0, {tests!r})
 from refsystems import mixed_reference
-from qcsynth import (GeneralSystem, QuantumOnlySystem, augment, check_general, check_quantum,
-                     check_standard, check_standard_partitioned, close_loop,
-                     commutator_trajectory, nondemolition_residual, reduce, simulate,
-                     skew_drift, synthesize, to_standard, transfer_equiv_check, transfer_eval)
+from qcsynth import (Dimensions, GeneralSystem, QuantumOnlySystem, augment, check_general,
+                     check_quantum, check_standard, check_standard_partitioned, close_loop,
+                     commutator_trajectory, generate_realizable, nondemolition_residual,
+                     random_symplectic, reduce, simulate, skew_drift, synthesize, to_standard,
+                     transfer_equiv_check, transfer_eval)
+random_symplectic(3, np.random.default_rng(0))
+generate_realizable(Dimensions(2, 2, 4, 2, 2), 1)
 ref = mixed_reference()
 st = ref.structure
 commutator_trajectory(ref, [0.0, 0.5, 2.0])
@@ -138,6 +151,6 @@ transfer_equiv_check(general, to_standard(general))
 transfer_eval(ref.a, ref.b, ref.c, ref.d, 1j)
 close_loop(synthesize(ref))
 reduce(augment(ref), st.theta_w)
-print("scipy.linalg" in sys.modules)
+print(any(name.split(".")[0] == "scipy" for name in sys.modules))
 """
     assert fresh(probe) == "False"
