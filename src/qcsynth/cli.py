@@ -25,7 +25,7 @@ import numpy as np
 # once its input has loaded, so a bad file is rejected before any of them.
 from .sysmodel import (DEFAULT_CHECK_TOL, _COMPLEX, _SHAPES, Dimensions, GeneralSystem,
                        QuantumOnlySystem, Realization, StandardSystem, _build, _fro,
-                       _maxabs, diag_j, validate)
+                       _maxabs, _symbols, diag_j, validate)
 
 __all__ = ["SystemFileError", "main", "entry"]
 
@@ -159,6 +159,8 @@ def _record(obj) -> dict:
     file keys, led by the form tag of a system model.  Nested records (dims
     among them) become dicts; matrices stay ndarrays, which _emit encodes."""
     out = {"form": _FORM_OF[type(obj)]} if type(obj) in _FORM_OF else {}
+    if isinstance(obj, QuantumOnlySystem):
+        out["m"] = obj.m    # the input count, which [] matrices cannot carry
     keys = _KEYS.get(type(obj), {})
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -195,9 +197,22 @@ def _fields_of(cls, obj, name: str) -> dict:
 
 
 def _decode(cls, obj: dict, where: str):
-    """The cls record that obj encodes, its shapes judged by validate."""
-    record = _build(cls, _fields_of(cls, obj, ""))
+    """The cls record that obj encodes, its shapes judged by validate.
+
+    A quantum file may give its input count m: it shapes b and d when
+    neither has rows, and must agree with them otherwise.
+    """
+    values = _fields_of(cls, obj, "")
+    sym = _symbols(cls, values)
+    m = _require_int(obj, "m", where, None) if cls is QuantumOnlySystem else None
+    if m is not None and m < 0:
+        raise SystemFileError(f"{where}.m: expected a nonnegative integer, got {m}")
+    if m is not None and not (len(values["b"]) or len(values["d"])):
+        sym["2m"] = 2 * m
+    record = _build(cls, values, sym)
     problems = validate(record)
+    if m is not None and not problems and record.m != m:
+        problems = [f"m: expected {record.m}, the input count of b and d, got {m}"]
     if problems:
         raise SystemFileError(f"{where}: " + "; ".join(problems))
     return record

@@ -220,8 +220,44 @@ def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
     return MomentTrajectory(times, means, sigmas)
 
 
+def _binade(x: float) -> float:
+    """The power of two at the leading bit of x >= 0 (0.5 for 0, inf and NaN):
+    dividing by it is exact and brings a finite x into [1, 2)."""
+    return math.ldexp(0.5, math.frexp(x)[1])
+
+
+def _chunk_drift(s: np.ndarray, two_theta: np.ndarray, scaled: bool):
+    """The largest skew drift over the stack of samples s.
+
+    Unscaled, the squared deviations overflow once a drift passes about
+    1e154.  Scaled, the samples are divided by the power of two at their
+    largest entry and the deviations by the one at their largest value,
+    both exactly, so that only the final product can overflow.
+    """
+    # 2 (S - S^T)/2i has real part Im S - Im S^T and imaginary part
+    # Re S^T - Re S; the factor 2 comes off exactly with the unit
+    re, im = s.real, s.imag
+    unit = 0.5
+    if scaled:
+        top = _binade(max(np.abs(re).max(), np.abs(im).max(), np.abs(two_theta).max()))
+        re, im, two_theta, unit = re / top, im / top, two_theta / top, unit * top
+    dev_re = im - im.transpose(0, 2, 1) - two_theta
+    dev_im = re - re.transpose(0, 2, 1)
+    if scaled:
+        step = _binade(max(np.abs(dev_re).max(), np.abs(dev_im).max()))
+        dev_re, dev_im, unit = dev_re / step, dev_im / step, unit * step
+    sq = (np.einsum("kij,kij->k", dev_re, dev_re)
+          + np.einsum("kij,kij->k", dev_im, dev_im))
+    return np.sqrt(sq.max()) * unit
+
+
 def skew_drift(traj: MomentTrajectory, theta_n) -> float:
-    """Largest distance of the skew part of Sigma from theta_n over the run."""
+    """Largest distance of the skew part of Sigma from theta_n over the run.
+
+    A NaN sample gives NaN.  A drift beyond the float range gives inf; below
+    it the result is finite, as a sum of squares that overflows is summed
+    again scaled.
+    """
     theta_n = np.asarray(theta_n)
     n = theta_n.shape[0]
     # a view of simulate's stack; a hand-built tuple of samples is stacked
@@ -230,15 +266,10 @@ def skew_drift(traj: MomentTrajectory, theta_n) -> float:
     sigmas = np.asarray(sigmas).reshape(len(sigmas), n, n)
     two_theta = 2.0 * theta_n
     chunk = max(1, _DRIFT_CHUNK // max(1, n * n))
-    worst = 0.0
-    for start in range(0, len(sigmas), chunk):
-        s = sigmas[start:start + chunk]
-        # 2 (S - S^T)/2i has real part Im S - Im S^T and imaginary part
-        # Re S^T - Re S; the factor 2 comes off exactly at the end
-        re, im = s.real, s.imag
-        dev_re = im - im.transpose(0, 2, 1) - two_theta
-        dev_im = re - re.transpose(0, 2, 1)
-        sq = (np.einsum("kij,kij->k", dev_re, dev_re)
-              + np.einsum("kij,kij->k", dev_im, dev_im))
-        worst = max(worst, float(sq.max()))
-    return math.sqrt(worst) / 2.0
+    chunks = [sigmas[start:start + chunk] for start in range(0, len(sigmas), chunk)]
+    # np.max, unlike max (max(0.0, nan) is 0.0), carries a NaN through
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = np.max([_chunk_drift(s, two_theta, False) for s in chunks], initial=0.0)
+        if worst == math.inf:
+            worst = np.max([_chunk_drift(s, two_theta, True) for s in chunks])
+    return float(worst)

@@ -466,7 +466,16 @@ def _structure_violations(name: str, mat: np.ndarray) -> list[str]:
     herm = _maxabs(mat - mat.conj().T)
     if herm > bound:
         return [f"{name}: not Hermitian (max asymmetry {herm:.3e})"]
-    lo = float(np.linalg.eigvalsh(mat).min()) if len(mat) else 0.0
+    # M + bound I factors exactly when every eigenvalue of M exceeds -bound,
+    # up to O(eps |M|) round-off: a Cholesky factorization is the cheap test
+    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).  Only
+    # a failure pays for the spectrum, which decides and names the eigenvalue.
+    try:
+        np.linalg.cholesky(mat + bound * np.eye(len(mat)))
+        return []
+    except np.linalg.LinAlgError:
+        pass
+    lo = float(np.linalg.eigvalsh(mat).min())
     if lo < -bound:
         return [f"{name}: not nonnegative definite (eigenvalue {lo:.6e})"]
     return []

@@ -28,7 +28,7 @@ __all__ = [
 DEFAULT_SAMPLE_POINTS = (1.0 + 0.0j, 2.0 + 1.0j, -1.0 + 3.0j, 0.5 - 0.5j, 10.0 + 0.0j)
 
 # A sample point closer than this (relative to 1 + |s|) to an eigenvalue of
-# either dynamics matrix is shifted before evaluation.  Round-off in the
+# the general model's dynamics is shifted before evaluation.  Round-off in the
 # resolvent grows like 1/distance: at 2.7e-4 from an eigenvalue of a
 # 24-state model an exact witness deviated by 1e-7 relative, and at 1e-2 the
 # same case reads 2e-13.
@@ -86,9 +86,9 @@ def to_standard(g: GeneralSystem, tol: float = DEFAULT_TOL) -> TransformWitness:
     canon_y = skew_canonical(theta_y, tol)
     dims = Dimensions(canon_n.n_q, canon_n.n_c, g.m, canon_y.n_q, canon_y.n_c)
     p_n, p_y = canon_n.p, canon_y.p
-    a = _right_div(p_n @ g.a_g, p_n)
+    # A and C share the right factor p_n^{-1}: one solve, stacked
+    a, c = np.split(_right_div(np.vstack([p_n @ g.a_g, p_y @ g.c_g]), p_n), [g.n])
     b = p_n @ g.b_g @ w
-    c = _right_div(p_y @ g.c_g, p_n)
     d = p_y @ g.d_g @ w
     return TransformWitness(p_n, w, p_y, StandardSystem(dims, a, b, c, d))
 
@@ -118,7 +118,11 @@ def _transfer_stack(a, b, c, d, points) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise ValueError(f"sample point {' or '.join(map(str, points))} is an "
                          "eigenvalue of the dynamics")
-    return c @ resolvent_b + d
+    if c.dtype.kind == "c":
+        return c @ resolvent_b + d
+    # a real C acts on the real and imaginary parts alike: one real product
+    # on the float view, half the flops of the complex one
+    return (c @ resolvent_b.view(float)).view(complex) + d
 
 
 def _clear_of_eigenvalues(points, spectra: list[np.ndarray],
@@ -143,17 +147,20 @@ def transfer_equiv_check(g: GeneralSystem, tw: TransformWitness,
 
     Evaluates || Xi_standard(s) - p_y Xi_general(s) w ||_F at each sample,
     shifting any sample that lands within tol (at least a fixed clearance)
-    of an eigenvalue of either dynamics matrix.  A valid witness keeps the
-    result at round-off level.  An overflow gives inf or NaN, without a warning.
+    of an eigenvalue of a_g.  Only that one spectrum is computed: a valid
+    witness gives standard.a = p_n a_g p_n^{-1} the same eigenvalues, and
+    keeps the result at round-off level; an invalid one already deviates by
+    O(1), which a pole of standard.a near a sample can only enlarge.  A
+    sample that is exactly an eigenvalue of standard.a raises ValueError.
+    An overflow gives inf or NaN, without a warning.
     """
     if sample_points is None:
         sample_points = DEFAULT_SAMPLE_POINTS
     clearance = max(tol, _EIGEN_CLEARANCE)
     std = tw.standard
-    spectra = [np.linalg.eigvals(g.a_g) if g.n else np.zeros(0),
-               np.linalg.eigvals(std.a) if std.a.size else np.zeros(0)]
+    poles = np.linalg.eigvals(g.a_g) if g.n else np.zeros(0)
     points = _clear_of_eigenvalues([complex(point) for point in sample_points],
-                                   spectra, clearance)
+                                   [poles], clearance)
     # p_y Xi_general(s) w is the transfer function of the general model
     # folded through the witness, (A_g, B_g w, p_y C_g, p_y D_g w), which has
     # the standard model's shapes.  Per point the largest temporaries are a

@@ -741,8 +741,6 @@ def system_models(draw):
                              x - x.T, y_v @ y_v.conj().T, y_y @ y_y.conj().T)
     n_q, m = draw(size), draw(size)
     n_z = draw(hst.integers(0, m))
-    if n_q == n_z == 0:
-        m = 0   # with no state and no output rows a file has no input count
     return QuantumOnlySystem(rng.standard_normal((2 * n_q, 2 * n_q)),
                              rng.standard_normal((2 * n_q, 2 * m)),
                              rng.standard_normal((2 * n_z, 2 * n_q)), np.eye(2 * n_z, 2 * m))
@@ -820,6 +818,34 @@ def test_check_reads_files_without_outputs(tmp_path, capsys, model):
     code, out, err = run(capsys, "check", path)
     assert code == 0, err
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_quantum_file_carries_its_input_count(tmp_path):
+    empty = QuantumOnlySystem(np.zeros((0, 0)), np.zeros((0, 4)), np.zeros((0, 0)),
+                              np.zeros((0, 4)))
+    obj = system_to_obj(empty)
+    assert list(obj) == ["form", "m", "a", "b", "c", "d"]
+    assert (obj["m"], obj["b"], obj["d"]) == (2, [], [])
+    loaded = load_system(write_json(tmp_path / "q.json", obj))
+    assert (loaded.b.shape, loaded.d.shape) == ((0, 4), (0, 4))
+    # a file without "m" loads as before: nothing fixes the input width
+    del obj["m"]
+    assert load_system(write_json(tmp_path / "q.json", obj)).m == 0
+
+
+@pytest.mark.parametrize("m, message", [
+    (3, "m: expected 1, the input count of b and d, got 3"),
+    (-1, ".m: expected a nonnegative integer, got -1"),
+    (1.0, ".m: expected an integer, got 1.0"),
+], ids=["disagrees", "negative", "not an integer"])
+def test_quantum_input_count_is_checked(tmp_path, capsys, m, message):
+    cavity = damped_cavity()
+    obj = system_to_obj(QuantumOnlySystem(cavity.a, cavity.b, cavity.c, cavity.d))
+    assert obj["m"] == 1
+    path = write_json(tmp_path / "q.json", {**obj, "m": m})
+    code, out, err = run(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}") and err.endswith(message + "\n"), err
 
 
 @pytest.mark.parametrize("argv, have, want", [
@@ -1091,19 +1117,33 @@ def test_closed_pipe_exits_141_without_traceback(tmp_path):
     assert err == ""
 
 
-def skew_overflow_input(tmp_path):
-    """A one-mode file whose default simulate run has a finite trajectory,
-    second moments near 1e160, and a skew drift whose square overflows."""
-    model = StandardSystem(Dimensions(1, 0, 1, 0, 0), 36.8 * np.eye(2), np.zeros((2, 2)),
-                           np.zeros((0, 2)), np.zeros((0, 2)))
+def skew_overflow_input(tmp_path, n_q=1, rate=36.8):
+    """A file of n_q undriven modes, a = rate I, whose default simulate run
+    ends with second moments of exp(10 rate): a skew drift of
+    sqrt(2 n_q) (exp(10 rate) - 1).  The defaults give moments near 1e160,
+    whose squares overflow."""
+    n = 2 * n_q
+    model = StandardSystem(Dimensions(n_q, 0, 1, 0, 0), rate * np.eye(n), np.zeros((n, 2)),
+                           np.zeros((0, n)), np.zeros((0, 2)))
     return write_system(tmp_path / "skew.json", model)
 
 
+def test_simulate_reports_a_skew_drift_whose_square_overflows(tmp_path, capsys):
+    report = tmp_path / "trajectory.json"
+    code, out, err = run(capsys, "simulate", skew_overflow_input(tmp_path), "-o", str(report))
+    assert (code, out) == (0, ""), err
+    drift = json.loads(report.read_text())["skew_drift"]
+    assert drift == pytest.approx(np.sqrt(2.0) * np.expm1(368.0), rel=1e-9)
+    assert drift == pytest.approx(9.35e159, rel=1e-3)
+
+
 def test_simulate_overflowed_skew_drift_is_one_error(tmp_path, capsys):
+    # three modes at 8.2e307 each: a finite trajectory whose true skew drift,
+    # sqrt(6) 8.2e307, is past the float range
     report = tmp_path / "trajectory.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, "simulate", skew_overflow_input(tmp_path),
+        code, out, err = run(capsys, "simulate", skew_overflow_input(tmp_path, 3, 70.9),
                              "-o", str(report))
     assert (code, out) == (1, "")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

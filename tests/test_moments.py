@@ -340,6 +340,24 @@ def test_skew_drift_matches_old_formula(n_q, n_c):
         assert abs(skew_drift(traj, theta) - want) <= 4 * np.finfo(float).eps * want
 
 
+def test_skew_drift_carries_nan_and_scales_past_overflow():
+    rng = np.random.default_rng(5)
+    theta = make_structure(Dimensions(4, 4, 8, 4, 4)).theta_n
+    g = rng.standard_normal((300, 12, 12))
+    stack = g + 1j * (theta + g.transpose(0, 2, 1))
+    drift = skew_drift(MomentTrajectory(tuple(range(300)), np.zeros((300, 12)), stack), theta)
+    # the samples and theta times 2^600: every squared deviation overflows,
+    # and the drift is the same number times 2^600, bit for bit
+    big = np.ldexp(stack.real, 600) + 1j * np.ldexp(stack.imag, 600)
+    traj = MomentTrajectory(tuple(range(300)), np.zeros((300, 12)), big)
+    assert skew_drift(traj, np.ldexp(theta, 600)) == math.ldexp(drift, 600) < math.inf
+    for k in (0, 150, 299):
+        broken = stack.copy()
+        broken[k, 3, 5] = np.nan
+        traj = MomentTrajectory(tuple(range(300)), np.zeros((300, 12)), broken)
+        assert math.isnan(skew_drift(traj, theta))
+
+
 def test_empty_state_trajectory():
     dims = Dimensions(n_q=0, n_c=0, m=1, n_yq=1, n_yc=0)
     sys = StandardSystem(dims, np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.eye(2))

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 import types
@@ -154,3 +156,17 @@ reduce(augment(ref), st.theta_w)
 print(any(name.split(".")[0] == "scipy" for name in sys.modules))
 """
     assert fresh(probe) == "False"
+
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SOURCES = sorted(Path(qcsynth.__file__).resolve().parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_module_parses_at_the_declared_python_floor(path):
+    # the suite may run on a newer Python than requires-python names, so the
+    # grammar of the floor is checked here, not only by running on it
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', PYPROJECT.read_text())
+    assert floor, "requires-python not found"
+    assert tuple(map(int, floor.groups())) == (3, 10)
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -208,6 +208,73 @@ def test_validate_rejects_indefinite_ito_matrix_at_scale():
     assert problems[0].startswith("f_v: not nonnegative definite (eigenvalue -1.0000")
 
 
+@pytest.mark.parametrize("name", ["f_v", "f_y"])
+def test_validate_psd_boundary_is_the_bound(name):
+    # eigenvalues 1e3, 1 and lo = -k bound in a random unitary basis, where
+    # bound = 1e-10 max|M|
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    singular = (u * [1e3, 1.0, 0.0]) @ u.conj().T
+    bound = 1e-10 * np.abs(singular).max()
+    for k, passes in ((0.5, True), (2.0, False)):
+        lo = -k * bound
+        mat = singular + lo * np.outer(u[:, 2], u[:, 2].conj())
+        mat = (mat + mat.conj().T) / 2
+        general = GeneralSystem(np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((3, 0)),
+                                np.zeros((3, 3)), np.zeros((0, 0)),
+                                mat if name == "f_v" else np.eye(3),
+                                mat if name == "f_y" else np.eye(3))
+        problems = validate(general)
+        if passes:
+            assert problems == []
+        else:
+            assert len(problems) == 1
+            prefix = f"{name}: not nonnegative definite (eigenvalue "
+            assert problems[0].startswith(prefix)
+            assert float(problems[0][len(prefix):-1]) == pytest.approx(lo, rel=1e-4)
+
+
+def test_validate_psd_verdict_is_the_spectrum_rule():
+    # random Hermitian matrices at scales 1 to 1e6 whose smallest eigenvalue
+    # is -t bound, t in [-4, 4]; only t within 1e-3 of 1 is left out, a band
+    # far wider than the O(eps |M|) round-off of either test
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        top = 10.0 ** rng.uniform(0, 6)
+        singular = (u * [top, top * rng.uniform(), top * rng.uniform(), 0.0]) @ u.conj().T
+        t = rng.uniform(-4, 4)
+        if abs(t - 1) < 1e-3:
+            continue
+        mat = singular - t * 1e-10 * np.abs(singular).max() * np.outer(u[:, 3], u[:, 3].conj())
+        mat = (mat + mat.conj().T) / 2
+        general = GeneralSystem(np.zeros((0, 0)), np.zeros((0, 4)), np.zeros((0, 0)),
+                                np.zeros((0, 4)), np.zeros((0, 0)), mat, np.zeros((0, 0)))
+        rule = np.linalg.eigvalsh(mat).min() >= -1e-10 * max(1.0, np.abs(mat).max())
+        assert (validate(general) == []) == rule == (t < 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_validate_passes_singular_vacuum_ito_matrices_at_scale(k):
+    vacuum = 1e8 * (np.eye(2 * k) + 1j * diag_j(k))
+    general = GeneralSystem(np.zeros((2, 2)), np.zeros((2, 2 * k)), np.zeros((2 * k, 2)),
+                            np.zeros((2 * k, 2 * k)), diag_j(1), vacuum, vacuum)
+    assert validate(general) == []
+
+
+def test_validate_needs_no_spectrum_for_a_valid_model(monkeypatch):
+    model = generate_realizable(Dimensions(2, 2, 4, 2, 2), 0)
+    st = model.structure
+    general = GeneralSystem(model.a, model.b, model.c, model.d, st.theta_n, st.f_w,
+                            model.d @ st.f_w @ model.d.T)
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    assert validate(general) == []
+
+
 def test_validate_reports_a_vector_where_a_matrix_belongs():
     ref = mixed_reference()
     eye = np.eye(2)

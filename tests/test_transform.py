@@ -212,6 +212,22 @@ def test_transfer_equiv_shifts_off_eigenvalues():
     assert transfer_equiv_check(g, tw, sample_points=[-0.5]) < 1e-10
 
 
+@pytest.mark.parametrize("target", [None, 1.0 + 1e-6], ids=["shifted", "pole near a sample"])
+def test_transfer_equiv_reads_a_shifted_standard_a(target):
+    # the sample points clear the poles of a_g only: a broken witness whose
+    # standard.a has moved, even next to a sample, still reads as a deviation
+    g = as_general(generate_realizable(Dimensions(2, 2, 4, 2, 2), seed=3))
+    tw = to_standard(g)
+    std = tw.standard
+    eigs = np.linalg.eigvals(std.a)
+    shift = 0.5 if target is None else target - eigs[eigs.imag == 0].real.max()
+    moved = StandardSystem(std.dims, std.a + shift * np.eye(std.dims.n), std.b, std.c, std.d)
+    if target is not None:
+        assert np.abs(np.linalg.eigvals(moved.a) - 1.0).min() < 1e-5
+    deviation = transfer_equiv_check(g, TransformWitness(tw.p_n, tw.w, tw.p_y, moved))
+    assert 1e-3 < deviation < np.inf
+
+
 def test_transfer_equiv_exact_witness_near_an_eigenvalue():
     # A 24-state model with a real eigenvalue 2.7e-4 from the sample point
     # 1: an exact witness must not read as a transfer mismatch there.
@@ -344,7 +360,7 @@ def test_transfer_equiv_call_counts(monkeypatch, dims, n_points, batches):
     monkeypatch.setattr(MatmulCounter, "products", 0)
     points = np.linspace(0.5, 20.0, n_points) + 1j
     deviation = transfer_equiv_check(g, counted, sample_points=points)
-    assert calls == {"solve": 2 * batches, "eigvals": 2}
+    assert calls == {"solve": 2 * batches, "eigvals": 1}
     # B_g w and (p_y D_g) w, once per call, never per point or per batch
     assert MatmulCounter.products == 2
     assert deviation == transfer_equiv_check(g, tw, sample_points=points)
