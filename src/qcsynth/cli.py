@@ -211,10 +211,11 @@ def _decode(cls, obj: dict, where: str):
         sym["2m"] = 2 * m
     record = _build(cls, values, sym)
     problems = validate(record)
-    if m is not None and not problems and record.m != m:
-        problems = [f"m: expected {record.m}, the input count of b and d, got {m}"]
     if problems:
         raise SystemFileError(f"{where}: " + "; ".join(problems))
+    if m is not None and record.m != m:
+        raise SystemFileError(f"{where}.m: expected {record.m}, the input count of b and d, "
+                              f"got {m}")
     return record
 
 

@@ -270,6 +270,8 @@ def skew_drift(traj: MomentTrajectory, theta_n) -> float:
     # np.max, unlike max (max(0.0, nan) is 0.0), carries a NaN through
     with np.errstate(over="ignore", invalid="ignore"):
         worst = np.max([_chunk_drift(s, two_theta, False) for s in chunks], initial=0.0)
+        # scaling more than doubles the passes over the samples, so only a
+        # sum that overflowed pays for it
         if worst == math.inf:
             worst = np.max([_chunk_drift(s, two_theta, True) for s in chunks])
     return float(worst)

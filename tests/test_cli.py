@@ -834,7 +834,7 @@ def test_quantum_file_carries_its_input_count(tmp_path):
 
 
 @pytest.mark.parametrize("m, message", [
-    (3, "m: expected 1, the input count of b and d, got 3"),
+    (3, ".m: expected 1, the input count of b and d, got 3"),
     (-1, ".m: expected a nonnegative integer, got -1"),
     (1.0, ".m: expected an integer, got 1.0"),
 ], ids=["disagrees", "negative", "not an integer"])

@@ -228,6 +228,20 @@ def test_transfer_equiv_reads_a_shifted_standard_a(target):
     assert 1e-3 < deviation < np.inf
 
 
+def test_transfer_equiv_raises_on_an_exact_pole_of_standard_a():
+    # the sample points are not cleared of the poles of standard.a, so a
+    # broken witness with an eigenvalue exactly on a sample cannot be read
+    g = as_general(generate_realizable(Dimensions(2, 2, 4, 2, 2), seed=3))
+    tw = to_standard(g)
+    std = tw.standard
+    assert np.abs(np.linalg.eigvals(g.a_g) - 1.0).min() > 0.1
+    moved = StandardSystem(std.dims, np.diag(np.arange(1.0, std.dims.n + 1)), std.b, std.c,
+                           std.d)
+    with pytest.raises(ValueError, match="is an eigenvalue of the dynamics"):
+        transfer_equiv_check(g, TransformWitness(tw.p_n, tw.w, tw.p_y, moved),
+                             sample_points=[1.0])
+
+
 def test_transfer_equiv_exact_witness_near_an_eigenvalue():
     # A 24-state model with a real eigenvalue 2.7e-4 from the sample point
     # 1: an exact witness must not read as a transfer mismatch there.
