@@ -378,9 +378,10 @@ def cmd_check(args) -> int:
 
 def cmd_to_standard(args) -> int:
     model = load_system(args.input, "general")
-    from .transform import to_standard, transfer_equiv_check
+    # load_system has validated the model: convert without validating again
+    from .transform import _convert, transfer_equiv_check
     tol = _resolve_tol(args)
-    witness = to_standard(model, tol)
+    witness = _convert(model, tol)
     deviation = transfer_equiv_check(model, witness, tol=tol)
     _require_finite("to-standard: the transfer deviation", {"transfer_max_deviation": deviation})
     obj = {"schema_version": SCHEMA_VERSION, "kind": "transform-witness", "tol": tol,

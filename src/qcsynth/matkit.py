@@ -220,18 +220,20 @@ class SymplecticCompletion:
         return x
 
 
-def _complete(rows: np.ndarray, theta: np.ndarray, tol: float) -> SymplecticCompletion:
+def _complete(rows: np.ndarray, rows_theta: np.ndarray, theta: np.ndarray,
+              tol: float) -> SymplecticCompletion:
     """Complete `rows` with canonical J-pairs spanning their symplectic complement.
 
     rows must satisfy rows @ theta @ rows.T = diag(J, ..., J), so they have
     full row rank k and their complement {x : rows @ theta @ x = 0} is a
     symplectic subspace of dimension dim - k.  The trailing columns of a
-    complete QR of (rows @ theta).T are an orthonormal basis B of it;
-    skew_canonical brings the restricted form B @ theta @ B.T to diag(J) by
-    a congruence p, and p @ B are the pairs.
+    complete QR of rows_theta.T, with rows_theta = rows @ theta from the
+    caller, are an orthonormal basis B of it; skew_canonical brings the
+    restricted form B @ theta @ B.T to diag(J) by a congruence p, and p @ B
+    are the pairs.
     """
     k = rows.shape[0]
-    q, r = np.linalg.qr((rows @ theta).T, mode="complete")
+    q, r = np.linalg.qr(rows_theta.T, mode="complete")
     basis = q[:, k:].T
     canon = skew_canonical(basis @ theta @ basis.T, tol)
     if canon.n_c:
@@ -272,12 +274,13 @@ def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCom
     m = two_m // 2
     if n_yq > m:
         raise ValueError(f"d_q has {n_yq} quadrature pairs but only m={m} channels")
-    gram = d_q @ theta_w @ d_q.T
+    d_q_theta = d_q @ theta_w
+    gram = d_q_theta @ d_q.T
     excess = _excess(_maxabs(gram - diag_j(n_yq)), tol, d_q, _maxabs(theta_w) * two_m)
     if excess:
         raise ValueError(f"d_q does not satisfy the quadrature pairing precondition ({excess})")
-    completion = _complete(d_q, theta_w, tol)
-    _verify_symplectic(np.vstack([d_q, completion.n_mat]), theta_w, "completion")
+    completion = _complete(d_q, d_q_theta, theta_w, tol)
+    _verify_symplectic(np.concatenate([d_q, completion.n_mat]), theta_w, "completion")
     return completion
 
 
@@ -327,9 +330,11 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     satisfy L theta W^T = I, and W -= (W theta W^T) L / 2 makes them
     isotropic while keeping that identity (L theta L^T = 0).  The remaining
     rows M_o = X L then give X = M_o theta W^T.  The pairs (L_i, W_i) lead
-    v_sympl, with L copied verbatim, and the symplectic complement of their
-    span completes it as in symplectic_complete.  Both the symplectic
-    identity and the embedded basis rows are verified before returning.
+    v_sympl, with L copied verbatim.  When r < m' the symplectic complement
+    of their span completes it as in symplectic_complete; a Lagrangian
+    read-out (r = m') needs no completion, since its r pairs already form a
+    square symplectic matrix.  Both the symplectic identity and the
+    embedded basis rows are verified before returning, on either branch.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     theta_prime = np.asarray(theta_prime, dtype=float)
@@ -361,18 +366,20 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     others = m_mat[other_idx, :]
     x = others @ theta_prime @ dual.T
     _check_consistent(x, basis, others, tol)
-    z = np.vstack([np.eye(r), x])
-    p_perm = np.zeros((rows, rows))
-    for pos, orig in enumerate(basis_idx + other_idx):
-        p_perm[orig, pos] = 1.0
-    k_sel = np.zeros((r, two_mp))
-    for i in range(r):
-        k_sel[i, 2 * i] = 1.0
+    z = np.concatenate([np.eye(r), x])
+    p_perm = np.eye(rows)[:, basis_idx + other_idx]
+    k_sel = np.eye(two_mp)[0:2 * r:2]
     lead = np.empty((2 * r, two_mp))
     lead[0::2], lead[1::2] = basis, dual
-    v_sympl = np.vstack([lead, _complete(lead, theta_prime, tol).n_mat])
+    if r == m_prime:
+        # A Lagrangian read-out: the pairs span the whole space, and lead is
+        # already the square symplectic network.
+        v_sympl = lead
+    else:
+        completion = _complete(lead, lead @ theta_prime, theta_prime, tol)
+        v_sympl = np.concatenate([lead, completion.n_mat])
     _verify_symplectic(v_sympl, theta_prime, "network")
-    if not np.array_equal(k_sel @ v_sympl, basis):
+    if not np.array_equal(v_sympl[0:2 * r:2], basis):
         raise ValueError("network does not embed the basis rows verbatim")
     return PzkvDecomposition(p_perm, z, k_sel, v_sympl, r)
 

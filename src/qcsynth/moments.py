@@ -206,11 +206,12 @@ def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
             re += re.transpose(0, 2, 1)
             im -= im.transpose(0, 2, 1)
             sigma_out *= 0.5
-        # a sample depends only on earlier ones, so the first non-finite
-        # sample is where the run diverged, whatever follows it
-        finite = (np.isfinite(means[1:]).all(axis=1)
-                  & np.isfinite(sigmas[1:].view(float)).all(axis=(1, 2)))
-        if not finite.all():
+        # One pass over all samples; only a failed run scans step by step.
+        # A sample depends only on earlier ones, so the first non-finite
+        # sample is where the run diverged, whatever follows it.
+        if not (np.isfinite(means[1:]).all() and np.isfinite(sigmas[1:].view(float)).all()):
+            finite = (np.isfinite(means[1:]).all(axis=1)
+                      & np.isfinite(sigmas[1:].view(float)).all(axis=(1, 2)))
             step = 1 + int(np.argmin(finite))
             raise ValueError(f"moments diverged to non-finite values at step "
                              f"{step} (t = {step * dt:.6g})")

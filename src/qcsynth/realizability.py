@@ -67,8 +67,11 @@ _overflow_fails = np.errstate(over="ignore", invalid="ignore")
 
 def _terms(a, b, c, d, theta_n, theta_w, theta_y):
     """Term lists of the state, non-demolition and output-Ito conditions."""
-    return ([a @ theta_n, theta_n @ a.T, b @ theta_w @ b.T],
-            [b @ theta_w @ d.T, theta_n @ c.T],
+    # b @ theta_w @ b.T evaluates as (b @ theta_w) @ b.T: sharing the left
+    # product leaves every term bitwise the same.
+    b_w = b @ theta_w
+    return ([a @ theta_n, theta_n @ a.T, b_w @ b.T],
+            [b_w @ d.T, theta_n @ c.T],
             [d @ theta_w @ d.T, -theta_y])
 
 

@@ -16,7 +16,7 @@ from .matkit import pzkv_decompose, random_symplectic, symplectic_complete
 from .realizability import DEFAULT_CHECK_TOL, RealizabilityReport, check_standard
 # The realization records are defined in sysmodel, next to their shapes.
 from .sysmodel import (ClassicalSubsystem, Dimensions, QuantumSubsystem, Realization,
-                       StandardSystem, diag_j, make_structure)
+                       StandardSystem, make_structure)
 
 __all__ = [
     "NotRealizableError",
@@ -75,10 +75,12 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
 
     # Couplings of the classical side to the auxiliary outputs: consistency
     # of both solves is exactly the cross and classical block constraints.
-    coupling = completion.solve_n_mat(np.vstack([sys.b_c, sys.d_c]), tol)
+    coupling = completion.solve_n_mat(np.concatenate([sys.b_c, sys.d_c]), tol)
 
-    pzkv = pzkv_decompose(coupling, diag_j(m_free), tol)
-    g_mat = pzkv.k_sel @ pzkv.v_sympl if pzkv.r else np.zeros((0, 2 * m_free))
+    # The leading 2 m_free block of theta_w is diag_j(m_free), bit for bit.
+    two_free = 2 * m_free
+    pzkv = pzkv_decompose(coupling, th_w[:two_free, :two_free], tol)
+    g_mat = pzkv.k_sel @ pzkv.v_sympl if pzkv.r else np.zeros((0, two_free))
     b_c_prime = pzkv.p_perm[: d.n_c] @ pzkv.z
     d_c_prime = pzkv.p_perm[d.n_c:] @ pzkv.z
 
@@ -109,13 +111,13 @@ def _assemble(dims: Dimensions, g1: QuantumSubsystem, g2: ClassicalSubsystem,
     a[:q, q:] = g1.b_q @ c_c_prime + g1.e_mat
     a[q:, :q] = b_cg @ g1.c_qq_prime
     a[q:, q:] = g2.a_cc_prime + g2.b_c_prime @ feed
-    b = np.vstack([g1.b_q, b_cg @ g1.d_q_prime])
+    b = np.concatenate([g1.b_q, b_cg @ g1.d_q_prime])
     c = np.empty((dims.n_y, dims.n))
     c[:yq, :q] = g1.c_qq
     c[:yq, q:] = g1.d_q @ c_c_prime
     c[yq:, :q] = d_cg @ g1.c_qq_prime
     c[yq:, q:] = g2.c_cc_prime + g2.d_c_prime @ feed
-    d = np.vstack([g1.d_q, d_cg @ g1.d_q_prime])
+    d = np.concatenate([g1.d_q, d_cg @ g1.d_q_prime])
     return StandardSystem(dims, a, b, c, d)
 
 

@@ -359,7 +359,7 @@ class ClassicalSubsystem:
 
     @property
     def c_c_prime(self) -> np.ndarray:
-        return np.vstack([self.c_c_prime_1, self.c_c_prime_2])
+        return np.concatenate([self.c_c_prime_1, self.c_c_prime_2])
 
 
 @dataclass(frozen=True)

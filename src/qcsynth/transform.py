@@ -75,6 +75,11 @@ def to_standard(g: GeneralSystem, tol: float = DEFAULT_TOL) -> TransformWitness:
     problems = validate(g)
     if problems:
         raise ValueError("invalid general-form system: " + "; ".join(problems))
+    return _convert(g, tol)
+
+
+def _convert(g: GeneralSystem, tol: float) -> TransformWitness:
+    # to_standard on a model that validate already passed.
     canon_n = skew_canonical(g.big_theta_n, tol)
     w = ito_factorize(g.f_v, tol).w
     # theta_y is computed from f_y, so round-off dust rides along at the
@@ -87,7 +92,7 @@ def to_standard(g: GeneralSystem, tol: float = DEFAULT_TOL) -> TransformWitness:
     dims = Dimensions(canon_n.n_q, canon_n.n_c, g.m, canon_y.n_q, canon_y.n_c)
     p_n, p_y = canon_n.p, canon_y.p
     # A and C share the right factor p_n^{-1}: one solve, stacked
-    a, c = np.split(_right_div(np.vstack([p_n @ g.a_g, p_y @ g.c_g]), p_n), [g.n])
+    a, c = np.split(_right_div(np.concatenate([p_n @ g.a_g, p_y @ g.c_g]), p_n), [g.n])
     b = p_n @ g.b_g @ w
     d = p_y @ g.d_g @ w
     return TransformWitness(p_n, w, p_y, StandardSystem(dims, a, b, c, d))

@@ -50,6 +50,28 @@ def perturbed_reference():
     return StandardSystem(sys_model.dims, sys_model.a, b, sys_model.c, sys_model.d)
 
 
+def test_to_standard_validates_its_input_once(tmp_path, capsys, monkeypatch):
+    from qcsynth import cli, sysmodel, transform
+    calls = []
+
+    def counted(model):
+        calls.append(type(model).__name__)
+        return sysmodel.validate(model)
+
+    monkeypatch.setattr(cli, "validate", counted)
+    monkeypatch.setattr(transform, "validate", counted)
+    model = as_general(mixed_reference())
+    code, out, _ = run(capsys, "to-standard", write_system(tmp_path / "g.json", model))
+    assert code == 0
+    assert calls == ["GeneralSystem"]
+    # a library call still validates
+    calls.clear()
+    witness = transform.to_standard(model)
+    assert calls == ["GeneralSystem"]
+    assert json.loads(out)["standard"] == json.loads(json.dumps(
+        system_to_obj(witness.standard)))
+
+
 # ---------------------------------------------------------------------------
 # check
 

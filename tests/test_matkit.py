@@ -554,3 +554,83 @@ def test_overflowing_scale_fails_its_check():
         symplectic_complete(np.array([[1e200, 0, 0, 0], [0, 1e-200, 0, 0]]), diag_j(2))
     with pytest.raises(ValueError, match="isotropic .*the scale overflowed"):
         pzkv_decompose(np.array([[1e200, 0.0]]), diag_j(1))
+
+
+# ------------------------------------------- pzkv_decompose: both network branches
+
+def counted_complete(monkeypatch):
+    # the row count of every call to matkit._complete, in call order
+    calls = []
+    complete = matkit._complete
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return complete(*args, **kwargs)
+
+    monkeypatch.setattr(matkit, "_complete", spy)
+    return calls
+
+
+def assert_permutation_and_selector(dec, m_mat, m):
+    rows = len(m_mat)
+    # the per-entry loops that built both factors, as the reference
+    basis_idx = _pivot_rows(m_mat, dec.r)
+    order = basis_idx + [i for i in range(rows) if i not in basis_idx]
+    p_ref = np.zeros((rows, rows))
+    for pos, orig in enumerate(order):
+        p_ref[orig, pos] = 1.0
+    k_ref = np.zeros((dec.r, 2 * m))
+    for i in range(dec.r):
+        k_ref[i, 2 * i] = 1.0
+    assert np.array_equal(dec.p_perm, p_ref) and not np.signbit(dec.p_perm).any()
+    assert np.array_equal(dec.k_sel, k_ref) and not np.signbit(dec.k_sel).any()
+    p = dec.p_perm
+    assert p.shape == (rows, rows)
+    assert np.isin(p, (0.0, 1.0)).all()
+    assert np.array_equal(p.sum(axis=0), np.ones(rows))
+    assert np.array_equal(p.sum(axis=1), np.ones(rows))
+    k = dec.k_sel
+    assert k.shape == (dec.r, 2 * m)
+    assert np.isin(k, (0.0, 1.0)).all()
+    assert np.array_equal(k.sum(axis=1), np.ones(dec.r))
+    assert np.array_equal(np.argmax(k, axis=1), 2 * np.arange(dec.r))
+
+
+def test_pzkv_lagrangian_network_is_the_interleaved_lead(monkeypatch):
+    calls = counted_complete(monkeypatch)
+    rng = np.random.default_rng(83)
+    for m in (1, 2, 3, 5):
+        span = random_symplectic(m, rng)[0::2]
+        m_mat = np.concatenate([rng.standard_normal((2, m)) @ span, span])
+        dec = pzkv_decompose(m_mat, diag_j(m))
+        assert dec.r == m
+        assert_permutation_and_selector(dec, m_mat, m)
+        v = dec.v_sympl
+        # 2r rows and no more: the pairs (L_i, W_i) with L the basis rows
+        assert v.shape == (2 * m, 2 * m)
+        basis = (dec.p_perm.T @ m_mat)[:m]
+        assert np.array_equal(v[0::2], basis)
+        assert np.abs(basis @ diag_j(m) @ v[1::2].T - np.eye(m)).max() < 1e-10
+        assert np.abs(v[1::2] @ diag_j(m) @ v[1::2].T).max() < 1e-10
+        assert np.abs(v @ diag_j(m) @ v.T - diag_j(m)).max() < 1e-10
+        assert np.abs(reconstruct(dec) - m_mat).max() < 1e-10 * (1 + np.abs(m_mat).max())
+    assert calls == []
+
+
+def test_pzkv_partial_rank_network_is_completed(monkeypatch):
+    calls = counted_complete(monkeypatch)
+    rng = np.random.default_rng(89)
+    cases = ((2, 1, 3), (4, 1, 1), (4, 3, 5), (6, 2, 4))   # (m', r, rows)
+    for m, r, rows in cases:
+        span = random_symplectic(m, rng)[0:2 * r:2]
+        m_mat = rng.standard_normal((rows, r)) @ span
+        dec = pzkv_decompose(m_mat, diag_j(m))
+        assert dec.r == r
+        assert_permutation_and_selector(dec, m_mat, m)
+        v = dec.v_sympl
+        assert v.shape == (2 * m, 2 * m)
+        assert np.array_equal(v[0:2 * r:2], (dec.p_perm.T @ m_mat)[:r])
+        assert np.abs(v @ diag_j(m) @ v.T - diag_j(m)).max() < 1e-10
+        assert np.abs(reconstruct(dec) - m_mat).max() < 1e-10 * (1 + np.abs(m_mat).max())
+    # one completion of the 2r lead rows per call
+    assert calls == [2 * r for _, r, _ in cases]

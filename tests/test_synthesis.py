@@ -315,3 +315,33 @@ def test_coupling_solve_rejects_rows_of_d_q():
 @given(dimensions(), hst.integers(0, 2**16))
 def test_solves_match_pinv_property(dims, seed):
     assert_solves_match_pinv(generate_realizable(dims, seed))
+
+
+# ---------------------------------------------------------------------------
+# the read-out network with and without a completion
+
+
+@pytest.mark.parametrize("dims, lagrangian", [
+    (Dimensions(2, 2, 4, 2, 2), True),
+    (Dimensions(8, 8, 16, 0, 8), True),
+    (Dimensions(2, 1, 6, 1, 0), False),
+    (Dimensions(3, 2, 8, 2, 1), False),
+])
+def test_network_branches_round_trip(monkeypatch, dims, lagrangian):
+    from test_matkit import counted_complete
+    calls = counted_complete(monkeypatch)
+    for seed in (1, 2):
+        calls.clear()
+        sys = generate_realizable(dims, seed)
+        r = synthesize(sys)
+        m_free = dims.m - dims.n_yq
+        rank = len(r.g_mat)
+        assert (rank == m_free) == lagrangian
+        # the d_q completion always runs; the network's only below m_free
+        assert calls == [2 * dims.n_yq] + ([] if lagrangian else [2 * rank])
+        v = r.v_sympl
+        assert v.shape == (2 * m_free, 2 * m_free)
+        assert np.abs(v @ diag_j(m_free) @ v.T - diag_j(m_free)).max() < 1e-10
+        assert np.array_equal(r.g_mat, r.k_sel @ v)
+        assert np.array_equal(r.p_perm @ r.p_perm.T, np.eye(len(r.p_perm)))
+        assert_round_trip(sys, close_loop(r))
