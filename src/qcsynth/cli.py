@@ -325,6 +325,11 @@ def _emit(args, obj: dict, summary: str) -> None:
         print(summary, file=sys.stderr)
 
 
+def _header(kind: str, tol: float) -> dict:
+    """The leading keys of a report computed at tolerance tol."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "tol": tol}
+
+
 def _require_finite(what: str, values: dict) -> None:
     """Raise, for exit 1 and no report, when a value a report would carry
     has overflowed: JSON has no Infinity or NaN."""
@@ -356,76 +361,72 @@ def _report_obj(report, form: str, tol: float) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Commands
+def _closed_loop(command: str, realization: Realization, want: StandardSystem):
+    """The closed loop of realization, its error against want in each of the
+    blocks a, b, c, d (relative to 1 + |want block|) and the largest one."""
+    from .synthesis import close_loop
+    closed = close_loop(realization)
+    errors = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in ("a", "b", "c", "d"):
+            diff = _fro(getattr(closed, name) - getattr(want, name))
+            errors[name] = diff / (1.0 + _fro(getattr(want, name)))
+    _require_finite(f"{command}: a block error", errors)
+    return closed, errors, max(errors.values())
 
-def cmd_check(args) -> int:
+
+# ---------------------------------------------------------------------------
+# Commands: each returns (report, ok, summary) and main writes it; args.tol
+# holds the tolerance main has resolved.
+
+def cmd_check(args) -> tuple[dict, bool, str]:
     model = load_system(args.input, args.form)
     from .realizability import (check_general, check_quantum, check_standard,
                                 check_standard_partitioned)
-    tol = _resolve_tol(args)
     form = _FORM_OF[type(model)]
     checkers = {"standard": check_standard_partitioned if args.partitioned else check_standard,
                 "general": check_general, "quantum": check_quantum}
-    report = checkers[form](model, tol)
+    report = checkers[form](model, args.tol)
     worst = report[report.worst] if report.conditions else None
     detail = (f"worst condition {report.worst}, residual {worst.residual:.3e}"
               if worst else "no conditions")
-    _emit(args, _report_obj(report, form, tol),
-          f"check: {'PASS' if report.verdict else 'FAIL'} ({detail})")
-    return 0 if report.verdict else 1
+    return (_report_obj(report, form, args.tol), report.verdict,
+            f"check: {'PASS' if report.verdict else 'FAIL'} ({detail})")
 
 
-def cmd_to_standard(args) -> int:
+def cmd_to_standard(args) -> tuple[dict, bool, str]:
     model = load_system(args.input, "general")
     # load_system has validated the model: convert without validating again
     from .transform import _convert, transfer_equiv_check
-    tol = _resolve_tol(args)
+    tol = args.tol
     witness = _convert(model, tol)
     deviation = transfer_equiv_check(model, witness, tol=tol)
     _require_finite("to-standard: the transfer deviation", {"transfer_max_deviation": deviation})
-    obj = {"schema_version": SCHEMA_VERSION, "kind": "transform-witness", "tol": tol,
-           **_record(witness), "transfer_max_deviation": deviation}
     scale = max(_maxabs(m) for m in (model.a_g, model.b_g, model.c_g, model.d_g))
     ok = deviation <= tol * (1.0 + scale)
-    _emit(args, obj, f"to-standard: {'OK' if ok else 'FAIL'} "
-                     f"(transfer deviation {deviation:.3e})")
-    return 0 if ok else 1
+    return ({**_header("transform-witness", tol), **_record(witness),
+             "transfer_max_deviation": deviation},
+            ok, f"to-standard: {'OK' if ok else 'FAIL'} (transfer deviation {deviation:.3e})")
 
 
-def _block_errors(command: str, got: StandardSystem, want: StandardSystem) -> dict:
-    out = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name in ("a", "b", "c", "d"):
-            diff = _fro(getattr(got, name) - getattr(want, name))
-            out[name] = diff / (1.0 + _fro(getattr(want, name)))
-    _require_finite(f"{command}: a block error", out)
-    return out
-
-
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args) -> tuple[dict, bool, str]:
     model = load_system(args.input, "standard")
-    from .synthesis import NotRealizableError, close_loop, synthesize
-    tol = _resolve_tol(args)
+    from .synthesis import NotRealizableError, synthesize
+    tol = args.tol
     try:
         realization = synthesize(model, tol)
     except NotRealizableError as exc:
-        _emit(args, _report_obj(exc.report, "standard", tol),
-              f"synthesize: FAIL ({exc})")
-        return 1
-    closed = close_loop(realization)
-    residual = max(_block_errors("synthesize", closed, model).values())
-    # r, the rank of the read-out network, is the row count of g_mat
-    obj = {"schema_version": SCHEMA_VERSION, "kind": "realization", "tol": tol,
-           **_record(realization), "r": len(realization.g_mat),
-           "closed_loop": _record(closed), "reconstruction_residual": residual}
+        return _report_obj(exc.report, "standard", tol), False, f"synthesize: FAIL ({exc})"
+    closed, _, residual = _closed_loop("synthesize", realization, model)
     ok = residual <= tol
-    _emit(args, obj, f"synthesize: {'OK' if ok else 'FAIL'} "
-                     f"(reconstruction residual {residual:.3e})")
-    return 0 if ok else 1
+    # r, the rank of the read-out network, is the row count of g_mat
+    return ({**_header("realization", tol), **_record(realization),
+             "r": len(realization.g_mat), "closed_loop": _record(closed),
+             "reconstruction_residual": residual},
+            ok, f"synthesize: {'OK' if ok else 'FAIL'} (reconstruction residual {residual:.3e})")
 
 
-def cmd_verify_realization(args) -> int:
+def cmd_verify_realization(args) -> tuple[dict, bool, str]:
     obj = _load_json(args.input)
     if not isinstance(obj, dict) or obj.get("kind") != "realization":
         raise SystemFileError(f"{args.input}: expected a realization report "
@@ -438,21 +439,14 @@ def cmd_verify_realization(args) -> int:
     if reference.dims != realization.dims:
         raise SystemFileError("realization and reference dimensions differ: "
                               f"{realization.dims} vs {reference.dims}")
-    tol = _resolve_tol(args)
-    from .synthesis import close_loop
-    closed = close_loop(realization)
-    errors = _block_errors("verify-realization", closed, reference)
-    worst = max(errors.values())
-    ok = worst <= tol
-    report = {"schema_version": SCHEMA_VERSION, "kind": "verification", "tol": tol,
-              "block_errors": errors, "max_error": worst, "verdict": "pass" if ok else "fail",
-              "closed_loop": _record(closed)}
-    _emit(args, report, f"verify-realization: {'PASS' if ok else 'FAIL'} "
-                        f"(max block error {worst:.3e})")
-    return 0 if ok else 1
+    closed, errors, worst = _closed_loop("verify-realization", realization, reference)
+    ok = worst <= args.tol
+    return ({**_header("verification", args.tol), "block_errors": errors, "max_error": worst,
+             "verdict": "pass" if ok else "fail", "closed_loop": _record(closed)},
+            ok, f"verify-realization: {'PASS' if ok else 'FAIL'} (max block error {worst:.3e})")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, bool, str]:
     model = load_system(args.input, "standard")
     from .moments import _grid_steps, simulate, skew_drift
     try:
@@ -462,21 +456,14 @@ def cmd_simulate(args) -> int:
     traj = simulate(model, t_final=args.t_final, dt=args.dt)
     drift = skew_drift(traj, model.structure.theta_n)
     _require_finite("simulate: the skew drift", {"skew_drift": drift})
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "trajectory",
-        "t_final": args.t_final,
-        "dt": args.dt,
-        "skew_drift": drift,
-        "times": np.asarray(traj.times),
-        "means": traj.means,
-        "second_moments": traj.second_moments,
-    }
-    _emit(args, obj, f"simulate: OK (skew drift {drift:.3e})")
-    return 0
+    # no tol key: the moment propagation takes no tolerance
+    return ({"schema_version": SCHEMA_VERSION, "kind": "trajectory", "t_final": args.t_final,
+             "dt": args.dt, "skew_drift": drift, "times": np.asarray(traj.times),
+             "means": traj.means, "second_moments": traj.second_moments},
+            True, f"simulate: OK (skew drift {drift:.3e})")
 
 
-def cmd_complete_symplectic(args) -> int:
+def cmd_complete_symplectic(args) -> tuple[dict, bool, str]:
     obj = _load_json(args.input)
     if not isinstance(obj, dict) or "d_q" not in obj:
         raise SystemFileError(f"{args.input}: expected an object with a 'd_q' "
@@ -485,31 +472,22 @@ def cmd_complete_symplectic(args) -> int:
     if d_q.shape[1] % 2:
         raise SystemFileError(f"d_q: column count must be even, got {d_q.shape[1]}")
     from .matkit import symplectic_complete
-    tol = _resolve_tol(args)
     theta_w = diag_j(d_q.shape[1] // 2)
-    completion = symplectic_complete(d_q, theta_w, tol)
+    completion = symplectic_complete(d_q, theta_w, args.tol)
     full = np.vstack([d_q, completion.n_mat])
     residual = _fro(full @ theta_w @ full.T - theta_w)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "symplectic-completion",
-        "tol": tol,
-        "d_q": d_q,
-        "n_mat": completion.n_mat,
-        "residual": residual,
-    }
-    _emit(args, report, f"complete-symplectic: OK (residual {residual:.3e})")
-    return 0
+    return ({**_header("symplectic-completion", args.tol), "d_q": d_q,
+             "n_mat": completion.n_mat, "residual": residual},
+            True, f"complete-symplectic: OK (residual {residual:.3e})")
 
 
-def cmd_augment(args) -> int:
+def cmd_augment(args) -> tuple[dict, bool, str]:
     model = load_system(args.input, "standard")
     from .augment import augment, reduce
     from .realizability import check_quantum
-    tol = _resolve_tol(args)
-    st = model.structure
+    tol = args.tol
     aug = augment(model, tol)
-    red = reduce(aug, st.theta_w)
+    red = reduce(aug, model.structure.theta_w)
     relations = aug.relation_residuals(model)
     _require_finite("augment: a relation residual", relations)
     two_m = 2 * model.dims.m
@@ -517,19 +495,14 @@ def cmd_augment(args) -> int:
     reduced_report = check_quantum(quantum, tol, theta=aug.theta_tilde)
     relations_ok = max(relations.values()) <= tol * (1.0 + _fro(model.c))
     ok = relations_ok and reduced_report.verdict
-    report = {
-        "schema_version": SCHEMA_VERSION, "kind": "augmentation", "tol": tol, **_record(aug),
-        "relation_residuals": relations,
-        "c_bar": red.c_bar,
-        "reduced_check": _report_obj(reduced_report, "quantum", tol),
-        "verdict": "pass" if ok else "fail",
-    }
-    _emit(args, report, f"augment: {'PASS' if ok else 'FAIL'} "
-                        f"(reduced check worst {reduced_report.worst})")
-    return 0 if ok else 1
+    return ({**_header("augmentation", tol), **_record(aug), "relation_residuals": relations,
+             "c_bar": red.c_bar, "reduced_check": _report_obj(reduced_report, "quantum", tol),
+             "verdict": "pass" if ok else "fail"},
+            ok, f"augment: {'PASS' if ok else 'FAIL'} "
+                f"(reduced check worst {reduced_report.worst})")
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[dict, bool, str]:
     try:
         dims = Dimensions(args.n_q, args.n_c, args.m, args.n_yq, args.n_yc,
                           args.n_w1)
@@ -539,10 +512,8 @@ def cmd_generate(args) -> int:
         raise SystemFileError(f"--seed must be non-negative, got {args.seed}")
     from .synthesis import generate_realizable
     model = generate_realizable(dims, args.seed)
-    _emit(args, _record(model),
-          f"generate: wrote a standard system (n={dims.n}, m={dims.m}, "
-          f"seed={args.seed})")
-    return 0
+    return (_record(model), True,
+            f"generate: wrote a standard system (n={dims.n}, m={dims.m}, seed={args.seed})")
 
 
 # ---------------------------------------------------------------------------
@@ -623,16 +594,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args.tol = _resolve_tol(args)
+        report, ok, summary = args.handler(args)
+        _emit(args, report, summary)
     except SystemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if ok else 1
 
 
 def entry() -> None:

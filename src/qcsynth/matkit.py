@@ -289,8 +289,9 @@ class PzkvDecomposition:
     """Factorization M = P Z K V of an isotropic read-out matrix.
 
     p_perm is a permutation, z = (I_r ; X) up to that permutation, k_sel
-    selects the odd-indexed rows of the symplectic v_sympl, and the first
-    chosen basis rows of M sit verbatim at those rows of v_sympl.
+    selects rows 0, 2, ..., 2r - 2 of the symplectic v_sympl (the q
+    quadratures of its first r pairs), and the chosen basis rows of M sit
+    verbatim at those rows of v_sympl.
     """
 
     p_perm: np.ndarray

@@ -80,7 +80,7 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
     # The leading 2 m_free block of theta_w is diag_j(m_free), bit for bit.
     two_free = 2 * m_free
     pzkv = pzkv_decompose(coupling, th_w[:two_free, :two_free], tol)
-    g_mat = pzkv.k_sel @ pzkv.v_sympl if pzkv.r else np.zeros((0, two_free))
+    g_mat = pzkv.k_sel @ pzkv.v_sympl
     b_c_prime = pzkv.p_perm[: d.n_c] @ pzkv.z
     d_c_prime = pzkv.p_perm[d.n_c:] @ pzkv.z
 

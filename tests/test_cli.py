@@ -1172,3 +1172,71 @@ def test_simulate_overflowed_skew_drift_is_one_error(tmp_path, capsys):
     assert err == "error: simulate: the skew drift overflowed: skew_drift inf\n"
     assert not report.exists()
 
+
+
+# ---------------------------------------------------------------------------
+# the input boundary: exit 2, one error line and no report
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("check", lambda obj: [obj], "expected a JSON object"),
+    ("check", lambda obj: without(obj, "form"),
+     "'form' must be one of standard, general, quantum; got None"),
+    ("check", lambda obj: {**obj, "form": "mixed"},
+     "'form' must be one of standard, general, quantum; got 'mixed'"),
+    ("check", lambda obj: {**obj, "dims": without(obj["dims"], "n_q")},
+     "dims: missing required field 'n_q'"),
+    ("check", lambda obj: {**obj, "dims": 3}, "dims: expected an object with the counts"),
+    ("check", lambda obj: {**obj, "dims": {**obj["dims"], "n_yq": 4}},
+     "dims: n_yq=4 exceeds the channel count m=3"),
+    ("verify-realization", lambda obj: obj,
+     "expected a realization report (kind = 'realization')"),
+    ("complete-symplectic", lambda obj: {}, "expected an object with a 'd_q' matrix"),
+], ids=["not-an-object", "no-form", "unknown-form", "dims-lacks-a-count",
+        "dims-not-an-object", "n_yq-above-m", "verify-a-system-file",
+        "complete-symplectic-empty"])
+def test_input_boundary_errors(tmp_path, capsys, command, edit, message):
+    reference = write_system(tmp_path / "ref.json", mixed_reference())
+    path = write_json(tmp_path / "in.json", edit(system_to_obj(mixed_reference())))
+    extra = ["--reference", reference] if command == "verify-realization" else []
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, command, path, *extra, "-o", str(report))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not report.exists()
+
+
+GENERATE_ARGV = ["generate", "--n-q", "1", "--n-c", "1", "--m", "2", "--n-yq", "1",
+                 "--n-yc", "1", "--seed", "3"]
+
+
+def test_generate_and_simulate_validate_the_tolerance(tmp_path, capsys, monkeypatch):
+    path = write_system(tmp_path / "sys.json", mixed_reference())
+    simulate_argv = ["simulate", path, "--t-final", "0.01", "--dt", "0.01"]
+    report = tmp_path / "report.json"
+    for argv in (GENERATE_ARGV, simulate_argv):
+        code, out, err = run(capsys, *argv, "--tol", "nan", "-o", str(report))
+        assert (code, out, err) == (2, "", "error: --tol must be finite and positive, got nan\n")
+        assert not report.exists()
+    monkeypatch.setenv("QCSYNTH_TOL", "abc")
+    for argv in (GENERATE_ARGV, simulate_argv):
+        code, out, err = run(capsys, *argv, "-o", str(report))
+        assert (code, out, err) == (2, "", "error: QCSYNTH_TOL must be a number, got 'abc'\n")
+        assert not report.exists()
+
+
+def test_generate_and_simulate_ignore_a_valid_tolerance(tmp_path, capsys):
+    path = write_system(tmp_path / "sys.json", mixed_reference())
+    simulate_argv = ["simulate", path, "--t-final", "0.01", "--dt", "0.01"]
+    for argv in (GENERATE_ARGV, simulate_argv):
+        assert run(capsys, *argv, "--tol", "0.5") == run(capsys, *argv)
+
+
+def test_a_bad_tolerance_is_reported_before_a_bad_file(tmp_path, capsys):
+    code, out, err = run(capsys, "check", str(tmp_path / "missing.json"), "--tol", "-1")
+    assert (code, out, err) == (2, "", "error: --tol must be finite and positive, got -1.0\n")

@@ -634,3 +634,29 @@ def test_pzkv_partial_rank_network_is_completed(monkeypatch):
         assert np.abs(reconstruct(dec) - m_mat).max() < 1e-10 * (1 + np.abs(m_mat).max())
     # one completion of the 2r lead rows per call
     assert calls == [2 * r for _, r, _ in cases]
+
+
+# ---------------------------------------------------------------- input errors
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: skew_canonical(np.zeros((2, 3))), "theta must be square, got shape (2, 3)"),
+    (lambda: ito_factorize(np.zeros((2, 3))), "f_v must be square, got shape (2, 3)"),
+    (lambda: symplectic_complete(np.zeros((1, 4)), diag_j(2)),
+     "d_q must have an even row count and 4 columns, got shape (1, 4)"),
+    (lambda: symplectic_complete(np.zeros((4, 2)), J),
+     "d_q has 2 quadrature pairs but only m=1 channels"),
+    (lambda: symplectic_complete(np.zeros((0, 3)), np.zeros((3, 3))),
+     "theta_w must have even size, got 3"),
+    (lambda: symplectic_complete(np.zeros((0, 2)), 2 * J),
+     "theta_w must square to -I (canonical J blocks)"),
+    (lambda: pzkv_decompose(np.zeros((1, 3)), J),
+     "m_mat must have 2 columns, got shape (1, 3)"),
+    (lambda: minnorm_right_solve(np.zeros((2, 3)), np.zeros((2, 2))),
+     "column mismatch: a has 3, b has 2"),
+], ids=["skew_canonical-non-square", "ito_factorize-non-square", "completion-odd-rows",
+        "completion-n_yq-above-m", "completion-odd-theta", "completion-theta-not-J",
+        "pzkv-column-mismatch", "minnorm-column-mismatch"])
+def test_input_errors_name_the_problem(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

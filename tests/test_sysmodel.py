@@ -286,3 +286,8 @@ def test_validate_reports_a_vector_where_a_matrix_belongs():
     ]
     for model, name, shape in cases:
         assert validate(model) == [f"{name}: expected a matrix, got shape {shape}"]
+
+
+def test_validate_rejects_an_unknown_type():
+    with pytest.raises(TypeError, match="unsupported system type object"):
+        validate(object())
