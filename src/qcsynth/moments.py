@@ -109,24 +109,13 @@ def _exact_step(a: np.ndarray, pump: np.ndarray, dt: float):
     phi = e[0, :n, :n]
     q = (e[0, :n, n:] + 1j * e[1, :n, n:]) @ phi.T
     for _ in range(halvings):
-        q = phi @ q @ phi.T + q
-        phi = phi @ phi
+        phi, q = _doubled(phi, q)
     return phi, (q + q.conj().T) / 2.0
 
 
-def _congruences(powers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Stack of Phi_j Sigma Phi_j^T for real Phi_j = powers[j] and complex Sigma.
-
-    A real matrix acts on the real and imaginary parts of a complex one
-    alike, so both products run in real arithmetic on float views of the
-    complex operand: one product for every Phi_j Sigma at once, and one
-    batched product for the transposed remainder.
-    """
-    size, n, _ = powers.shape
-    left = (powers.reshape(size * n, n) @ sigma.view(float)).view(complex)
-    left_t = left.reshape(size, n, n).transpose(0, 2, 1).copy()
-    # (Phi_j Sigma Phi_j^T)^T = Phi_j (Phi_j Sigma)^T
-    return (powers @ left_t.view(float)).view(complex).transpose(0, 2, 1)
+def _doubled(phi: np.ndarray, q: np.ndarray):
+    """Two steps of h as one of 2h: (Phi_2h, Q_2h) = (Phi_h^2, Phi_h Q_h Phi_h^T + Q_h)."""
+    return phi @ phi, phi @ q @ phi.T + q
 
 
 def _grid_steps(t_final: float, dt: float) -> int:
@@ -154,9 +143,10 @@ def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
     preserves Hermiticity, so this only cancels round-off.  Non-finite
     values abort with the offending step index.
 
-    Samples are produced K = ceil(sqrt(N)) steps at a time from the
-    precomputed powers Phi^j and sums Q_j = sum_{i<j} Phi^i Q_d Phi^iT,
-    so N steps cost about 2 sqrt(N) batched products.
+    Samples are filled by doubling: with samples 0..h-1 known and (Phi_h, Q_h)
+    the transition and noise term of h steps, Sigma_{h+j} = Phi_h Sigma_j
+    Phi_h^T + Q_h and mu_{h+j} = Phi_h mu_j for j < h, and then h doubles.
+    N steps take ceil(log2(N + 1)) rounds of batched products, two per sample.
     """
     n_steps = _grid_steps(t_final, dt)
     st = sys.structure
@@ -178,34 +168,39 @@ def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
         raise ValueError("sigma0 skew part does not match the state "
                          f"commutation matrix (max deviation {skew:.3e})")
 
-    means = np.empty((n_steps + 1, n))
-    sigmas = np.empty((n_steps + 1, n, n), dtype=complex)
-    means[0] = mu
-    sigmas[0] = (sigma0 + sigma0.conj().T) / 2.0
-    stride = math.isqrt(n_steps - 1) + 1 if n_steps else 1
+    chunk = min(max(1, _DRIFT_CHUNK // max(1, n * n)), max(1, n_steps))
     # overflow is already reported through the non-finite abort below
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, q_d = _exact_step(sys.a, sys.b @ st.f_w @ sys.b.T, dt)
-        # powers[j - 1] = Phi^j and sums[j - 1] = Q_j for j = 1..stride
-        powers = np.empty((stride, n, n))
-        powers[0] = phi
-        for j in range(1, stride):
-            powers[j] = phi @ powers[j - 1]
-        terms = np.empty((stride, n, n), dtype=complex)
-        terms[0] = q_d
-        terms[1:] = _congruences(powers[:-1], q_d)
-        sums = np.cumsum(terms, axis=0)
-        for start in range(0, n_steps, stride):
-            size = min(stride, n_steps - start)
-            mu_out = means[start + 1:start + 1 + size]
-            sigma_out = sigmas[start + 1:start + 1 + size]
-            mu_out[:] = (powers[:size].reshape(size * n, n) @ means[start]).reshape(size, n)
-            np.add(_congruences(powers[:size], sigmas[start]), sums[:size], out=sigma_out)
-            # S + S^H on the float views: the same sums as the complex add
-            re, im = sigma_out.real, sigma_out.imag
-            re += re.transpose(0, 2, 1)
-            im -= im.transpose(0, 2, 1)
-            sigma_out *= 0.5
+        # the step's temporaries are freed before the stacks and the one
+        # block buffer are allocated, so those set the peak footprint
+        phi, q = _exact_step(sys.a, sys.b @ st.f_w @ sys.b.T, dt)
+        means = np.empty((n_steps + 1, n))
+        sigmas = np.empty((n_steps + 1, n, n), dtype=complex)
+        means[0] = mu
+        sigmas[0] = (sigma0 + sigma0.conj().T) / 2.0
+        work = np.empty((chunk, n, n), dtype=complex)
+        h = 1  # samples 0..h-1 are filled and (phi, q) = (Phi_h, Q_h)
+        while h <= n_steps:
+            size = min(h, n_steps + 1 - h)
+            np.matmul(means[:size], phi.T, out=means[h:h + size])
+            for start in range(0, size, chunk):
+                stop = min(start + chunk, size)
+                out, lo = sigmas[h + start:h + stop], work[:stop - start]
+                # Phi acts on the real and imaginary parts of Sigma alike, so
+                # both products run in real arithmetic on float views, with
+                # the output block as scratch for the transposed product:
+                # lo = Phi (Phi Sigma)^T + Q^T = (Phi Sigma Phi^T + Q)^T
+                np.matmul(phi, sigmas[start:stop].view(float), out=lo.view(float))
+                np.copyto(out, lo.transpose(0, 2, 1))
+                np.matmul(phi, out.view(float), out=lo.view(float))
+                lo += q.T
+                # S + S^H of S = lo^T, on the float views
+                np.add(lo.real, lo.real.transpose(0, 2, 1), out=out.real)
+                np.subtract(lo.imag.transpose(0, 2, 1), lo.imag, out=out.imag)
+                out *= 0.5
+            h *= 2
+            if h <= n_steps:
+                phi, q = _doubled(phi, q)
         # One pass over all samples; only a failed run scans step by step.
         # A sample depends only on earlier ones, so the first non-finite
         # sample is where the run diverged, whatever follows it.
@@ -255,18 +250,21 @@ def _chunk_drift(s: np.ndarray, two_theta: np.ndarray, scaled: bool):
 def skew_drift(traj: MomentTrajectory, theta_n) -> float:
     """Largest distance of the skew part of Sigma from theta_n over the run.
 
-    A NaN sample gives NaN.  A drift beyond the float range gives inf; below
-    it the result is finite, as a sum of squares that overflows is summed
-    again scaled.
+    theta_n must be square and of the samples' shape, else ValueError.  A NaN
+    sample gives NaN.  A drift beyond the float range gives inf; below it the
+    result is finite, as a sum of squares that overflows is summed again scaled.
     """
     theta_n = np.asarray(theta_n)
-    n = theta_n.shape[0]
-    # a view of simulate's stack; a hand-built tuple of samples is stacked
-    # once.  The sample count is given, as -1 is ambiguous when n = 0.
-    sigmas = traj.second_moments
-    sigmas = np.asarray(sigmas).reshape(len(sigmas), n, n)
+    # a view of simulate's stack; a hand-built tuple of samples is stacked once
+    sigmas = np.asarray(traj.second_moments)
+    if (theta_n.ndim != 2 or theta_n.shape[0] != theta_n.shape[1]
+            or (len(sigmas) and sigmas.shape[1:] != theta_n.shape)):
+        raise ValueError(f"skew_drift: theta_n of shape {theta_n.shape} does not "
+                         f"match second moments of shape {sigmas.shape}")
+    # shapes an empty run, whose samples have no shape to check
+    sigmas = sigmas.reshape(len(sigmas), *theta_n.shape)
     two_theta = 2.0 * theta_n
-    chunk = max(1, _DRIFT_CHUNK // max(1, n * n))
+    chunk = max(1, _DRIFT_CHUNK // max(1, theta_n.size))
     chunks = [sigmas[start:start + chunk] for start in range(0, len(sigmas), chunk)]
     # np.max, unlike max (max(0.0, nan) is 0.0), carries a NaN through
     with np.errstate(over="ignore", invalid="ignore"):

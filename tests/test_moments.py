@@ -14,7 +14,7 @@ from qcsynth import (
     simulate,
     skew_drift,
 )
-from qcsynth.moments import _expm_taylor
+from qcsynth.moments import _exact_step, _expm_taylor, _halvings
 from refsystems import CAVITY_DIMS, damped_cavity, grid_sample, mixed_reference
 
 
@@ -211,6 +211,58 @@ def test_blocked_samples_match_single_steps():
         assert np.linalg.norm(traj.means[k] - mu) <= 1e-13 * np.linalg.norm(mu0)
 
 
+# n = 3, 12 and 48: at n = 48 a block holds at most 7 samples, so the later
+# doubling rounds split into several blocks
+DOUBLING_SYSTEMS = {
+    "reference": mixed_reference,
+    "n12": lambda: generate_realizable(Dimensions(4, 4, 8, 4, 4), seed=71),
+    "n48": lambda: generate_realizable(Dimensions(16, 16, 32, 16, 16), seed=72),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLING_SYSTEMS))
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 9, 64, 65, 127])
+def test_doubling_boundaries_match_single_steps(name, n_steps):
+    # a last round that is full (3, 7, 127 steps), holds one sample (2, 8,
+    # 64) or two (9, 65), and a single step; the reference advances one
+    # exact step at a time from scipy's exponential
+    sys = DOUBLING_SYSTEMS[name]()
+    n, dt = sys.dims.n, 1e-3
+    pump = sys.b @ sys.structure.f_w @ sys.b.T
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n], block[:n, n:], block[n:, n:] = sys.a, pump, -sys.a.T
+    e = scipy.linalg.expm(block * dt)
+    phi, q_d = e[:n, :n].real, e[:n, n:] @ e[:n, :n].real.T
+    mu0 = np.random.default_rng(n_steps).standard_normal(n)
+    traj = simulate(sys, t_final=n_steps * dt, dt=dt, mu0=mu0)
+    assert traj.second_moments.shape == (n_steps + 1, n, n)
+    mu, sigma = mu0, traj.second_moments[0]
+    for k in range(1, n_steps + 1):
+        mu, sigma = phi @ mu, phi @ sigma @ phi.T + q_d
+        assert np.linalg.norm(traj.second_moments[k] - sigma) <= 1e-13 * np.linalg.norm(sigma)
+        assert np.linalg.norm(traj.means[k] - mu) <= 1e-13 * max(np.linalg.norm(mu),
+                                                                np.linalg.norm(mu0))
+
+
+@pytest.mark.parametrize("dt", [0.15, 0.5, 1e4])
+def test_exact_step_doubles_like_explicit_loop(dt):
+    # 2, 3 and 18 halvings, composed by the explicit doubling loop: the
+    # same products in the same order, bit for bit
+    sys = mixed_reference()
+    n, pump = 3, sys.b @ sys.structure.f_w @ sys.b.T
+    halvings = _halvings(sys.a, dt)
+    assert halvings > 0
+    e = _expm_taylor(van_loan_blocks(sys.a, pump) * math.ldexp(dt, -halvings))
+    phi = e[0, :n, :n]
+    q = (e[0, :n, n:] + 1j * e[1, :n, n:]) @ phi.T
+    for _ in range(halvings):
+        q = phi @ q @ phi.T + q
+        phi = phi @ phi
+    got_phi, got_q = _exact_step(sys.a, pump, dt)
+    assert np.array_equal(got_phi, phi)
+    assert np.array_equal(got_q, (q + q.conj().T) / 2.0)
+
+
 def van_loan_blocks(a, pump):
     # the stack _exact_step exponentiates: real and imaginary parts of the pump
     n = a.shape[0]
@@ -300,6 +352,34 @@ def test_divergence_names_first_non_finite_step(first_bad):
         simulate(sys, sigma0, t_final=100 * dt, dt=dt)
     assert str(info.value) == ("moments diverged to non-finite values at step "
                                f"{first_bad} (t = {first_bad * dt:.6g})")
+
+
+@pytest.mark.parametrize("first_bad", [32, 33, 64])
+def test_divergence_names_first_non_finite_step_at_doubling_rounds(first_bad):
+    # 100 steps fill in rounds that start at steps 1, 2, 4, ..., 64: step 32
+    # opens a round from sample 0, 33 follows it from sample 1, and 64 opens
+    # the last round.  The system and scales are those of the test above
+    dt = 0.01
+    lam = math.log(1e4) / (2 * dt)
+    eye = np.eye(2)
+    sys = StandardSystem(CAVITY_DIMS, lam * eye, eye, -eye, eye)
+    scale = 10.0 ** (310.25 - 4 * first_bad)
+    sigma0 = scale * eye + 1j * sys.structure.theta_n
+    with pytest.raises(ValueError) as info:
+        simulate(sys, sigma0, t_final=100 * dt, dt=dt)
+    assert str(info.value) == ("moments diverged to non-finite values at step "
+                               f"{first_bad} (t = {first_bad * dt:.6g})")
+
+
+@pytest.mark.parametrize("theta", [np.eye(2), np.zeros((3, 2)), np.zeros(9), np.zeros((1, 3, 3))],
+                         ids=["smaller", "not-square", "flat", "stacked"])
+def test_skew_drift_rejects_mismatched_theta(theta):
+    traj = simulate(mixed_reference(), t_final=0.01, dt=1e-3)
+    message = (f"skew_drift: theta_n of shape {theta.shape} does not match "
+               "second moments of shape (11, 3, 3)")
+    with pytest.raises(ValueError) as info:
+        skew_drift(traj, theta)
+    assert str(info.value) == message
 
 
 def test_skew_drift_reads_tuple_fields():

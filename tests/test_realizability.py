@@ -415,6 +415,33 @@ def test_nondemolition_residual_is_the_checker_residual():
         assert nondemolition_residual(sys) == check_standard(sys)["non-demolition"].residual
 
 
+@pytest.mark.parametrize("dims, seed", [(Dimensions(2, 2, 4, 2, 2), 31),
+                                         (Dimensions(4, 4, 8, 4, 4), 32)])
+def test_planted_defect_flips_the_verdict_at_its_threshold(dims, seed):
+    # A defect e_0 v^T in B with theta_w v in the null space of B moves the
+    # state condition only at second order, eps^2, and the non-demolition
+    # residual by eps |v^T theta_w D^T|: eps sets that residual to 0.5 and
+    # then 2 times the threshold, which eps ~ 1e-8 leaves unchanged
+    sys = generate_realizable(dims, seed)
+    theta_w = sys.structure.theta_w
+    v = scipy.linalg.null_space(sys.b @ theta_w)[:, 0]
+    defect = np.zeros_like(sys.b)
+    defect[0] = v
+    threshold = check_standard(sys)["non-demolition"].threshold
+    slope = np.linalg.norm(defect @ theta_w @ sys.d.T)
+    for ratio in (0.5, 2.0):
+        planted = StandardSystem(dims, sys.a, sys.b + ratio * threshold / slope * defect,
+                                 sys.c, sys.d)
+        report = check_standard(planted)
+        cond = report["non-demolition"]
+        assert cond.residual == pytest.approx(ratio * threshold, rel=1e-6)
+        assert cond.threshold == pytest.approx(threshold, rel=1e-6)
+        assert cond.passed == report.verdict == (ratio < 1.0)
+        assert report.worst == "non-demolition"
+        for other in ("state-commutation", "output-ito"):
+            assert report[other].residual <= 1e-3 * report[other].threshold
+
+
 GRID = dimension_grid()
 
 
