@@ -384,6 +384,9 @@ def cmd_check(args) -> tuple[dict, bool, str]:
     from .realizability import (check_general, check_quantum, check_standard,
                                 check_standard_partitioned)
     form = _FORM_OF[type(model)]
+    if args.partitioned and form != "standard":
+        raise SystemFileError(f"{args.input}: --partitioned checks standard-form files only, "
+                              f"got form '{form}'")
     checkers = {"standard": check_standard_partitioned if args.partitioned else check_standard,
                 "general": check_general, "quantum": check_quantum}
     report = checkers[form](model, args.tol)

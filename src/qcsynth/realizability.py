@@ -3,10 +3,11 @@
 Every checker builds its conditions from one kernel, `_terms`: the state,
 non-demolition and output-Ito identities for commutation matrices
 (theta_n, theta_w, theta_y), each a list of terms that must sum to zero.
-The blockwise checker takes block slices of the same terms.  A condition
-reports the norm of its sum as its residual and passes exactly when that
-stays below tol * (1 + scale), where scale sums the norms of the terms
-before cancellation, so that systems with large entries are not penalized.
+The blockwise checker takes block slices of the same terms, and of their
+sums.  A condition reports the norm of its sum as its residual and passes
+exactly when that stays below tol * (1 + scale), where scale sums the norms
+of the terms before cancellation, so that systems with large entries are not
+penalized.
 """
 
 from __future__ import annotations
@@ -80,9 +81,13 @@ def _standard_terms(sys: StandardSystem):
     return _terms(sys.a, sys.b, sys.c, sys.d, st.theta_n, st.theta_w, st.theta_y_target)
 
 
-def _condition(name: str, terms, tol: float) -> ConditionResult:
-    scale = sum(_fro(t) for t in terms)
-    return ConditionResult(name, _fro(sum(terms)), tol * (1.0 + scale))
+def _condition(name: str, terms, total, tol: float) -> ConditionResult:
+    """The condition that terms sum to zero; total is their sum, sum(terms)."""
+    return ConditionResult(name, _fro(total), tol * (1.0 + sum(map(_fro, terms))))
+
+
+def _conditions(names, term_lists, tol: float) -> list[ConditionResult]:
+    return [_condition(name, terms, sum(terms), tol) for name, terms in zip(names, term_lists)]
 
 
 def _make_report(conditions: list[ConditionResult]) -> RealizabilityReport:
@@ -122,8 +127,7 @@ def check_quantum(sys: QuantumOnlySystem, tol: float = DEFAULT_CHECK_TOL,
     coupling = [b @ d.T, -(theta @ c.T @ j_z)]
     form_defect = _maxabs(d - np.eye(*d.shape)) if d.shape[0] <= d.shape[1] else np.inf
     return _make_report([
-        _condition("state-commutation", state, tol),
-        _condition("output-coupling", coupling, tol),
+        *_conditions(("state-commutation", "output-coupling"), (state, coupling), tol),
         ConditionResult("output-form", form_defect, 0.0),
     ])
 
@@ -134,8 +138,7 @@ _WHOLE_NAMES = ("state-commutation", "non-demolition", "output-ito")
 @_overflow_fails
 def check_standard(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> RealizabilityReport:
     """The three standard-form realizability conditions."""
-    return _make_report([_condition(name, terms, tol)
-                         for name, terms in zip(_WHOLE_NAMES, _standard_terms(sys))])
+    return _make_report(_conditions(_WHOLE_NAMES, _standard_terms(sys), tol))
 
 
 # (name, condition, row block, column block).  The state condition is skew,
@@ -161,15 +164,19 @@ def check_standard_partitioned(sys: StandardSystem,
 
     The verdict agrees with check_standard: the ten equations are exactly
     the nonredundant blocks of the three whole-matrix conditions under the
-    quantum-first partitioning.
+    quantum-first partitioning.  Each block's residual is the block of its
+    condition's sum, which is bitwise the sum of the term blocks.
     """
     k, k_y = 2 * sys.dims.n_q, 2 * sys.dims.n_yq
     blocks = {"q": slice(None, k), "c": slice(k, None),
               "yq": slice(None, k_y), "yc": slice(k_y, None)}
     terms = _standard_terms(sys)
-    return _make_report([
-        _condition(name, [t[blocks[rows], blocks[cols]] for t in terms[i]], tol)
-        for name, i, rows, cols in _PARTITION])
+    totals = [sum(t) for t in terms]
+    conditions = []
+    for name, i, rows, cols in _PARTITION:
+        block = blocks[rows], blocks[cols]
+        conditions.append(_condition(name, [t[block] for t in terms[i]], totals[i][block], tol))
+    return _make_report(conditions)
 
 
 @_overflow_fails
@@ -177,7 +184,7 @@ def check_general(sys: GeneralSystem, tol: float = DEFAULT_CHECK_TOL) -> Realiza
     """Realizability of a general-form system via the skew Ito parts."""
     terms = _terms(sys.a_g, sys.b_g, sys.c_g, sys.d_g,
                    sys.big_theta_n, sys.theta_v, sys.theta_y)
-    return _make_report([_condition(name, t, tol) for name, t in zip(_WHOLE_NAMES, terms)])
+    return _make_report(_conditions(_WHOLE_NAMES, terms, tol))
 
 
 @_overflow_fails

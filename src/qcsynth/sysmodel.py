@@ -9,6 +9,7 @@ construction and safe to share read-only across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,7 +65,15 @@ def _maxabs(a: np.ndarray) -> float:
 
 
 def _fro(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a)) if a.size else 0.0
+    """Frobenius norm of a real array, bit for bit np.linalg.norm(a).
+
+    norm takes the dot product of the contiguous ravel with itself; np.vdot
+    runs the same dot kernel on it without norm's dispatch, and without the
+    floating-point status check after it, so an overflowing sum of squares
+    reads inf with no RuntimeWarning.
+    """
+    x = a.ravel(order="K")
+    return math.sqrt(np.vdot(x, x))
 
 
 def _freeze_matrices(model) -> None:

@@ -123,6 +123,22 @@ def test_check_other_forms(tmp_path, capsys):
     assert json.loads(out)["form"] == "general"
 
 
+@pytest.mark.parametrize("form", ["general", "quantum"])
+def test_check_partitioned_needs_a_standard_file(tmp_path, capsys, monkeypatch, form):
+    from qcsynth import realizability
+    for name in ("check_general", "check_quantum", "check_standard",
+                 "check_standard_partitioned"):
+        monkeypatch.setattr(realizability, name, None)  # a checker run would raise
+    cavity = damped_cavity()
+    model = (as_general(mixed_reference()) if form == "general"
+             else QuantumOnlySystem(cavity.a, cavity.b, cavity.c, cavity.d))
+    path = write_system(tmp_path / "sys.json", model)
+    code, out, err = run(capsys, "check", "--partitioned", path)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: --partitioned checks standard-form files only, "
+                   f"got form '{form}'\n")
+
+
 def test_check_form_mismatch(tmp_path, capsys):
     path = write_system(tmp_path / "sys.json", mixed_reference())
     code, _, err = run(capsys, "check", "--form", "general", path)

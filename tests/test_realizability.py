@@ -469,6 +469,42 @@ def test_verdicts_survive_a_change_of_state_basis(index, seed, broken):
     assert failing(moved) == failing(before)
 
 
+# name: (condition, row block, column block), condition 0 the state, 1 the
+# non-demolition and 2 the output-Ito condition
+PARTITION_BLOCKS = {
+    "qq-state": (0, "q", "q"), "cq-coupling": (0, "c", "q"), "bc-classical": (0, "c", "c"),
+    "bc-dq-cross": (1, "c", "yq"), "q-nondemolition": (1, "q", "yq"),
+    "bc-dc-cross": (1, "c", "yc"), "c-nondemolition": (1, "q", "yc"),
+    "dq-ito": (2, "yq", "yq"), "dq-dc-cross": (2, "yq", "yc"), "dc-classical": (2, "yc", "yc"),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hst.integers(0, len(GRID) - 1), hst.integers(0, 2**16),
+       hst.sampled_from((0.0, 1e-9, 0.05)), hst.sampled_from((1e-9, 1e-6)))
+def test_partitioned_blocks_are_blocks_of_the_whole_conditions(index, seed, size, tol):
+    dims = GRID[index]
+    sys = generate_realizable(dims, seed)
+    rng = np.random.default_rng(seed)
+    a, b, c = (m + size * rng.standard_normal(m.shape) for m in (sys.a, sys.b, sys.c))
+    sys = StandardSystem(dims, a, b, c, sys.d)
+    st = sys.structure
+    terms = ([a @ st.theta_n, st.theta_n @ a.T, b @ st.theta_w @ b.T],
+             [b @ st.theta_w @ sys.d.T, st.theta_n @ c.T],
+             [sys.d @ st.theta_w @ sys.d.T, -st.theta_y_target])
+    k, k_y = 2 * dims.n_q, 2 * dims.n_yq
+    blocks = {"q": slice(None, k), "c": slice(k, None),
+              "yq": slice(None, k_y), "yc": slice(k_y, None)}
+    report = check_standard_partitioned(sys, tol)
+    assert tuple(cond.name for cond in report.conditions) == PARTITION_NAMES
+    for name, (i, rows, cols) in PARTITION_BLOCKS.items():
+        block = blocks[rows], blocks[cols]
+        residual = float(np.linalg.norm(sum(terms[i])[block]))
+        threshold = tol * (1.0 + sum(float(np.linalg.norm(t[block])) for t in terms[i]))
+        assert report[name].residual.hex() == residual.hex(), name
+        assert report[name].threshold.hex() == threshold.hex(), name
+
+
 # ------------------------------------- commutator_trajectory: digits and overflow
 
 def integral_40_digits(a, t):

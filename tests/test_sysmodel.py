@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qcsynth import (
     Dimensions,
@@ -11,7 +16,7 @@ from qcsynth import (
     make_structure,
     validate,
 )
-from qcsynth.sysmodel import J2, _maxabs
+from qcsynth.sysmodel import J2, _fro, _maxabs
 from refsystems import MIXED_DIMS, mixed_reference
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -291,3 +296,75 @@ def test_validate_reports_a_vector_where_a_matrix_belongs():
 def test_validate_rejects_an_unknown_type():
     with pytest.raises(TypeError, match="unsupported system type object"):
         validate(object())
+
+
+# ---------------------------------------------------------------------------
+# _fro: the Frobenius kernel of every residual and threshold
+
+
+def same_bits(got, want):
+    return type(got) is float and (got.hex() == want.hex()
+                                   or (math.isnan(got) and math.isnan(want)))
+
+
+def numpy_norm(a):
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(a))
+
+
+MAGNITUDES = hst.floats(1e-300, 1e300)
+ENTRIES = hst.one_of(MAGNITUDES, MAGNITUDES.map(lambda x: -x), hst.just(0.0),
+                     hst.sampled_from((math.inf, -math.inf, math.nan)))
+
+
+@hst.composite
+def real_arrays(draw):
+    """A float64 array with 0 to 6 entries per axis, as itself, transposed
+    or as a stepped slice of a larger array."""
+    shape = tuple(draw(hst.lists(hst.integers(0, 6), max_size=3)))
+    view = draw(hst.sampled_from(("whole", "transposed", "stepped")))
+    steps = tuple(draw(hst.sampled_from((1, 2, 3, -1, -2))) for _ in shape)
+    base_shape = tuple(k * abs(s) for k, s in zip(shape, steps)) if view == "stepped" else shape
+    size = math.prod(base_shape)
+    mode = draw(hst.sampled_from(("mixed", "comparable", "constant")))
+    if mode == "mixed":
+        values = draw(hst.lists(ENTRIES, min_size=size, max_size=size))
+    elif mode == "comparable":
+        # comparable squares, so that the order of summation shows in the bits
+        rng = np.random.default_rng(draw(hst.integers(0, 2**16)))
+        values = draw(MAGNITUDES) * rng.uniform(-9.0, 9.0, size)
+    else:
+        # one entry throughout: from 1e154 up the squares overflow
+        values = [draw(ENTRIES)] * size
+    a = np.array(values, dtype=float).reshape(base_shape)
+    if view == "transposed":
+        return a.T
+    if view == "stepped":
+        return a[tuple(slice(None, None, s) for s in steps)]
+    return a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(real_arrays())
+def test_fro_is_numpy_norm_bit_for_bit(a):
+    # no np.errstate around _fro: an overflow must not warn
+    assert same_bits(_fro(a), numpy_norm(a))
+
+
+@pytest.mark.parametrize("a, want", [
+    (np.full((3, 4), 1e200), math.inf),
+    (np.full((6, 6), 1e160)[::2, ::-3].T, math.inf),
+    (np.array([1e154, 1e154, -1e154]), math.inf),
+    (np.array([math.inf, 1.0]), math.inf),
+    (np.array([[-math.inf], [0.0]]), math.inf),
+    (np.array([math.nan, math.inf]), math.nan),
+    (np.full((7,), 1e-300), 0.0),
+    (np.zeros((0, 3)), 0.0),
+    (np.array(-3.0), 3.0),
+])
+def test_fro_overflow_and_nonfinite_entries(a, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _fro(a)
+    assert same_bits(got, want)
+    assert same_bits(got, numpy_norm(a))
