@@ -339,6 +339,11 @@ def _require_finite(what: str, values: dict) -> None:
 
 
 def _report_obj(report, form: str, tol: float) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": "realizability-report", "form": form,
+            "tol": tol, **_verdict_obj(report)}
+
+
+def _verdict_obj(report) -> dict:
     conditions = []
     for c in report.conditions:
         # JSON has no Infinity or NaN: an overflowed residual or threshold is
@@ -350,15 +355,8 @@ def _report_obj(report, form: str, tol: float) -> dict:
         if None in (residual, threshold):
             cond["non_finite"] = True
         conditions.append(cond)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "realizability-report",
-        "form": form,
-        "tol": tol,
-        "verdict": "pass" if report.verdict else "fail",
-        "worst": report.worst,
-        "conditions": conditions,
-    }
+    return {"verdict": "pass" if report.verdict else "fail", "worst": report.worst,
+            "conditions": conditions}
 
 
 def _closed_loop(command: str, realization: Realization, want: StandardSystem):
@@ -443,10 +441,17 @@ def cmd_verify_realization(args) -> tuple[dict, bool, str]:
         raise SystemFileError("realization and reference dimensions differ: "
                               f"{realization.dims} vs {reference.dims}")
     closed, errors, worst = _closed_loop("verify-realization", realization, reference)
-    ok = worst <= args.tol
+    from .synthesis import _network_report
+    network = _network_report(realization, args.tol)
+    ok = worst <= args.tol and network.verdict
+    detail = f"max block error {worst:.3e}"
+    failed = [c.name for c in network.conditions if not c.passed]
+    if failed:
+        detail += f"; network fails {', '.join(failed)}"
     return ({**_header("verification", args.tol), "block_errors": errors, "max_error": worst,
-             "verdict": "pass" if ok else "fail", "closed_loop": _record(closed)},
-            ok, f"verify-realization: {'PASS' if ok else 'FAIL'} (max block error {worst:.3e})")
+             "verdict": "pass" if ok else "fail", "network": _verdict_obj(network),
+             "closed_loop": _record(closed)},
+            ok, f"verify-realization: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
 def cmd_simulate(args) -> tuple[dict, bool, str]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import _maxabs, diag_j
+from .sysmodel import _fro, _maxabs, diag_j
 
 __all__ = [
     "DEFAULT_TOL",
@@ -33,14 +33,24 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-def _excess(defect: float, tol: float, mat: np.ndarray, factor: float = 1.0) -> str:
-    # "" when defect <= tol * max(1, max|mat|^2 * factor), else the text an
-    # error message quotes.  The float product overflows to inf where ** 2
-    # raises, and a bound that is not finite fails its check, as an infinite
-    # threshold fails in ConditionResult.passed; the text says so, because
-    # the residual itself may then be exact.
+# The bound of the symplectic identity V theta V^T = theta, relative to
+# max|V|^2: a network factor or completion passes below it.
+_SYMPLECTIC_TOL = 1e-6
+
+
+def _bound(tol: float, mat: np.ndarray, factor: float = 1.0) -> float:
+    # tol * max(1, max|mat|^2 * factor): the scale of a product mat theta mat^T.
+    # The float product overflows to inf where ** 2 raises.
     peak = _maxabs(mat)
-    bound = tol * max(1.0, peak * peak * factor)
+    return tol * max(1.0, peak * peak * factor)
+
+
+def _excess(defect: float, tol: float, mat: np.ndarray, factor: float = 1.0) -> str:
+    # "" when defect <= _bound(tol, mat, factor), else the text an error
+    # message quotes.  A bound that is not finite fails its check, as an
+    # infinite threshold fails in ConditionResult.passed; the text says so,
+    # because the residual itself may then be exact.
+    bound = _bound(tol, mat, factor)
     if defect <= bound < np.inf:
         return ""
     if not np.isfinite(bound):
@@ -243,7 +253,7 @@ def _complete(rows: np.ndarray, rows_theta: np.ndarray, theta: np.ndarray,
 
 
 def _verify_symplectic(full: np.ndarray, theta: np.ndarray, what: str) -> None:
-    excess = _excess(_maxabs(full @ theta @ full.T - theta), 1e-6, full)
+    excess = _excess(_maxabs(full @ theta @ full.T - theta), _SYMPLECTIC_TOL, full)
     if excess:
         raise ValueError(f"{what} failed to verify ({excess}); "
                          "the input rows are numerically rank deficient")
@@ -301,41 +311,89 @@ class PzkvDecomposition:
     r: int
 
 
-def _pivot_rows(m_mat: np.ndarray, r: int) -> list[int]:
-    """Sorted indices of r rows picked by greedy pivoted Gram-Schmidt.
+# Downdated squared row norms are recomputed from m_mat - c.T @ u once the
+# largest falls below this fraction of its last exact value: below it,
+# cancellation has eaten half their digits.  xGEQP3 applies the same test
+# column by column (Drmac and Bujanovic, LAPACK Working Note 176, 2006).
+_RENORM_FRACTION = math.sqrt(np.finfo(float).eps)
 
-    Each step takes the row with the largest norm left after projecting out
-    the rows taken so far (the first on ties) and projects it out of the
-    rest: the pivot order of column-pivoted QR on m_mat.T (Businger and
-    Golub, Numer. Math. 1965).
+
+def _row_norms(resid: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", resid, resid)
+
+
+def _pivoted_gram_schmidt(m_mat: np.ndarray,
+                          tol: float) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Column-pivoted QR of m_mat.T, as Gram-Schmidt on the rows of m_mat.
+
+    Returns (pivots, u, c): the rows taken, in pivot order, orthonormal
+    rows u (r x cols) and the coefficients c = u @ m_mat.T (r x rows).  So
+    m_mat[pivots].T = u.T @ R with R the upper triangle of c[:, pivots],
+    and m_mat ~ c.T @ u.  Each step takes the row with the largest
+    residual norm (the first on ties; Businger and Golub, Numer. Math.
+    1965), orthogonalizes it against u twice (left-looking, so no residual
+    matrix is updated; "twice is enough": Giraud, Langou and Rozloznik,
+    2005) and downdates every squared residual norm by its new coefficient
+    squared.  The loop stops, fixing the rank r, once the residual
+    m_mat - c.T @ u has a Frobenius norm of at most tol times the largest
+    row norm of m_mat: that bounds sigma_{r+1} by tol * sigma_1, so r is
+    never below the rank rank_tol counts.
     """
-    resid = m_mat.copy()
-    picked = []
-    for _ in range(r):
-        norms = np.einsum("ij,ij->i", resid, resid)
-        i = int(np.argmax(norms))
-        picked.append(i)
-        u = resid[i] / np.sqrt(norms[i])
-        resid -= np.outer(resid @ u, u)
-    return sorted(picked)
+    rows, cols = m_mat.shape
+    steps = min(rows, cols)
+    u = np.empty((steps, cols))
+    c = np.empty((steps, rows))
+    pivots = []
+    norms = _row_norms(m_mat)
+    exact = norms.max(initial=0.0)
+    cut = tol * tol * exact
+    for j in range(steps):
+        i = norms.argmax()
+        top = norms[i]
+        if top < _RENORM_FRACTION * exact:
+            norms = _row_norms(m_mat - c[:j].T @ u[:j])
+            norms[pivots] = 0.0
+            i = norms.argmax()
+            top = exact = norms[i]
+        if top <= cut and norms.sum() <= cut:
+            break
+        # np.dot: on these small operands its dispatch is cheaper than @
+        done = u[:j]
+        v = m_mat[i] - np.dot(c[:j, i], done)
+        v -= np.dot(np.dot(done, v), done)
+        u[j] = v / math.sqrt(np.dot(v, v))
+        coef = np.dot(m_mat, u[j], out=c[j])
+        norms -= coef * coef
+        norms[i] = 0.0
+        pivots.append(int(i))
+    r = len(pivots)
+    return pivots, u[:r], c[:r]
 
 
 def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecomposition:
     """Split an isotropic matrix into permutation, basis, selection and network.
 
     Requires m_mat @ theta_prime @ m_mat.T = 0; the rank r of m_mat can then
-    not exceed half the symplectic dimension.  Basis rows L are picked by
-    greedy pivoted Gram-Schmidt (see _pivot_rows) and the remaining rows are
-    recovered through Z.  Closed form for v_sympl: the dual rows
-    W = (L L^T)^-1 L theta_prime (a solve with the R factor of L^T)
-    satisfy L theta W^T = I, and W -= (W theta W^T) L / 2 makes them
-    isotropic while keeping that identity (L theta L^T = 0).  The remaining
-    rows M_o = X L then give X = M_o theta W^T.  The pairs (L_i, W_i) lead
-    v_sympl, with L copied verbatim.  When r < m' the symplectic complement
-    of their span completes it as in symplectic_complete; a Lagrangian
-    read-out (r = m') needs no completion, since its r pairs already form a
-    square symplectic matrix.  Both the symplectic identity and the
-    embedded basis rows are verified before returning, on either branch.
+    not exceed half the symplectic dimension.  m_mat is factored once, by
+    pivoted Gram-Schmidt on its rows (see _pivoted_gram_schmidt), which
+    gives the rank, the basis rows L and the QR factors L^T = Q R.  Its cut
+    is on the residual: the Frobenius norm of the rows left after projecting
+    out L is at most tol times the largest row norm of m_mat, where rank_tol
+    counts the singular values above tol times the largest.  That bounds
+    sigma_{r+1} by tol * sigma_1, and sigma_r >= 1 / |W|_F bounds the rank
+    from below: raises when tol |W|_F |m_mat|_F >= 1, where the rank is not
+    well determined, so a returned r is the rank rank_tol counts, up to
+    round-off in both bounds.  The remaining rows are recovered through Z.
+    Closed form for v_sympl: the dual rows W = R^-1 Q^T theta_prime satisfy
+    L theta W^T = I, and W -= (W theta W^T) L / 2 makes them isotropic while
+    keeping that identity (L theta L^T = 0).  The remaining rows M_o = X L
+    then give X = M_o theta W^T.  The pairs (L_i, W_i), with L in row order,
+    lead v_sympl, with L copied verbatim.  When r < m' the symplectic
+    complement of their span completes it as in symplectic_complete; a
+    Lagrangian read-out (r = m') needs no completion, since its r pairs
+    already form a square symplectic matrix.  Both the symplectic identity
+    and the embedded basis rows are verified before returning, on either
+    branch.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     theta_prime = np.asarray(theta_prime, dtype=float)
@@ -350,25 +408,36 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     excess = _excess(_maxabs(m_mat @ theta_prime @ m_mat.T), tol, m_mat, two_mp)
     if excess:
         raise ValueError(f"m_mat is not isotropic ({excess})")
-    r = rank_tol(m_mat, tol)
+    pivots, u, c = _pivoted_gram_schmidt(m_mat, tol)
+    r = len(pivots)
     if r > m_prime:
         raise ValueError(f"rank {r} exceeds the isotropic bound m'={m_prime}")
 
-    basis_idx = _pivot_rows(m_mat, r)
-    other_idx = [i for i in range(rows) if i not in basis_idx]
-    basis = m_mat[basis_idx, :]
-    q, tri = np.linalg.qr(basis.T)
-    dual = np.linalg.solve(tri, q.T @ theta_prime)
+    # Dual rows in pivot order from L^T = Q R with Q = u.T and R the upper
+    # triangle of Q^T L^T = c[:, pivots], then in row order.
+    dual = np.linalg.solve(np.triu(c[:, pivots]), u @ theta_prime)[np.argsort(pivots)]
+    # sigma_r(m_mat) >= sigma_min(L) = 1 / |R^-1|_2 >= 1 / |W|_F, so rank_tol
+    # counts at least r when tol |W|_F |m_mat|_F < 1 (|m_mat|_F >= sigma_1);
+    # otherwise the rank is not well determined at tol.
+    ambiguity = tol * _fro(dual) * _fro(m_mat)
+    if ambiguity >= 1.0:
+        raise ValueError(f"the rank of m_mat is not well determined at tol {tol:.1e}: "
+                         f"tol |W|_F |m_mat|_F = {ambiguity:.3e} for the {r} basis rows "
+                         "is not below 1")
+    # The basis rows in row order, then the others
+    taken = np.zeros(rows, dtype=bool)
+    taken[pivots] = True
+    order = np.argsort(~taken, kind="stable")
+    basis, others = m_mat[order[:r]], m_mat[order[r:]]
     dual -= 0.5 * (dual @ theta_prime @ dual.T) @ basis
 
     # Remaining rows in the chosen basis: theta_prime @ dual.T is a right
     # inverse of basis.  Consistency is implied by the rank computation but
     # is still verified.
-    others = m_mat[other_idx, :]
     x = others @ theta_prime @ dual.T
     _check_consistent(x, basis, others, tol)
     z = np.concatenate([np.eye(r), x])
-    p_perm = np.eye(rows)[:, basis_idx + other_idx]
+    p_perm = np.eye(rows)[:, order]
     k_sel = np.eye(two_mp)[0:2 * r:2]
     lead = np.empty((2 * r, two_mp))
     lead[0::2], lead[1::2] = basis, dual
@@ -380,7 +449,7 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
         completion = _complete(lead, lead @ theta_prime, theta_prime, tol)
         v_sympl = np.concatenate([lead, completion.n_mat])
     _verify_symplectic(v_sympl, theta_prime, "network")
-    if not np.array_equal(v_sympl[0:2 * r:2], basis):
+    if not (v_sympl[0:2 * r:2] == basis).all():
         raise ValueError("network does not embed the basis rows verbatim")
     return PzkvDecomposition(p_perm, z, k_sel, v_sympl, r)
 

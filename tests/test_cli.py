@@ -209,6 +209,83 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert "FAIL" in err
 
 
+def _scaled(rows, factor):
+    return [[factor * x for x in row] for row in rows]
+
+
+def _scale_v_sympl(body):
+    body["v_sympl"] = _scaled(body["v_sympl"], 3.0)
+
+
+def _scale_dual_row(body):
+    # a row k_sel does not select: g_mat still equals k_sel v_sympl
+    body["v_sympl"][1] = [3.0 * x for x in body["v_sympl"][1]]
+
+
+def _halve_p_perm_entry(body):
+    body["p_perm"][0][0] = 0.5
+
+
+def _negate_p_perm(body):
+    body["p_perm"] = _scaled(body["p_perm"], -1.0)
+
+
+def _reverse_k_sel(body):
+    body["k_sel"] = body["k_sel"][::-1]
+
+
+@pytest.mark.parametrize("edit, failing", [
+    (_scale_v_sympl, ["symplectic", "selection"]),
+    (_scale_dual_row, ["symplectic"]),
+    (_halve_p_perm_entry, ["permutation"]),
+    (_negate_p_perm, ["permutation"]),
+    (_reverse_k_sel, ["selection"]),
+], ids=["v_sympl scaled", "dual row scaled", "p_perm entry", "p_perm negated",
+        "k_sel reversed"])
+def test_verify_checks_the_network_factors(tmp_path, capsys, edit, failing):
+    # close_loop reads none of v_sympl, k_sel and p_perm, so the round trip
+    # still passes; the network conditions fail instead
+    spath = write_system(tmp_path / "sys.json",
+                         generate_realizable(Dimensions(2, 2, 4, 2, 2), 1))
+    rpath = tmp_path / "real.json"
+    assert run(capsys, "synthesize", spath, "--quiet", "-o", str(rpath))[0] == 0
+    code, out, err = run(capsys, "verify-realization", str(rpath), "--reference", spath)
+    assert code == 0, err
+    network = json.loads(out)["network"]
+    assert network["verdict"] == "pass"
+    assert [c["name"] for c in network["conditions"]] == [
+        "symplectic", "selection", "commuting-taps", "permutation"]
+    assert all(c["passed"] and c["residual"] <= c["threshold"] for c in network["conditions"])
+
+    body = json.loads(rpath.read_text())
+    edit(body)
+    write_json(rpath, body)
+    code, out, err = run(capsys, "verify-realization", str(rpath), "--reference", spath)
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail" and report["max_error"] <= 1e-8
+    assert report["network"]["verdict"] == "fail"
+    assert [c["name"] for c in report["network"]["conditions"] if not c["passed"]] == failing
+    assert err == ("verify-realization: FAIL (max block error "
+                   f"{report['max_error']:.3e}; network fails {', '.join(failing)})\n")
+
+
+def test_verify_network_overflow_fails_without_warnings(tmp_path, capsys):
+    spath = write_system(tmp_path / "sys.json", mixed_reference())
+    rpath = tmp_path / "real.json"
+    assert run(capsys, "synthesize", spath, "--quiet", "-o", str(rpath))[0] == 0
+    body = json.loads(rpath.read_text())
+    body["v_sympl"] = _scaled(body["v_sympl"], 1e200)
+    write_json(rpath, body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify-realization", str(rpath), "--reference", spath)
+    assert code == 1
+    symplectic = json.loads(out)["network"]["conditions"][0]
+    assert symplectic == {"name": "symplectic", "residual": None, "threshold": None,
+                          "passed": False, "non_finite": True}
+
+
 def test_synthesize_rejects_unrealizable(tmp_path, capsys):
     path = write_system(tmp_path / "sys.json", perturbed_reference())
     code, out, err = run(capsys, "synthesize", path)

@@ -17,7 +17,7 @@ from qcsynth import (
     synthesize,
 )
 from qcsynth import matkit, synthesis, sysmodel
-from qcsynth.matkit import _pivot_rows
+from qcsynth.matkit import _pivoted_gram_schmidt
 from refsystems import FV_ROUNDED, W_REFERENCE, fv_exact
 
 J = diag_j(1)
@@ -390,16 +390,23 @@ def _qr_pivots(m_mat, r):
     return sorted(scipy.linalg.qr(m_mat.T, pivoting=True, mode="economic")[2][:r].tolist())
 
 
+def _kernel_pivots(m_mat):
+    return sorted(_pivoted_gram_schmidt(m_mat, matkit.DEFAULT_TOL)[0])
+
+
 def test_pivot_rows_match_pivoted_qr():
     # generic rank-r matrices: greedy pivoted Gram-Schmidt takes the rows
-    # that column-pivoted QR of m_mat.T takes first
+    # that column-pivoted QR of m_mat.T takes first, and stops at the rank
+    # rank_tol reads off the singular values
     rng = np.random.default_rng(83)
     for _ in range(100):
         rows, cols = int(rng.integers(1, 13)), int(rng.integers(1, 25))
         r = int(rng.integers(1, min(rows, cols) + 1))
         m_mat = rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
         m_mat *= rng.uniform(0.1, 10.0, size=(rows, 1))
-        assert _pivot_rows(m_mat, r) == _qr_pivots(m_mat, r)
+        pivots = _kernel_pivots(m_mat)
+        assert len(pivots) == rank_tol(m_mat)
+        assert pivots == _qr_pivots(m_mat, r)
 
 
 def test_pivot_rows_match_pivoted_qr_on_couplings(monkeypatch):
@@ -416,7 +423,9 @@ def test_pivot_rows_match_pivoted_qr_on_couplings(monkeypatch):
     assert len(seen) == 12
     for m_mat in seen:
         r = rank_tol(m_mat)
-        assert _pivot_rows(m_mat, r) == _qr_pivots(m_mat, r)
+        pivots = _kernel_pivots(m_mat)
+        assert len(pivots) == r
+        assert pivots == _qr_pivots(m_mat, r)
 
 
 @pytest.mark.parametrize("m_mat", [
@@ -432,6 +441,108 @@ def test_pzkv_exact_ties_still_verify(m_mat):
     assert dec.r == 2
     assert np.abs(reconstruct(dec) - m_mat).max() <= 1e-12 * np.abs(m_mat).max()
     assert np.abs(dec.v_sympl @ diag_j(2) @ dec.v_sympl.T - diag_j(2)).max() <= 1e-12
+
+
+# ------------------------------------------- pzkv_decompose: adversarial read-outs
+
+def kahan(n, c=0.285):
+    """Kahan's matrix (Kahan, 1966): diag(s^i) (I - c U) with U strictly upper
+    ones and s^2 + c^2 = 1.  Column j is scaled by 1 - 1e-13 j, so that
+    column-pivoted QR takes the columns in order and never sees its rank gap."""
+    s = np.sqrt(1.0 - c * c)
+    k = (s ** np.arange(n))[:, None] * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    return k * (1.0 - 1e-13 * np.arange(n))
+
+
+def assert_rank_tol_rank_or_raises(m_mat, theta, tol):
+    # the rank rank_tol counts, or ValueError; a returned decomposition holds
+    # its own identities
+    try:
+        dec = pzkv_decompose(m_mat, theta, tol)
+    except ValueError as exc:
+        return str(exc)
+    assert dec.r == rank_tol(m_mat, tol)
+    v = dec.v_sympl
+    assert np.abs(v @ theta @ v.T - theta).max() <= 1e-6 * max(1.0, np.abs(v).max() ** 2)
+    assert np.array_equal(v[0:2 * dec.r:2], (dec.p_perm.T @ m_mat)[:dec.r])
+    assert np.abs(reconstruct(dec) - m_mat).max() <= tol * max(1.0, np.abs(m_mat).max())
+    assert np.array_equal(dec.p_perm @ dec.p_perm.T, np.eye(len(m_mat)))
+    return None
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-8])
+@pytest.mark.parametrize("n", [60, 90, 100, 120])
+@pytest.mark.parametrize("layout", ["rows", "columns"])
+def test_pzkv_kahan_readout(layout, n, tol):
+    # Kahan's matrix on the q columns, zero on the p columns: isotropic.
+    # Under "columns" the read-out rows are Kahan's columns, the layout on
+    # which pivoting misjudges the rank; there the certificate has to raise.
+    k = kahan(n)
+    m_mat = np.zeros((n, 2 * n))
+    m_mat[:, 0::2] = k if layout == "rows" else k.T
+    error = assert_rank_tol_rank_or_raises(m_mat, diag_j(n), tol)
+    kernel_rank = len(_pivoted_gram_schmidt(m_mat, tol)[0])
+    if kernel_rank != rank_tol(m_mat, tol):
+        assert error is not None and error.startswith("the rank of m_mat is not well determined")
+    if layout == "columns" and n >= 90:
+        assert kernel_rank == n > rank_tol(m_mat, tol)
+
+
+@pytest.mark.parametrize("n, cond", [(12, 1e4), (12, 1e6), (24, 1e7)])
+def test_pivoted_gram_schmidt_stays_orthogonal_on_graded_rows(n, cond):
+    # One Gram-Schmidt pass loses orthogonality like eps cond^2 (1.6e-4 at
+    # cond 1e7); the second keeps it at round-off
+    rng = np.random.default_rng(5)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m_mat = q1 @ np.diag(np.logspace(0, -np.log10(cond), n)) @ q2
+    pivots, u, c = _pivoted_gram_schmidt(m_mat, 1e-9)
+    assert len(pivots) == n == rank_tol(m_mat)
+    assert np.abs(u @ u.T - np.eye(n)).max() <= 1e-14
+    assert np.abs(c.T @ u - m_mat).max() <= 1e-14
+    r_fac = c[:, pivots]
+    assert np.abs(np.tril(r_fac, -1)).max() <= 1e-14
+    assert np.abs(u.T @ np.triu(r_fac) - m_mat[pivots].T).max() <= 1e-14
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-8])
+def test_pzkv_cut_counts_many_small_residual_rows(tol):
+    # Sixteen rows whose residual norms are each tol/2 of the largest row,
+    # in one common direction: sigma_2 = 2 tol sigma_1.  The largest residual
+    # alone would stop at rank 1; their Frobenius norm does not.
+    m_mat = np.zeros((17, 8))
+    m_mat[0, 0] = 1.0
+    m_mat[1:, 2] = tol / 2
+    assert rank_tol(m_mat, tol) == 2
+    assert len(_pivoted_gram_schmidt(m_mat, tol)[0]) == 2
+    assert_rank_tol_rank_or_raises(m_mat, diag_j(4), tol)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pzkv_recomputes_downdated_norms_on_the_ladder(monkeypatch, seed):
+    # At the cut the downdated norms of the k=32 coupling are round-off, and
+    # without a recompute the pass takes 33 to 35 rows of rank 32
+    seen = []
+
+    def spy(m_mat, theta_prime, tol):
+        seen.append((np.array(m_mat), np.array(theta_prime), tol))
+        return pzkv_decompose(m_mat, theta_prime, tol)
+
+    monkeypatch.setattr(synthesis, "pzkv_decompose", spy)
+    synthesize(generate_realizable(Dimensions(32, 32, 64, 32, 32), seed))
+    (m_mat, theta, tol), = seen
+    norms = []
+    row_norms = matkit._row_norms
+
+    def counted(resid):
+        norms.append(resid.shape)
+        return row_norms(resid)
+
+    monkeypatch.setattr(matkit, "_row_norms", counted)
+    assert assert_rank_tol_rank_or_raises(m_mat, theta, tol) is None
+    assert rank_tol(m_mat, tol) == 32
+    # the initial norms, then at least one recompute
+    assert len(norms) >= 2
 
 
 # ------------------------------------------------------------------ conditioning
@@ -574,7 +685,8 @@ def counted_complete(monkeypatch):
 def assert_permutation_and_selector(dec, m_mat, m):
     rows = len(m_mat)
     # the per-entry loops that built both factors, as the reference
-    basis_idx = _pivot_rows(m_mat, dec.r)
+    basis_idx = _kernel_pivots(m_mat)
+    assert len(basis_idx) == dec.r
     order = basis_idx + [i for i in range(rows) if i not in basis_idx]
     p_ref = np.zeros((rows, rows))
     for pos, orig in enumerate(order):

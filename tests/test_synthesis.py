@@ -17,6 +17,7 @@ from qcsynth import (
     symplectic_complete,
     synthesize,
 )
+from qcsynth.synthesis import _network_report
 from refsystems import grid_sample, mixed_reference
 
 MATS = ("a", "b", "c", "d")
@@ -345,3 +346,26 @@ def test_network_branches_round_trip(monkeypatch, dims, lagrangian):
         assert np.array_equal(r.g_mat, r.k_sel @ v)
         assert np.array_equal(r.p_perm @ r.p_perm.T, np.eye(len(r.p_perm)))
         assert_round_trip(sys, close_loop(r))
+
+
+LADDER = ([Dimensions(k, k, 2 * k, k, k) for k in (1, 2, 4, 8, 16, 32)]
+          + [Dimensions(8, 0, 16, 8, 8), Dimensions(8, 8, 16, 0, 8),
+             Dimensions(8, 8, 16, 8, 8, 4), Dimensions(0, 0, 0, 0, 0),
+             Dimensions(1, 1, 1, 1, 1), Dimensions(2, 1, 6, 1, 0)])
+
+
+@pytest.mark.parametrize("dims", LADDER, ids=str)
+def test_ladder_networks_pass_their_conditions(dims):
+    for seed in (1, 2):
+        sys = generate_realizable(dims, seed)
+        r = synthesize(sys)
+        report = _network_report(r)
+        assert report.verdict, report
+        assert [c.name for c in report.conditions] == [
+            "symplectic", "selection", "commuting-taps", "permutation"]
+        assert report["permutation"].residual == 0.0
+        assert_round_trip(sys, close_loop(r))
+
+
+def test_reference_network_passes_its_conditions():
+    assert _network_report(synthesize(mixed_reference())).verdict
