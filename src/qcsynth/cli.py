@@ -25,7 +25,7 @@ import numpy as np
 # once its input has loaded, so a bad file is rejected before any of them.
 from .sysmodel import (DEFAULT_CHECK_TOL, _COMPLEX, _SHAPES, Dimensions, GeneralSystem,
                        QuantumOnlySystem, Realization, StandardSystem, _build, _fro,
-                       _maxabs, _symbols, diag_j, validate)
+                       _maxabs, _symbols, _times_j, diag_j, validate)
 
 __all__ = ["SystemFileError", "main", "entry"]
 
@@ -483,7 +483,7 @@ def cmd_complete_symplectic(args) -> tuple[dict, bool, str]:
     theta_w = diag_j(d_q.shape[1] // 2)
     completion = symplectic_complete(d_q, theta_w, args.tol)
     full = np.vstack([d_q, completion.n_mat])
-    residual = _fro(full @ theta_w @ full.T - theta_w)
+    residual = _fro(_times_j(full) @ full.T - theta_w)
     return ({**_header("symplectic-completion", args.tol), "d_q": d_q,
              "n_mat": completion.n_mat, "residual": residual},
             True, f"complete-symplectic: OK (residual {residual:.3e})")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import _fro, _maxabs, diag_j
+from .sysmodel import _canonical_j, _fro, _j_times, _maxabs, _times_j
 
 __all__ = [
     "DEFAULT_TOL",
@@ -78,6 +78,39 @@ class SkewCanonicalResult:
     n_c: int
 
 
+def _skew_pairs(theta: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The unverified kernel of skew_canonical, on a skew-symmetric theta.
+
+    Returns (p, lam, n_q): the eigenvalues lam of i*theta in ascending
+    order, n_q of them above the cut, and orthonormal rows p with
+    p theta p^T = diag(b_1 J, ..., b_nq J, ~0) up to round-off, where
+    b = lam[n - n_q:].  Dividing pair j by sqrt(b_j) gives the congruence.
+    """
+    n = theta.shape[0]
+    if n == 0:
+        return np.zeros((0, 0)), np.zeros(0), 0
+    lam, v = np.linalg.eigh(1j * theta)
+    n_q = int(np.count_nonzero(lam > tol * lam[-1]))
+    v = v[:, n - n_q:]
+    mags = np.abs(v)
+    lead = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=0), axis=0)
+    lead_entry = v[lead, np.arange(n_q)]
+    v = v * (np.sqrt(2.0) * 1j * np.abs(lead_entry) / lead_entry)
+    # Orthonormal rows u first: u theta u^T = diag(b_1 J, ..., 0) holds up to
+    # round-off and, on the free rows, the eigenvalues below the cut.
+    p = np.empty((n, n))
+    p[0:2 * n_q:2], p[1:2 * n_q:2] = v.imag.T, v.real.T
+    if 2 * n_q < n:
+        q, _ = np.linalg.qr(p[:2 * n_q].T, mode="complete")
+        p[2 * n_q:] = q[:, 2 * n_q:].T
+    return p, lam, n_q
+
+
+def _scale_pairs(p: np.ndarray, b: np.ndarray) -> None:
+    # pair j of p scaled by 1/sqrt(b_j), in place
+    p[:2 * len(b)] /= np.repeat(np.sqrt(b), 2)[:, None]
+
+
 def skew_canonical(theta, tol: float = DEFAULT_TOL) -> SkewCanonicalResult:
     """Bring a real skew-symmetric matrix to canonical form by congruence.
 
@@ -100,20 +133,8 @@ def skew_canonical(theta, tol: float = DEFAULT_TOL) -> SkewCanonicalResult:
         raise ValueError("theta is not skew-symmetric within tolerance "
                          f"(max residual {skew_defect:.3e})")
     theta = (theta - theta.T) / 2.0
-    lam, v = np.linalg.eigh(1j * theta)
-    n_q = int(np.count_nonzero(lam > tol * lam[-1]))
-    b, v = lam[n - n_q:], v[:, n - n_q:]
-    mags = np.abs(v)
-    lead = np.argmax(mags >= (1.0 - 1e-12) * mags.max(axis=0), axis=0)
-    lead_entry = v[lead, np.arange(n_q)]
-    v = v * (np.sqrt(2.0) * 1j * np.abs(lead_entry) / lead_entry)
-    # Orthonormal rows u first: u theta u^T = diag(b_1 J, ..., 0) holds up to
-    # round-off and, on the free rows, the eigenvalues below the cut.
-    p = np.empty((n, n))
-    p[0:2 * n_q:2], p[1:2 * n_q:2] = v.imag.T, v.real.T
-    if 2 * n_q < n:
-        q, _ = np.linalg.qr(p[:2 * n_q].T, mode="complete")
-        p[2 * n_q:] = q[:, 2 * n_q:].T
+    p, lam, n_q = _skew_pairs(theta, tol)
+    b = lam[n - n_q:]
     resid = p @ theta @ p.T
     pairs = np.arange(0, 2 * n_q, 2)
     resid[pairs, pairs + 1] -= b
@@ -121,7 +142,7 @@ def skew_canonical(theta, tol: float = DEFAULT_TOL) -> SkewCanonicalResult:
     check = _maxabs(resid)
     if check > tol * lam[-1] + 1e-6 * scale:
         raise ValueError(f"skew canonical form failed to verify (residual {check:.3e})")
-    p[:2 * n_q] /= np.repeat(np.sqrt(b), 2)[:, None]   # pair j scaled by 1/sqrt(b_j)
+    _scale_pairs(p, b)
     return SkewCanonicalResult(p, n_q, n - 2 * n_q)
 
 
@@ -171,14 +192,21 @@ def ito_factorize(f_v, tol: float = DEFAULT_TOL) -> ItoFactorization:
 
 
 def _check_canonical_form(theta: np.ndarray, tol: float, name: str) -> None:
-    # Both completions emit canonical J-pairs, and the dual rows in
-    # pzkv_decompose pair with their basis through theta @ theta.T = I;
-    # for a skew theta both need theta^2 = -I.
+    # Both completions emit canonical J-pairs in the interleaved order, and
+    # every product with theta is applied by index as diag_j, so theta must
+    # be diag_j exactly.  theta^2 + I is formed only to name the failure: a
+    # theta that squares to -I in another layout is still not diag_j.
     dim = theta.shape[0]
     if dim % 2:
         raise ValueError(f"{name} must have even size, got {dim}")
-    if _excess(_maxabs(theta @ theta + np.eye(dim)), max(tol, 1e-12), theta):
+    canonical = _canonical_j(dim // 2)
+    if theta is canonical or np.array_equal(theta, canonical):
+        return
+    if theta.shape != (dim, dim) or _excess(_maxabs(theta @ theta + np.eye(dim)),
+                                            max(tol, 1e-12), theta):
         raise ValueError(f"{name} must square to -I (canonical J blocks)")
+    raise ValueError(f"{name} must equal diag_j({dim // 2}): canonical J blocks "
+                     "in the interleaved (q1, p1, q2, p2, ...) order")
 
 
 @dataclass(frozen=True)
@@ -186,11 +214,11 @@ class SymplecticCompletion:
     """Rows n_mat extending d_q to a symplectic matrix, with the factors behind them.
 
     With k = d_q.shape[0], the complete QR (d_q @ theta_w).T = q @ r gives
-    d_q.T = theta_w @ Q1 @ R1 for Q1 = q[:, :k] and R1 = r[:k] (theta_w is
-    orthogonal and equals its own inverse transpose).  The trailing columns
-    B = q[:, k:].T are an orthonormal basis of the symplectic complement,
-    the congruence p from skew_canonical brings B @ theta_w @ B.T to
-    diag(J), and n_mat = p @ B.  solve_d_q and solve_n_mat reuse these
+    d_q.T = theta_w @ Q1 @ R1 for Q1 = q[:, :k] and R1 = r[:k] (theta_w =
+    diag_j(m) is orthogonal and equals its own inverse transpose).  The
+    trailing columns B = q[:, k:].T are an orthonormal basis of the
+    symplectic complement, the skew_canonical congruence p brings
+    B @ theta_w @ B.T to diag(J), and n_mat = p @ B.  solve_d_q and solve_n_mat reuse these
     factors for the minimum-norm solves against d_q and n_mat.
     """
 
@@ -211,7 +239,7 @@ class SymplecticCompletion:
         """
         c = np.asarray(c, dtype=float)
         k = self.d_q.shape[0]
-        x = self.theta_w @ (self.q[:, :k] @ np.linalg.solve(self.r[:k].T, c))
+        x = _j_times(self.q[:, :k] @ np.linalg.solve(self.r[:k].T, c))
         _check_consistent(x.T, self.d_q.T, c.T, tol)
         return x
 
@@ -238,22 +266,25 @@ def _complete(rows: np.ndarray, rows_theta: np.ndarray, theta: np.ndarray,
     full row rank k and their complement {x : rows @ theta @ x = 0} is a
     symplectic subspace of dimension dim - k.  The trailing columns of a
     complete QR of rows_theta.T, with rows_theta = rows @ theta from the
-    caller, are an orthonormal basis B of it; skew_canonical brings the
-    restricted form B @ theta @ B.T to diag(J) by a congruence p, and p @ B
-    are the pairs.
+    caller, are an orthonormal basis B of it; the skew_canonical kernel
+    brings the restricted form B @ theta @ B.T to diag(J) by a congruence p,
+    and p @ B are the pairs.  The congruence is not verified here: both
+    callers verify the whole completion as V theta V^T = theta.
     """
     k = rows.shape[0]
     q, r = np.linalg.qr(rows_theta.T, mode="complete")
     basis = q[:, k:].T
-    canon = skew_canonical(basis @ theta @ basis.T, tol)
-    if canon.n_c:
+    form = _times_j(basis) @ basis.T
+    p, lam, n_q = _skew_pairs((form - form.T) / 2.0, tol)
+    if 2 * n_q < len(p):
         raise ValueError("completion failed: the symplectic complement is "
                          "degenerate (input rows numerically rank deficient)")
-    return SymplecticCompletion(canon.p @ basis, rows, theta, q, r, canon.p)
+    _scale_pairs(p, lam[n_q:])   # b = lam[n - n_q:] with n = 2 n_q
+    return SymplecticCompletion(p @ basis, rows, theta, q, r, p)
 
 
 def _verify_symplectic(full: np.ndarray, theta: np.ndarray, what: str) -> None:
-    excess = _excess(_maxabs(full @ theta @ full.T - theta), _SYMPLECTIC_TOL, full)
+    excess = _excess(_maxabs(_times_j(full) @ full.T - theta), _SYMPLECTIC_TOL, full)
     if excess:
         raise ValueError(f"{what} failed to verify ({excess}); "
                          "the input rows are numerically rank deficient")
@@ -284,9 +315,9 @@ def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCom
     m = two_m // 2
     if n_yq > m:
         raise ValueError(f"d_q has {n_yq} quadrature pairs but only m={m} channels")
-    d_q_theta = d_q @ theta_w
+    d_q_theta = _times_j(d_q)
     gram = d_q_theta @ d_q.T
-    excess = _excess(_maxabs(gram - diag_j(n_yq)), tol, d_q, _maxabs(theta_w) * two_m)
+    excess = _excess(_maxabs(gram - _canonical_j(n_yq)), tol, d_q, _maxabs(theta_w) * two_m)
     if excess:
         raise ValueError(f"d_q does not satisfy the quadrature pairing precondition ({excess})")
     completion = _complete(d_q, d_q_theta, theta_w, tol)
@@ -405,7 +436,8 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
         raise ValueError(f"m_mat must have {two_mp} columns, got shape {m_mat.shape}")
     m_prime = two_mp // 2
     rows = m_mat.shape[0]
-    excess = _excess(_maxabs(m_mat @ theta_prime @ m_mat.T), tol, m_mat, two_mp)
+    m_theta = _times_j(m_mat)
+    excess = _excess(_maxabs(m_theta @ m_mat.T), tol, m_mat, two_mp)
     if excess:
         raise ValueError(f"m_mat is not isotropic ({excess})")
     pivots, u, c = _pivoted_gram_schmidt(m_mat, tol)
@@ -415,7 +447,7 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
 
     # Dual rows in pivot order from L^T = Q R with Q = u.T and R the upper
     # triangle of Q^T L^T = c[:, pivots], then in row order.
-    dual = np.linalg.solve(np.triu(c[:, pivots]), u @ theta_prime)[np.argsort(pivots)]
+    dual = np.linalg.solve(np.triu(c[:, pivots]), _times_j(u))[np.argsort(pivots)]
     # sigma_r(m_mat) >= sigma_min(L) = 1 / |R^-1|_2 >= 1 / |W|_F, so rank_tol
     # counts at least r when tol |W|_F |m_mat|_F < 1 (|m_mat|_F >= sigma_1);
     # otherwise the rank is not well determined at tol.
@@ -429,12 +461,12 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     taken[pivots] = True
     order = np.argsort(~taken, kind="stable")
     basis, others = m_mat[order[:r]], m_mat[order[r:]]
-    dual -= 0.5 * (dual @ theta_prime @ dual.T) @ basis
+    dual -= 0.5 * (_times_j(dual) @ dual.T) @ basis
 
     # Remaining rows in the chosen basis: theta_prime @ dual.T is a right
     # inverse of basis.  Consistency is implied by the rank computation but
     # is still verified.
-    x = others @ theta_prime @ dual.T
+    x = m_theta[order[r:]] @ dual.T
     _check_consistent(x, basis, others, tol)
     z = np.concatenate([np.eye(r), x])
     p_perm = np.eye(rows)[:, order]
@@ -446,7 +478,7 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
         # already the square symplectic network.
         v_sympl = lead
     else:
-        completion = _complete(lead, lead @ theta_prime, theta_prime, tol)
+        completion = _complete(lead, _times_j(lead), theta_prime, tol)
         v_sympl = np.concatenate([lead, completion.n_mat])
     _verify_symplectic(v_sympl, theta_prime, "network")
     if not (v_sympl[0:2 * r:2] == basis).all():
@@ -526,7 +558,7 @@ def random_symplectic(m: int, rng: np.random.Generator, spread: float = 0.5) -> 
     """
     s = rng.standard_normal((2 * m, 2 * m)) * spread
     s = (s + s.T) / 2.0
-    return _expm(diag_j(m) @ s)
+    return _expm(_j_times(s))
 
 
 def __getattr__(name: str):

@@ -18,7 +18,8 @@ from .realizability import (DEFAULT_CHECK_TOL, ConditionResult, RealizabilityRep
                             _make_report, _overflow_fails, check_standard)
 # The realization records are defined in sysmodel, next to their shapes.
 from .sysmodel import (ClassicalSubsystem, Dimensions, QuantumSubsystem, Realization,
-                       StandardSystem, _maxabs, diag_j, make_structure)
+                       StandardSystem, _canonical_j, _j_times, _maxabs, _times_j,
+                       diag_j)
 
 __all__ = [
     "NotRealizableError",
@@ -64,14 +65,15 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
     if not report.verdict:
         raise NotRealizableError(
             f"input fails realizability (worst condition: {report.worst})", report)
-    st = sys.structure
     d = sys.dims
-    th_w, th_q = st.theta_w, st.theta_nq
     m_free = d.m - d.n_yq
 
-    completion = symplectic_complete(sys.d_q, th_w, tol)
+    # theta_w, theta_nq and theta' are diag_j(m), diag_j(n_q) and
+    # diag_j(m_free): their products are applied by index, bit for bit the
+    # dense ones.
+    completion = symplectic_complete(sys.d_q, sys.structure.theta_w, tol)
     d_q_prime = completion.n_mat
-    c_qq_prime = d_q_prime @ th_w @ sys.b_q.T @ th_q
+    c_qq_prime = _times_j(_times_j(d_q_prime) @ sys.b_q.T)
     c_c_prime = completion.solve_d_q(sys.c_qc, tol)
     e_mat = sys.a_qc - sys.b_q @ c_c_prime
 
@@ -79,12 +81,13 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
     # of both solves is exactly the cross and classical block constraints.
     coupling = completion.solve_n_mat(np.concatenate([sys.b_c, sys.d_c]), tol)
 
-    # The leading 2 m_free block of theta_w is diag_j(m_free), bit for bit.
-    two_free = 2 * m_free
-    pzkv = pzkv_decompose(coupling, th_w[:two_free, :two_free], tol)
-    g_mat = pzkv.k_sel @ pzkv.v_sympl
-    b_c_prime = pzkv.p_perm[: d.n_c] @ pzkv.z
-    d_c_prime = pzkv.p_perm[d.n_c:] @ pzkv.z
+    pzkv = pzkv_decompose(coupling, _canonical_j(m_free), tol)
+    # k_sel and p_perm select rows: gathered, and + 0.0 turns -0.0 into
+    # +0.0 as the dense products with them do.
+    g_mat = pzkv.v_sympl[0:2 * pzkv.r:2] + 0.0
+    picks = pzkv.p_perm.argmax(axis=1) if pzkv.p_perm.size else np.zeros(0, dtype=int)
+    coupling_rows = pzkv.z[picks] + 0.0
+    b_c_prime, d_c_prime = coupling_rows[: d.n_c], coupling_rows[d.n_c:]
 
     feed = g_mat @ d_q_prime @ c_c_prime
     a_cc_prime = sys.a_cc - b_c_prime @ feed
@@ -92,7 +95,7 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
 
     split = 2 * d.n_w1
     g1 = QuantumSubsystem(sys.a_qq, sys.b_q, e_mat, sys.c_qq, sys.d_q,
-                          c_qq_prime, d_q_prime, -th_q @ e_mat)
+                          c_qq_prime, d_q_prime, _j_times(-e_mat))
     g2 = ClassicalSubsystem(a_cc_prime, b_c_prime, c_cc_prime, d_c_prime,
                             c_c_prime[:split], c_c_prime[split:])
     return Realization(g1, g2, g_mat, pzkv.k_sel, pzkv.v_sympl,
@@ -120,10 +123,10 @@ def _network_report(r: Realization, tol: float = DEFAULT_CHECK_TOL) -> Realizabi
     off_permutation = max(_maxabs(np.minimum(np.abs(p), np.abs(p - 1.0))),
                           _maxabs(p.sum(axis=0) - 1.0), _maxabs(p.sum(axis=1) - 1.0))
     return _make_report([
-        ConditionResult("symplectic", _maxabs(v @ theta @ v.T - theta),
+        ConditionResult("symplectic", _maxabs(_times_j(v) @ v.T - theta),
                         _bound(_SYMPLECTIC_TOL, v)),
         ConditionResult("selection", _maxabs(g - r.k_sel @ v), tol * max(1.0, _maxabs(v))),
-        ConditionResult("commuting-taps", _maxabs(g @ theta @ g.T),
+        ConditionResult("commuting-taps", _maxabs(_times_j(g) @ g.T),
                         _bound(tol, g, two_free)),
         ConditionResult("permutation", off_permutation, 0.0),
     ])
@@ -170,8 +173,6 @@ def generate_realizable(dims: Dimensions, seed: int) -> StandardSystem:
     by construction rather than by tuning.
     """
     rng = np.random.default_rng(seed)
-    st = make_structure(dims)
-    th_w, th_q = st.theta_w, st.theta_nq
     two_nq, n_c, m, n_yq, n_yc = 2 * dims.n_q, dims.n_c, dims.m, dims.n_yq, dims.n_yc
     m_free = m - n_yq
 
@@ -180,12 +181,12 @@ def generate_realizable(dims: Dimensions, seed: int) -> StandardSystem:
 
     b_q = draw(two_nq, 2 * m)
     sym = draw(two_nq, two_nq)
-    a_qq = ((sym + sym.T) / 2.0 + 0.5 * b_q @ th_w @ b_q.T) @ th_q
+    a_qq = _times_j((sym + sym.T) / 2.0 + _times_j(0.5 * b_q) @ b_q.T)
     t_out = random_symplectic(m, rng, spread=0.25) if m else np.zeros((0, 0))
     d_q = t_out[: 2 * n_yq]
     d_q_prime = t_out[2 * n_yq:]
-    c_qq = (th_q @ b_q @ th_w @ d_q.T).T
-    c_qq_prime = d_q_prime @ th_w @ b_q.T @ th_q
+    c_qq = (_times_j(_j_times(b_q)) @ d_q.T).T
+    c_qq_prime = _times_j(_times_j(d_q_prime) @ b_q.T)
 
     r = min(n_c + n_yc, m_free)
     if r:
@@ -200,7 +201,7 @@ def generate_realizable(dims: Dimensions, seed: int) -> StandardSystem:
     b_c_prime = draw(n_c, r)
     d_c_prime = draw(n_yc, r)
     split = 2 * dims.n_w1
-    g1 = QuantumSubsystem(a_qq, b_q, e_mat, c_qq, d_q, c_qq_prime, d_q_prime, -th_q @ e_mat)
+    g1 = QuantumSubsystem(a_qq, b_q, e_mat, c_qq, d_q, c_qq_prime, d_q_prime, _j_times(-e_mat))
     g2 = ClassicalSubsystem(a_cc_prime, b_c_prime, c_cc_prime, d_c_prime,
                             c_c_prime[:split], c_c_prime[split:])
     return _assemble(dims, g1, g2, g_mat)

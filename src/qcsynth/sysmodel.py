@@ -54,6 +54,52 @@ def diag_j(k: int) -> np.ndarray:
     return out
 
 
+@lru_cache
+def _canonical_j(k: int) -> np.ndarray:
+    # A read-only diag_j(k) to compare theta arguments against.
+    return _frozen(diag_j(k))
+
+
+# diag_j(k) is a signed permutation, so a product with it is a swap of
+# column or row pairs with one sign flipped.  The kernels below apply it by
+# index as 0 - x and x + 0: like the dense product, whose sum starts from
+# +0.0, they never write -0.0, so finite results equal x @ diag_j(k) and
+# diag_j(k) @ x bit for bit.  Both return a C-contiguous array, as @ does.
+# Up to _DENSE_J_WORK multiply-adds (the entries of x times 2k) they take
+# the dense product with the cached diag_j(k) instead, the same bits from
+# one BLAS call.  With one OpenBLAS thread on a Xeon VM that costs 1.0 us
+# against 2.6 us for the two strided passes on 16 x 4 operands, and 3.4
+# against 4.5 us at 64 x 32; from 32 x 64 on (5.3 against 4.0 us) the
+# index form is the cheaper one.
+_DENSE_J_WORK = 1 << 16
+_ZERO = np.zeros(())
+_EVEN, _ODD = slice(0, None, 2), slice(1, None, 2)
+_EVEN_COLS, _ODD_COLS = (..., _EVEN), (..., _ODD)
+_EVEN_ROWS, _ODD_ROWS = (..., _EVEN, slice(None)), (..., _ODD, slice(None))
+
+
+def _times_j(x: np.ndarray) -> np.ndarray:
+    """x @ diag_j(k) for x of shape (..., 2k): column pairs (a, b) -> (-b, a)."""
+    two_k = x.shape[-1]
+    if x.size * two_k <= _DENSE_J_WORK:
+        return x @ _canonical_j(two_k // 2)
+    out = np.empty(x.shape)
+    np.subtract(_ZERO, x[_ODD_COLS], out[_EVEN_COLS])
+    np.add(x[_EVEN_COLS], _ZERO, out[_ODD_COLS])
+    return out
+
+
+def _j_times(x: np.ndarray) -> np.ndarray:
+    """diag_j(k) @ x for x of shape (..., 2k, n): row pairs (a, b) -> (b, -a)."""
+    two_k = x.shape[-2]
+    if x.size * two_k <= _DENSE_J_WORK:
+        return _canonical_j(two_k // 2) @ x
+    out = np.empty(x.shape)
+    np.add(x[_ODD_ROWS], _ZERO, out[_EVEN_ROWS])
+    np.subtract(_ZERO, x[_EVEN_ROWS], out[_ODD_ROWS])
+    return out
+
+
 def _frozen(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -164,11 +210,11 @@ def make_structure(dims: Dimensions) -> StructureMatrices:
     """Build the canonical structure matrices for the given dimensions."""
     theta_n = np.zeros((dims.n, dims.n))
     theta_n[: 2 * dims.n_q, : 2 * dims.n_q] = diag_j(dims.n_q)
-    theta_w = diag_j(dims.m)
+    theta_w = _canonical_j(dims.m)
     f_w = np.eye(2 * dims.m) + 1j * theta_w
     theta_y = np.zeros((dims.n_y, dims.n_y))
     theta_y[: 2 * dims.n_yq, : 2 * dims.n_yq] = diag_j(dims.n_yq)
-    return StructureMatrices(dims, _frozen(theta_n), _frozen(theta_w),
+    return StructureMatrices(dims, _frozen(theta_n), theta_w,
                              _frozen(f_w, complex), _frozen(theta_y))
 
 

@@ -772,3 +772,32 @@ def test_input_errors_name_the_problem(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def block_layout_theta(m):
+    # [[0, I], [-I, 0]]: the (q1, ..., q_m, p1, ..., p_m) layout, which
+    # squares to -I like diag_j(m) but pairs q_i with p_i across the halves
+    eye = np.eye(m)
+    return np.block([[np.zeros((m, m)), eye], [-eye, np.zeros((m, m))]])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_theta_in_another_layout_is_rejected_up_front(m):
+    theta = block_layout_theta(m)
+    assert np.array_equal(theta @ theta, -np.eye(2 * m))
+    # e_q1 and e_p1 are a perfectly conditioned canonical pair in that layout
+    e = np.eye(2 * m)
+    d_q = e[[0, m]]
+    assert np.array_equal(d_q @ theta @ d_q.T, J)
+    message = (rf"^theta_w must equal diag_j\({m}\): canonical J blocks in the "
+               r"interleaved \(q1, p1, q2, p2, \.\.\.\) order$")
+    with pytest.raises(ValueError, match=message):
+        symplectic_complete(d_q, theta)
+    with pytest.raises(ValueError, match=message.replace("theta_w", "theta_prime")):
+        pzkv_decompose(e[[0]], theta)
+    # diag_j itself, and within round-off of it, is the only accepted form
+    near = diag_j(m) + 1e-15 * e
+    with pytest.raises(ValueError, match=message):
+        symplectic_complete(d_q, near)
+    assert symplectic_complete(e[[0, 1]], diag_j(m)).n_mat.shape == (2 * m - 2, 2 * m)
+    assert pzkv_decompose(e[[0]], diag_j(m)).r == 1

@@ -369,3 +369,67 @@ def test_ladder_networks_pass_their_conditions(dims):
 
 def test_reference_network_passes_its_conditions():
     assert _network_report(synthesize(mixed_reference())).verdict
+
+
+@pytest.mark.parametrize("dims", LADDER, ids=str)
+def test_index_products_match_the_dense_ones_bit_for_bit(dims):
+    # synthesize gathers the rows k_sel and p_perm select and applies
+    # theta_w and theta_nq by index: each equals the dense product it stands
+    # for, -0.0 entries included
+    n_c = dims.n_c
+    for seed in (1, 2):
+        sys = generate_realizable(dims, seed)
+        r = synthesize(sys)
+        th_w, th_q = sys.structure.theta_w, sys.structure.theta_nq
+        g1, g2 = r.g1, r.g2
+        assert r.g_mat.tobytes() == (r.k_sel @ r.v_sympl).tobytes()
+        assert g2.b_c_prime.tobytes() == (r.p_perm[:n_c] @ r.z).tobytes()
+        assert g2.d_c_prime.tobytes() == (r.p_perm[n_c:] @ r.z).tobytes()
+        assert g1.c_qq_prime.tobytes() == (g1.d_q_prime @ th_w @ g1.b_q.T @ th_q).tobytes()
+        assert g1.k_q.tobytes() == (-th_q @ g1.e_mat).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dimensions(), hst.integers(0, 2**16))
+def test_network_certificate_property(dims, seed):
+    # the inputs of test_round_trip_property
+    report = _network_report(synthesize(generate_realizable(dims, seed)))
+    assert report.verdict, report
+
+
+def test_each_completion_is_verified_once(monkeypatch):
+    # the congruence inside a completion is not verified on its own: the
+    # whole V theta V^T = theta check after it covers it
+    from qcsynth import matkit
+    skew_calls, verified = [], []
+    skew, verify = matkit.skew_canonical, matkit._verify_symplectic
+    monkeypatch.setattr(matkit, "skew_canonical",
+                        lambda *a, **k: skew_calls.append(1) or skew(*a, **k))
+    monkeypatch.setattr(matkit, "_verify_symplectic",
+                        lambda full, theta, what: (verified.append(what)
+                                                   or verify(full, theta, what)))
+    for dims in (Dimensions(2, 2, 4, 2, 2), Dimensions(2, 1, 6, 1, 0)):
+        verified.clear()
+        synthesize(generate_realizable(dims, 1))
+        assert verified == ["completion", "network"]
+    assert skew_calls == []
+
+
+@pytest.mark.parametrize("dims", [Dimensions(2, 2, 4, 2, 2), Dimensions(8, 8, 16, 0, 8),
+                                  Dimensions(16, 16, 32, 16, 16)], ids=str)
+def test_zero_actuation_gives_positive_zeros(dims):
+    # No classical actuation of the quantum side (e_mat = 0, c_c_prime = 0)
+    # is realizable; synthesize then finds e_mat as exact +0.0 entries, and
+    # k_q = -theta_nq e_mat holds +0.0 as the dense product does, not -0.0
+    r = synthesize(generate_realizable(dims, 3))
+    g1 = dataclasses.replace(r.g1, e_mat=np.zeros_like(r.g1.e_mat))
+    g2 = dataclasses.replace(r.g2, c_c_prime_1=np.zeros_like(r.g2.c_c_prime_1),
+                             c_c_prime_2=np.zeros_like(r.g2.c_c_prime_2))
+    sys = close_loop(dataclasses.replace(r, g1=g1, g2=g2))
+    back = synthesize(sys)
+    th_q = sys.structure.theta_nq
+    assert not back.g1.e_mat.any()
+    assert back.g1.k_q.tobytes() == (-th_q @ back.g1.e_mat).tobytes()
+    assert not np.signbit(back.g1.k_q).any()
+    assert back.g2.c_c_prime.tobytes() == np.zeros_like(back.g2.c_c_prime).tobytes()
+    assert_round_trip(sys, close_loop(back))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from qcsynth import (
     make_structure,
     validate,
 )
-from qcsynth.sysmodel import J2, _fro, _maxabs
+from qcsynth import sysmodel
+from qcsynth.sysmodel import J2, _fro, _j_times, _maxabs, _times_j
 from refsystems import MIXED_DIMS, mixed_reference
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -368,3 +370,61 @@ def test_fro_overflow_and_nonfinite_entries(a, want):
         got = _fro(a)
     assert same_bits(got, want)
     assert same_bits(got, numpy_norm(a))
+
+
+# ---------------------------------------------------------------------------
+# _times_j and _j_times: diag_j applied by index, bit for bit the dense product
+
+FINITE = hst.one_of(hst.floats(allow_nan=False, allow_infinity=False),
+                    hst.sampled_from((0.0, -0.0)))
+
+
+@hst.composite
+def pair_arrays(draw):
+    """A finite array whose last axis holds 2k entries (k = 0 to 4), with 0
+    to 2 leading axes of 0 to 4 entries, as itself or as its last two axes
+    swapped; zeros of both signs are common."""
+    k = draw(hst.integers(0, 4))
+    lead = tuple(draw(hst.lists(hst.integers(0, 4), max_size=2)))
+    shape = lead + (2 * k,)
+    values = draw(hst.lists(FINITE, min_size=math.prod(shape), max_size=math.prod(shape)))
+    a = np.array(values, dtype=float).reshape(shape)
+    if len(shape) > 1 and draw(hst.booleans()):
+        a = np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
+    return k, a
+
+
+def assert_kernels_match_dense(k, x):
+    # x @ diag_j(k), and diag_j(k) @ y for y with the 2k entries on axis -2
+    got = _times_j(x)
+    assert got.flags.c_contiguous and got.tobytes() == (x @ diag_j(k)).tobytes()
+    if x.ndim > 1:
+        y = np.swapaxes(x, -1, -2)
+        got = _j_times(y)
+        assert got.flags.c_contiguous and got.tobytes() == (diag_j(k) @ y).tobytes()
+
+
+# dense_work 0 sends every input through the index form; the default
+# sends these small ones through the dense product with the cached diag_j
+DENSE_WORK = pytest.mark.parametrize("dense_work", [0, sysmodel._DENSE_J_WORK],
+                                     ids=["index", "default"])
+
+
+@DENSE_WORK
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=pair_arrays())
+def test_j_kernels_are_the_dense_product_bit_for_bit(dense_work, case):
+    with mock.patch.object(sysmodel, "_DENSE_J_WORK", dense_work):
+        assert_kernels_match_dense(*case)
+
+
+@DENSE_WORK
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 6), (2, 3, 8), (2, 0, 4),
+                                   (40, 64), (3, 24, 40)], ids=str)
+def test_j_kernels_on_empty_stacked_and_large_shapes(dense_work, shape):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(shape)
+    x[x < -0.5] = -0.0
+    x[x > 0.5] = 0.0
+    with mock.patch.object(sysmodel, "_DENSE_J_WORK", dense_work):
+        assert_kernels_match_dense(shape[-1] // 2, x)
