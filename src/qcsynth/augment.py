@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkit import DEFAULT_TOL, minnorm_right_solve
-from .sysmodel import StandardSystem, _maxabs
+from .sysmodel import StandardSystem, _j_times, _maxabs, _times_j
 
 __all__ = ["AugmentedSystem", "ReducedSystem", "augment", "reduce"]
 
@@ -90,23 +90,18 @@ def augment(sys: StandardSystem, tol: float = DEFAULT_TOL) -> AugmentedSystem:
     resolves the skew equation a_prime_c^T - a_prime_c = b_prime theta_w
     b_prime^T symmetrically, the quantum-column block cancels the
     cross-commutation drift between x_q and the auxiliaries, and a_dprime
-    follows from the displayed closure relation.
+    follows from the closure relation, whose a_prime theta_n term has no
+    classical columns: a_dprime = (b_prime theta_w B^T)[:, classical] - a_cc^T.
     """
-    st = sys.structure
-    d = sys.dims
-    n, n_c, two_nq = d.n, d.n_c, 2 * d.n_q
-    th_w, th_q = st.theta_w, st.theta_nq
-
-    b_prime = minnorm_right_solve(th_w @ sys.d_q.T, sys.c_qc.T, tol)
-    s_sel = _classical_selector(n, n_c)
+    n, n_c = sys.dims.n, sys.dims.n_c
+    b_prime = minnorm_right_solve(_j_times(sys.d_q.T), sys.c_qc.T, tol)
     # An overflow in the products below is raised as one error, not warned
     # about and passed on as inf or nan entries.
     with np.errstate(over="ignore", invalid="ignore"):
-        k_skew = b_prime @ th_w @ b_prime.T
-        a_prime_q = (b_prime @ th_w @ sys.b_q.T - sys.a_qc.T) @ th_q
-        a_prime = np.hstack([a_prime_q, -k_skew / 2.0])
-        a_dprime = (a_prime @ st.theta_n - s_sel.T @ sys.a.T
-                    + b_prime @ th_w @ sys.b.T) @ s_sel
+        b_theta = _times_j(b_prime)
+        a_prime = np.hstack([_times_j(b_theta @ sys.b_q.T - sys.a_qc.T),
+                             -(b_theta @ b_prime.T) / 2.0])
+        a_dprime = (b_theta @ sys.b.T)[:, n - n_c:] - sys.a_cc.T
     if not (np.isfinite(a_prime).all() and np.isfinite(a_dprime).all()):
         raise ValueError("augmentation overflowed: the auxiliary dynamics blocks "
                          f"a_prime and a_dprime are not finite (max|b_prime| "
@@ -114,9 +109,10 @@ def augment(sys: StandardSystem, tol: float = DEFAULT_TOL) -> AugmentedSystem:
 
     a_tilde = np.block([[sys.a, np.zeros((n, n_c))], [a_prime, a_dprime]])
     b_tilde = np.vstack([sys.b, b_prime])
-    c_tilde = np.hstack([sys.c_q, np.zeros((2 * d.n_yq, n_c))])
+    c_tilde = np.hstack([sys.c_q, np.zeros((2 * sys.dims.n_yq, n_c))])
     d_tilde = sys.d_q.copy()
-    theta_tilde = np.block([[st.theta_n, s_sel], [-s_sel.T, np.zeros((n_c, n_c))]])
+    s_sel = _classical_selector(n, n_c)
+    theta_tilde = np.block([[sys.structure.theta_n, s_sel], [-s_sel.T, np.zeros((n_c, n_c))]])
     return AugmentedSystem(a_tilde, b_tilde, c_tilde, d_tilde, theta_tilde,
                            a_prime, a_dprime, b_prime)
 

@@ -24,8 +24,8 @@ import numpy as np
 # Only sysmodel at module level: each command imports the modules it runs
 # once its input has loaded, so a bad file is rejected before any of them.
 from .sysmodel import (DEFAULT_CHECK_TOL, _COMPLEX, _SHAPES, Dimensions, GeneralSystem,
-                       QuantumOnlySystem, Realization, StandardSystem, _build, _fro,
-                       _maxabs, _symbols, _times_j, diag_j, validate)
+                       QuantumOnlySystem, Realization, StandardSystem, _build,
+                       _canonical_j, _fro, _maxabs, _symbols, _times_j, validate)
 
 __all__ = ["SystemFileError", "main", "entry"]
 
@@ -458,10 +458,14 @@ def cmd_simulate(args) -> tuple[dict, bool, str]:
     model = load_system(args.input, "standard")
     from .moments import _grid_steps, simulate, skew_drift
     try:
-        _grid_steps(args.t_final, args.dt)
+        n_steps = _grid_steps(args.t_final, args.dt)
     except ValueError as exc:
         raise SystemFileError(str(exc)) from None
-    traj = simulate(model, t_final=args.t_final, dt=args.dt)
+    try:
+        traj = simulate(model, t_final=args.t_final, dt=args.dt)
+    except MemoryError:
+        raise SystemFileError(f"simulate: cannot allocate the {n_steps + 1} samples of "
+                              f"t_final / dt = {n_steps} steps") from None
     drift = skew_drift(traj, model.structure.theta_n)
     _require_finite("simulate: the skew drift", {"skew_drift": drift})
     # no tol key: the moment propagation takes no tolerance
@@ -477,10 +481,14 @@ def cmd_complete_symplectic(args) -> tuple[dict, bool, str]:
         raise SystemFileError(f"{args.input}: expected an object with a 'd_q' "
                               "matrix")
     d_q = _parse_matrix(obj["d_q"], "d_q")
-    if d_q.shape[1] % 2:
-        raise SystemFileError(f"d_q: column count must be even, got {d_q.shape[1]}")
+    rows, cols = d_q.shape
+    if rows % 2 or cols % 2:
+        raise SystemFileError(f"d_q: row and column counts must be even, got shape {d_q.shape}")
+    if rows > cols:
+        raise SystemFileError(f"d_q: {rows // 2} quadrature pairs exceed the m={cols // 2} "
+                              f"channels of its {cols} columns")
     from .matkit import symplectic_complete
-    theta_w = diag_j(d_q.shape[1] // 2)
+    theta_w = _canonical_j(cols // 2)
     completion = symplectic_complete(d_q, theta_w, args.tol)
     full = np.vstack([d_q, completion.n_mat])
     residual = _fro(_times_j(full) @ full.T - theta_w)

@@ -180,12 +180,9 @@ def ito_factorize(f_v, tol: float = DEFAULT_TOL) -> ItoFactorization:
     w = np.empty((m, 2 * m))
     w[:, 0::2] = u.imag * root
     w[:, 1::2] = u.real * root
-    # w F_w w^T = w w^T + i (w J) w^T, and w J swaps each column pair
-    w_j = np.empty_like(w)
-    w_j[:, 0::2] = -w[:, 1::2]
-    w_j[:, 1::2] = w[:, 0::2]
+    # w F_w w^T = w w^T + i (w J) w^T
     target = (u * root ** 2) @ u.conj().T
-    check = _maxabs(np.hypot(w @ w.T - target.real, w_j @ w.T - target.imag))
+    check = _maxabs(np.hypot(w @ w.T - target.real, _times_j(w) @ w.T - target.imag))
     if check > max(tol, 1e-12) * scale:
         raise ValueError(f"Ito factor failed to verify (residual {check:.3e})")
     return ItoFactorization(w)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sysmodel import (DEFAULT_CHECK_TOL, GeneralSystem, QuantumOnlySystem,
-                       StandardSystem, _fro, _maxabs, diag_j)
+                       StandardSystem, _canonical_j, _fro, _maxabs)
 
 __all__ = [
     "ConditionResult",
@@ -119,9 +119,9 @@ def check_quantum(sys: QuantumOnlySystem, tol: float = DEFAULT_CHECK_TOL,
     """
     a, b, c, d = sys.a, sys.b, sys.c, sys.d
     if theta is None:
-        theta = diag_j(sys.n_q)
-    j_z = diag_j(sys.n_z)
-    state = _terms(a, b, c, d, theta, diag_j(sys.m), j_z)[0]
+        theta = _canonical_j(sys.n_q)
+    j_z = _canonical_j(sys.n_z)
+    state = _terms(a, b, c, d, theta, _canonical_j(sys.m), j_z)[0]
     # the coupling condition pairs outputs against their own commutation
     # blocks, which match theta_w only when the feedthrough is square
     coupling = [b @ d.T, -(theta @ c.T @ j_z)]

@@ -18,8 +18,7 @@ from .realizability import (DEFAULT_CHECK_TOL, ConditionResult, RealizabilityRep
                             _make_report, _overflow_fails, check_standard)
 # The realization records are defined in sysmodel, next to their shapes.
 from .sysmodel import (ClassicalSubsystem, Dimensions, QuantumSubsystem, Realization,
-                       StandardSystem, _canonical_j, _j_times, _maxabs, _times_j,
-                       diag_j)
+                       StandardSystem, _canonical_j, _j_times, _maxabs, _times_j)
 
 __all__ = [
     "NotRealizableError",
@@ -119,7 +118,7 @@ def _network_report(r: Realization, tol: float = DEFAULT_CHECK_TOL) -> Realizabi
     """
     v, g, p = r.v_sympl, r.g_mat, r.p_perm
     two_free = v.shape[0]
-    theta = diag_j(two_free // 2)
+    theta = _canonical_j(two_free // 2)
     off_permutation = max(_maxabs(np.minimum(np.abs(p), np.abs(p - 1.0))),
                           _maxabs(p.sum(axis=0) - 1.0), _maxabs(p.sum(axis=1) - 1.0))
     return _make_report([

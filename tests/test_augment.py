@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -14,6 +15,8 @@ from qcsynth import (
     generate_realizable,
     reduce,
 )
+from qcsynth.augment import AugmentedSystem
+from qcsynth.matkit import DEFAULT_TOL, minnorm_right_solve
 from refsystems import (MIXED_DIMS, damped_cavity, grid_sample, mixed_reference,
                         scaled_generated)
 
@@ -185,3 +188,51 @@ def test_relation_residual_overflow_is_inf_without_warning():
     assert np.isfinite(aug.a_tilde).all() and np.isfinite(aug.b_tilde).all()
     assert got["auxiliary-skew"] == np.inf
     assert np.isfinite(got["output-coupling"])
+
+
+# ---------------------------------------------------------------------------
+# the closed-form blocks against the dense construction
+
+
+def augment_dense_reference(sys, tol=DEFAULT_TOL):
+    """The construction with S, theta_w, theta_nq and theta_n as dense factors."""
+    st = sys.structure
+    n, n_c = sys.dims.n, sys.dims.n_c
+    th_w = st.theta_w
+    s = selector(n, n_c)
+    b_prime = minnorm_right_solve(th_w @ sys.d_q.T, sys.c_qc.T, tol)
+    k_skew = b_prime @ th_w @ b_prime.T
+    a_prime_q = (b_prime @ th_w @ sys.b_q.T - sys.a_qc.T) @ st.theta_nq
+    a_prime = np.hstack([a_prime_q, -k_skew / 2.0])
+    a_dprime = (a_prime @ st.theta_n - s.T @ sys.a.T + b_prime @ th_w @ sys.b.T) @ s
+    return AugmentedSystem(
+        a_tilde=np.block([[sys.a, np.zeros((n, n_c))], [a_prime, a_dprime]]),
+        b_tilde=np.vstack([sys.b, b_prime]),
+        c_tilde=np.hstack([sys.c_q, np.zeros((2 * sys.dims.n_yq, n_c))]),
+        d_tilde=sys.d_q.copy(),
+        theta_tilde=np.block([[st.theta_n, s], [-s.T, np.zeros((n_c, n_c))]]),
+        a_prime=a_prime, a_dprime=a_dprime, b_prime=b_prime)
+
+
+def byte_identity_dimensions():
+    # every count 0-2 and m 1-3, so n_c = 0, n_q = 0 and n_yq = 0 all occur;
+    # the last record is large enough for the index form of every theta product
+    # (more than 2**16 multiply-adds each)
+    for n_q, n_c, n_yc, m in itertools.product(range(3), range(3), range(3), range(1, 4)):
+        for n_yq in range(min(2, m) + 1):
+            yield Dimensions(n_q, n_c, m, n_yq, n_yc)
+    yield Dimensions(n_q=21, n_c=40, m=40, n_yq=6, n_yc=8)
+
+
+def test_augment_is_bitwise_the_dense_construction():
+    names = [f.name for f in dataclasses.fields(AugmentedSystem)]
+    checked = 0
+    for dims in byte_identity_dimensions():
+        for seed in range(3):
+            sys = generate_realizable(dims, seed)
+            got, want = augment(sys), augment_dense_reference(sys)
+            for name in names:
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (dims, seed, name)
+                checked += 1
+    assert checked == 8 * 3 * 217

@@ -338,6 +338,19 @@ def test_simulate_bad_horizon(tmp_path, capsys):
         assert message in err
 
 
+def test_simulate_grid_too_large_to_allocate(tmp_path, capsys):
+    # 1e16 steps of a 2-state file need about 142 PiB, so the allocation of
+    # the samples fails at once, before any memory is touched
+    path = write_system(tmp_path / "sys.json", damped_cavity())
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "simulate", path, "--t-final", "1e13", "--dt", "1e-3",
+                         "-o", str(report))
+    assert (code, out) == (2, "")
+    assert err == ("error: simulate: cannot allocate the 10000000000000001 samples of "
+                   "t_final / dt = 10000000000000000 steps\n")
+    assert not report.exists()
+
+
 def test_simulate_output_matches_elementwise_encoding(tmp_path, capsys):
     model = damped_cavity()
     path = write_system(tmp_path / "sys.json", model)
@@ -394,6 +407,20 @@ def test_complete_symplectic_bad_rows(tmp_path, capsys):
     code, _, err = run(capsys, "complete-symplectic", path)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("d_q, message", [
+    ([[1.0, 0.0]], "row and column counts must be even, got shape (1, 2)"),
+    ([[]], "row and column counts must be even, got shape (1, 0)"),
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+     "2 quadrature pairs exceed the m=1 channels of its 2 columns"),
+], ids=["odd-rows", "one-empty-row", "more-pairs-than-channels"])
+def test_complete_symplectic_bad_shape_is_an_input_error(tmp_path, capsys, d_q, message):
+    path = write_json(tmp_path / "dq.json", {"d_q": d_q})
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "complete-symplectic", path, "-o", str(report))
+    assert (code, out, err) == (2, "", f"error: d_q: {message}\n")
+    assert not report.exists()
 
 
 def test_augment_command(tmp_path, capsys):
