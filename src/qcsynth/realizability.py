@@ -2,12 +2,12 @@
 
 Every checker builds its conditions from one kernel, `_terms`: the state,
 non-demolition and output-Ito identities for commutation matrices
-(theta_n, theta_w, theta_y), each a list of terms that must sum to zero.
-The blockwise checker takes block slices of the same terms, and of their
-sums.  A condition reports the norm of its sum as its residual and passes
-exactly when that stays below tol * (1 + scale), where scale sums the norms
-of the terms before cancellation, so that systems with large entries are not
-penalized.
+(theta_n, theta_w, theta_y), each a list of terms that must sum to zero;
+a checker that reads one list forms only that one.  The blockwise checker
+takes block slices of the same terms, and of their sums.  A condition
+reports the norm of its sum as its residual and passes exactly when that
+stays below tol * (1 + scale), where scale sums the norms of the terms
+before cancellation, so that systems with large entries are not penalized.
 """
 
 from __future__ import annotations
@@ -71,9 +71,17 @@ def _terms(a, b, c, d, theta_n, theta_w, theta_y):
     # b @ theta_w @ b.T evaluates as (b @ theta_w) @ b.T: sharing the left
     # product leaves every term bitwise the same.
     b_w = b @ theta_w
-    return ([a @ theta_n, theta_n @ a.T, b_w @ b.T],
-            [b_w @ d.T, theta_n @ c.T],
+    return (_state_terms(a, b, b_w, theta_n), _nondemolition_terms(c, d, b_w, theta_n),
             [d @ theta_w @ d.T, -theta_y])
+
+
+def _state_terms(a, b, b_w, theta_n):
+    # b_w is b @ theta_w
+    return [a @ theta_n, theta_n @ a.T, b_w @ b.T]
+
+
+def _nondemolition_terms(c, d, b_w, theta_n):
+    return [b_w @ d.T, theta_n @ c.T]
 
 
 def _standard_terms(sys: StandardSystem):
@@ -121,7 +129,7 @@ def check_quantum(sys: QuantumOnlySystem, tol: float = DEFAULT_CHECK_TOL,
     if theta is None:
         theta = _canonical_j(sys.n_q)
     j_z = _canonical_j(sys.n_z)
-    state = _terms(a, b, c, d, theta, _canonical_j(sys.m), j_z)[0]
+    state = _state_terms(a, b, b @ _canonical_j(sys.m), theta)
     # the coupling condition pairs outputs against their own commutation
     # blocks, which match theta_w only when the feedthrough is square
     coupling = [b @ d.T, -(theta @ c.T @ j_z)]
@@ -190,7 +198,8 @@ def check_general(sys: GeneralSystem, tol: float = DEFAULT_CHECK_TOL) -> Realiza
 @_overflow_fails
 def nondemolition_residual(sys: StandardSystem) -> float:
     """Frobenius norm of B theta_w D^T + theta_n C^T."""
-    return _fro(sum(_standard_terms(sys)[1]))
+    st = sys.structure
+    return _fro(sum(_nondemolition_terms(sys.c, sys.d, sys.b @ st.theta_w, st.theta_n)))
 
 
 def commutator_trajectory(sys: StandardSystem, times) -> list[np.ndarray]:

@@ -10,6 +10,7 @@ factors themselves.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,15 +100,27 @@ def _convert(g: GeneralSystem, tol: float) -> TransformWitness:
 
 
 def transfer_eval(a, b, c, d, s: complex) -> np.ndarray:
-    """Transfer function C (sI - A)^{-1} B + D at one complex frequency."""
-    return _transfer_stack(a, b, c, d, (s,))[0]
+    """Transfer function C (sI - A)^{-1} B + D at one complex frequency.
+
+    The result is complex even at a real s; a non-finite s raises ValueError.
+    """
+    return _transfer_stack(a, b, c, d, _finite_points((s,)))[0]
+
+
+def _finite_points(points) -> list[complex]:
+    points = [complex(s) for s in points]
+    for s in points:
+        if not cmath.isfinite(s):
+            raise ValueError(f"sample point {s} is not finite")
+    return points
 
 
 def _transfer_stack(a, b, c, d, points) -> np.ndarray:
     # C (sI - A)^{-1} B + D for every s in points, stacked along axis 0: one
     # batched solve on the pencils sI - A, against B or, when C has fewer
     # rows than B has columns, on the transposed system, since
-    # Xi(s)^T = B^T (sI - A^T)^{-1} C^T + D^T.
+    # Xi(s)^T = B^T (sI - A^T)^{-1} C^T + D^T.  Real A and B at real points
+    # are solved on real pencils, an LU at a quarter of the complex flops.
     a = np.asarray(a)
     b = np.asarray(b)
     c = np.asarray(c)
@@ -117,17 +130,21 @@ def _transfer_stack(a, b, c, d, points) -> np.ndarray:
         return np.repeat(d[None].astype(complex), len(points), axis=0)
     if c.shape[0] < b.shape[1]:
         return _transfer_stack(a.T, c.T, b.T, d.T, points).transpose(0, 2, 1)
-    pencils = np.asarray(points, dtype=complex)[:, None, None] * np.eye(n) - a
+    s = np.asarray(points, dtype=complex)
+    if a.dtype.kind == "c" or b.dtype.kind == "c" or s.imag.any():
+        pencils, rhs = s[:, None, None] * np.eye(n) - a, b.astype(complex)
+    else:
+        pencils, rhs = s.real[:, None, None] * np.eye(n) - a, b
     try:
-        resolvent_b = np.linalg.solve(pencils, b.astype(complex))
+        resolvent_b = np.linalg.solve(pencils, rhs)
     except np.linalg.LinAlgError:
         raise ValueError(f"sample point {' or '.join(map(str, points))} is an "
                          "eigenvalue of the dynamics")
-    if c.dtype.kind == "c":
-        return c @ resolvent_b + d
-    # a real C acts on the real and imaginary parts alike: one real product
-    # on the float view, half the flops of the complex one
-    return (c @ resolvent_b.view(float)).view(complex) + d
+    if resolvent_b.dtype.kind == "c" and c.dtype.kind != "c":
+        # a real C acts on the real and imaginary parts alike: one real product
+        # on the float view, half the flops of the complex one
+        return (c @ resolvent_b.view(float)).view(complex) + d
+    return (c @ resolvent_b + d).astype(complex, copy=False)
 
 
 def _clear_of_eigenvalues(points, spectra: list[np.ndarray],
@@ -156,16 +173,17 @@ def transfer_equiv_check(g: GeneralSystem, tw: TransformWitness,
     witness gives standard.a = p_n a_g p_n^{-1} the same eigenvalues, and
     keeps the result at round-off level; an invalid one already deviates by
     O(1), which a pole of standard.a near a sample can only enlarge.  A
-    sample that is exactly an eigenvalue of standard.a raises ValueError.
-    An overflow gives inf or NaN, without a warning.
+    sample that is exactly an eigenvalue of standard.a raises ValueError,
+    and so does a non-finite sample.  An overflow gives inf or NaN, without
+    a warning.
     """
     if sample_points is None:
         sample_points = DEFAULT_SAMPLE_POINTS
     clearance = max(tol, _EIGEN_CLEARANCE)
     std = tw.standard
+    points = _finite_points(sample_points)
     poles = np.linalg.eigvals(g.a_g) if g.n else np.zeros(0)
-    points = _clear_of_eigenvalues([complex(point) for point in sample_points],
-                                   [poles], clearance)
+    points = _clear_of_eigenvalues(points, [poles], clearance)
     # p_y Xi_general(s) w is the transfer function of the general model
     # folded through the witness, (A_g, B_g w, p_y C_g, p_y D_g w), which has
     # the standard model's shapes.  Per point the largest temporaries are a

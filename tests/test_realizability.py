@@ -592,3 +592,41 @@ def test_trajectory_overflowing_halving_scale_raises():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"t = 1e\+10 cannot be scaled"):
             commutator_trajectory(sys, [0.0, 1.0, 1e10])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hst.integers(0, len(GRID) - 1), hst.integers(0, 2**16), hst.sampled_from((0.0, 0.05)))
+def test_nondemolition_residual_is_the_dense_formula(index, seed, size):
+    dims = GRID[index]
+    sys = generate_realizable(dims, seed)
+    rng = np.random.default_rng(seed)
+    b, c = (m + size * rng.standard_normal(m.shape) for m in (sys.b, sys.c))
+    sys = StandardSystem(dims, sys.a, b, c, sys.d)
+    st = sys.structure
+    residual = float(np.linalg.norm(b @ st.theta_w @ sys.d.T + st.theta_n @ c.T))
+    assert nondemolition_residual(sys).hex() == residual.hex()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hst.integers(0, 4), hst.integers(1, 4), hst.integers(0, 4), hst.integers(0, 2**16),
+       hst.booleans())
+def test_quantum_conditions_are_the_dense_formulas(n_q, m, n_z, seed, own_theta):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2 * n_q, 2 * n_q))
+    b = rng.standard_normal((2 * n_q, 2 * m))
+    c = rng.standard_normal((2 * n_z, 2 * n_q))
+    d = np.eye(2 * n_z, 2 * m)
+    theta = diag_j(n_q)
+    if own_theta:
+        half = rng.standard_normal((2 * n_q, 2 * n_q))
+        theta = half - half.T
+    tol = 1e-9
+    report = check_quantum(QuantumOnlySystem(a, b, c, d), tol,
+                           theta=theta if own_theta else None)
+    terms = {"state-commutation": [a @ theta, theta @ a.T, b @ diag_j(m) @ b.T],
+             "output-coupling": [b @ d.T, -(theta @ c.T @ diag_j(n_z))]}
+    for name, parts in terms.items():
+        residual = float(np.linalg.norm(sum(parts)))
+        threshold = tol * (1.0 + sum(float(np.linalg.norm(t)) for t in parts))
+        assert report[name].residual.hex() == residual.hex(), name
+        assert report[name].threshold.hex() == threshold.hex(), name

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -378,3 +381,96 @@ def test_transfer_equiv_call_counts(monkeypatch, dims, n_points, batches):
     # B_g w and (p_y D_g) w, once per call, never per point or per batch
     assert MatmulCounter.products == 2
     assert deviation == transfer_equiv_check(g, tw, sample_points=points)
+
+
+# ---------------------------------------------- real pencils and non-finite points
+
+def record_solve_dtypes(monkeypatch):
+    dtypes = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        dtypes.append(np.asarray(a).dtype)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    return dtypes
+
+
+@pytest.mark.parametrize("dims, points, kinds", [
+    # the reference's five points share one batch, which is real only
+    # when every point is
+    (None, [1.0, 10.0], "ff"),
+    (None, [1.0, 2.0 + 1.0j], "cc"),
+    # the 48-state model takes one point per batch: the defaults 1 and 10 are real
+    (Dimensions(16, 16, 32, 16, 16), None, "ffccccccff"),
+])
+def test_transfer_equiv_solves_real_batches_in_real_arithmetic(monkeypatch, dims, points,
+                                                                 kinds):
+    g = as_general(mixed_reference() if dims is None else generate_realizable(dims, seed=3))
+    tw = to_standard(g)
+    bad = TransformWitness(tw.p_n, tw.w + 0.01, tw.p_y, tw.standard)
+    dtypes = record_solve_dtypes(monkeypatch)
+    deviation = transfer_equiv_check(g, bad, sample_points=points)
+    assert "".join(np.dtype(t).kind for t in dtypes) == kinds
+    assert all(t in (np.float64, np.complex128) for t in dtypes)
+    assert 1e-3 < deviation < np.inf
+
+
+@pytest.mark.parametrize("complex_part", ["a", "b", "c", "d"])
+@pytest.mark.parametrize("n_y, width", [(2, 5), (5, 2)])
+def test_transfer_eval_complex_matrix_at_a_real_point(complex_part, n_y, width):
+    # a complex A, or a complex right-hand side of the solve (B, or C^T on
+    # the transposed side), keeps the complex pencil; any other complex
+    # matrix meets a real one; none may lose its imaginary part
+    rng = np.random.default_rng(n_y * 10 + width)
+    mats = {"a": rng.standard_normal((4, 4)) - 3.0 * np.eye(4),
+            "b": rng.standard_normal((4, width)), "c": rng.standard_normal((n_y, 4)),
+            "d": rng.standard_normal((n_y, width))}
+    mats[complex_part] = mats[complex_part] + 1j * rng.standard_normal(mats[complex_part].shape)
+    got = transfer_eval(mats["a"], mats["b"], mats["c"], mats["d"], 2.0)
+    want = dense_transfer(mats["a"], mats["b"], mats["c"], mats["d"], 2.0)
+    assert got.dtype == np.complex128
+    assert np.abs(want.imag).max() > 0.1
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n, n_y, width", [(6, 2, 5), (6, 5, 2), (24, 8, 30)])
+def test_transfer_eval_real_point_matches_the_complex_pencil(seed, n, n_y, width):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) / np.sqrt(n) - 2.0 * np.eye(n)
+    b, c, d = (rng.standard_normal(shape) for shape in ((n, width), (n_y, n), (n_y, width)))
+    s = rng.uniform(0.5, 5.0)
+    got = transfer_eval(a, b, c, d, s)
+    want = c @ np.linalg.solve(complex(s) * np.eye(n) - a, b.astype(complex)) + d
+    assert got.dtype == np.complex128 and got.shape == (n_y, width)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(1.0, np.nan)]
+
+
+def not_finite(s):
+    # the error names the point
+    return f"^sample point {re.escape(str(complex(s)))} is not finite$"
+
+
+@pytest.mark.parametrize("s", NON_FINITE, ids=["nan", "inf", "-inf", "1+nan*j"])
+def test_transfer_eval_rejects_a_non_finite_point(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=not_finite(s)):
+            transfer_eval(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), s)
+
+
+@pytest.mark.parametrize("s", NON_FINITE, ids=["nan", "inf", "-inf", "1+nan*j"])
+def test_transfer_equiv_rejects_a_non_finite_point(monkeypatch, s):
+    g = as_general(damped_cavity())
+    tw = to_standard(g)
+    eigvals = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: eigvals.append(m))
+    with pytest.raises(ValueError, match=not_finite(s)):
+        transfer_equiv_check(g, tw, sample_points=[2.0, s])
+    # rejected up front, before the spectrum or any shift
+    assert eigvals == []
