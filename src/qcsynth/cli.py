@@ -492,6 +492,7 @@ def cmd_complete_symplectic(args) -> tuple[dict, bool, str]:
     completion = symplectic_complete(d_q, theta_w, args.tol)
     full = np.vstack([d_q, completion.n_mat])
     residual = _fro(_times_j(full) @ full.T - theta_w)
+    _require_finite("complete-symplectic: the residual", {"residual": residual})
     return ({**_header("symplectic-completion", args.tol), "d_q": d_q,
              "n_mat": completion.n_mat, "residual": residual},
             True, f"complete-symplectic: OK (residual {residual:.3e})")

@@ -313,7 +313,8 @@ def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCom
     if n_yq > m:
         raise ValueError(f"d_q has {n_yq} quadrature pairs but only m={m} channels")
     d_q_theta = _times_j(d_q)
-    gram = d_q_theta @ d_q.T
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails the check below
+        gram = d_q_theta @ d_q.T
     excess = _excess(_maxabs(gram - _canonical_j(n_yq)), tol, d_q, _maxabs(theta_w) * two_m)
     if excess:
         raise ValueError(f"d_q does not satisfy the quadrature pairing precondition ({excess})")

@@ -175,9 +175,7 @@ def check_standard_partitioned(sys: StandardSystem,
     quantum-first partitioning.  Each block's residual is the block of its
     condition's sum, which is bitwise the sum of the term blocks.
     """
-    k, k_y = 2 * sys.dims.n_q, 2 * sys.dims.n_yq
-    blocks = {"q": slice(None, k), "c": slice(k, None),
-              "yq": slice(None, k_y), "yc": slice(k_y, None)}
+    blocks = sys.dims._slices
     terms = _standard_terms(sys)
     totals = [sum(t) for t in terms]
     conditions = []
@@ -236,7 +234,8 @@ def commutator_trajectory(sys: StandardSystem, times) -> list[np.ndarray]:
             j = np.searchsorted(counts, k, side="right")
             integral[j:] = phi[j:] @ integral[j:] + integral[j:]
             phi[j:] = phi[j:] @ phi[j:]
-        out = integral @ sum(_standard_terms(sys)[1])
+        st = sys.structure
+        out = integral @ sum(_nondemolition_terms(sys.c, sys.d, sys.b @ st.theta_w, st.theta_n))
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
         t = times[int(np.argmin(finite))]

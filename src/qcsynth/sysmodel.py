@@ -3,15 +3,17 @@
 Variable ordering is fixed throughout the package: quantum quadratures come
 first, interleaved as (q1, p1, ..., q_nq, p_nq), followed by the classical
 state variables.  Outputs follow the same convention, quantum quadrature
-pairs first, classical signals last.  All types are immutable values after
-construction and safe to share read-only across threads.
+pairs first, classical signals last.  The three system models (StandardSystem,
+GeneralSystem, QuantumOnlySystem) hold read-only copies of their matrices and
+are safe to share across threads; the realization records keep the arrays
+they are given, writeable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -177,6 +179,25 @@ class Dimensions:
     def n_w2(self) -> int:
         return self.m - self.n_w1
 
+    @cached_property
+    def _slices(self) -> dict:
+        # The quantum-first partition: the slice of each block of states (q,
+        # c) and of outputs (yq, yc), and "all" for a whole axis.  Computed
+        # once and held on the instance, outside the fields, so equality and
+        # hashing are untouched.
+        q, yq = 2 * self.n_q, 2 * self.n_yq
+        return {"q": slice(None, q), "c": slice(q, None), "yq": slice(None, yq),
+                "yc": slice(yq, None), "all": slice(None)}
+
+
+def _block(matrix: str, rows: str, cols: str = "all", doc: str | None = None) -> property:
+    """A property returning the (rows, cols) partition block of the named
+    matrix field as a view; it is read-only because the matrix is."""
+    def view(self) -> np.ndarray:
+        blocks = self.dims._slices
+        return getattr(self, matrix)[blocks[rows], blocks[cols]]
+    return property(view, doc=doc)
+
 
 @dataclass(frozen=True)
 class StructureMatrices:
@@ -188,16 +209,9 @@ class StructureMatrices:
     f_w: np.ndarray             # I + i*diag_m(J): vacuum input Ito matrix
     theta_y_target: np.ndarray  # diag(diag_{n_yq}(J), 0): output commutations
 
-    @property
-    def theta_nq(self) -> np.ndarray:
-        """Quantum block of theta_n (the invertible 2n_q x 2n_q corner)."""
-        k = 2 * self.dims.n_q
-        return self.theta_n[:k, :k]
-
-    @property
-    def theta_yq(self) -> np.ndarray:
-        k = 2 * self.dims.n_yq
-        return self.theta_y_target[:k, :k]
+    theta_nq = _block("theta_n", "q", "q",
+                      "Quantum block of theta_n (the invertible 2n_q x 2n_q corner).")
+    theta_yq = _block("theta_y_target", "yq", "yq")
 
     @property
     def f_y_target(self) -> np.ndarray:
@@ -247,63 +261,21 @@ class StandardSystem:
         return _shared_structure(self.dims)
 
     # -- state partitions ---------------------------------------------------
-    @property
-    def a_qq(self) -> np.ndarray:
-        k = 2 * self.dims.n_q
-        return self.a[:k, :k]
-
-    @property
-    def a_qc(self) -> np.ndarray:
-        k = 2 * self.dims.n_q
-        return self.a[:k, k:]
-
-    @property
-    def a_cq(self) -> np.ndarray:
-        k = 2 * self.dims.n_q
-        return self.a[k:, :k]
-
-    @property
-    def a_cc(self) -> np.ndarray:
-        k = 2 * self.dims.n_q
-        return self.a[k:, k:]
-
-    @property
-    def b_q(self) -> np.ndarray:
-        return self.b[: 2 * self.dims.n_q, :]
-
-    @property
-    def b_c(self) -> np.ndarray:
-        return self.b[2 * self.dims.n_q:, :]
+    a_qq = _block("a", "q", "q")
+    a_qc = _block("a", "q", "c")
+    a_cq = _block("a", "c", "q")
+    a_cc = _block("a", "c", "c")
+    b_q = _block("b", "q")
+    b_c = _block("b", "c")
 
     # -- output partitions --------------------------------------------------
-    @property
-    def c_qq(self) -> np.ndarray:
-        return self.c[: 2 * self.dims.n_yq, : 2 * self.dims.n_q]
-
-    @property
-    def c_qc(self) -> np.ndarray:
-        return self.c[: 2 * self.dims.n_yq, 2 * self.dims.n_q:]
-
-    @property
-    def c_cq(self) -> np.ndarray:
-        return self.c[2 * self.dims.n_yq:, : 2 * self.dims.n_q]
-
-    @property
-    def c_cc(self) -> np.ndarray:
-        return self.c[2 * self.dims.n_yq:, 2 * self.dims.n_q:]
-
-    @property
-    def c_q(self) -> np.ndarray:
-        """Quantum output rows, all state columns."""
-        return self.c[: 2 * self.dims.n_yq, :]
-
-    @property
-    def d_q(self) -> np.ndarray:
-        return self.d[: 2 * self.dims.n_yq, :]
-
-    @property
-    def d_c(self) -> np.ndarray:
-        return self.d[2 * self.dims.n_yq:, :]
+    c_qq = _block("c", "yq", "q")
+    c_qc = _block("c", "yq", "c")
+    c_cq = _block("c", "yc", "q")
+    c_cc = _block("c", "yc", "c")
+    c_q = _block("c", "yq", doc="Quantum output rows, all state columns.")
+    d_q = _block("d", "yq")
+    d_c = _block("d", "yc")
 
 
 @dataclass(frozen=True)

@@ -1042,6 +1042,34 @@ def test_complete_symplectic_overflowing_scale_is_one_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("a", [1e90, 1e100, 1e153])
+def test_complete_symplectic_overflowing_residual_is_one_error(tmp_path, capsys, a):
+    # the completion of these rows verifies; only the Frobenius sum of squares
+    # of the reported residual overflows, and JSON has no Infinity
+    from qcsynth.matkit import random_symplectic
+    d_q = random_symplectic(2, np.random.default_rng(1), 0.5)[:2]
+    d_q = np.vstack([d_q[0] * a, d_q[1] / a])
+    path = write_json(tmp_path / "dq.json", {"d_q": d_q.tolist()})
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "complete-symplectic", path, "-o", str(report))
+    assert (code, out) == (1, "")
+    assert err == "error: complete-symplectic: the residual overflowed: residual inf\n"
+    assert not report.exists()
+
+
+def test_complete_symplectic_overflowing_pairing_check_warns_nothing(tmp_path):
+    # entries near 1e160 overflow the Gram matrix of the pairing precondition
+    from qcsynth.matkit import random_symplectic
+    d_q = random_symplectic(2, np.random.default_rng(1), 0.5)[:2]
+    path = write_json(tmp_path / "dq.json", {"d_q": np.vstack([d_q[0] * 1e160,
+                                                                d_q[1] / 1e160]).tolist()})
+    proc = run_process("-W", "error::RuntimeWarning", "-m", "qcsynth", "complete-symplectic",
+                       path, "-o", str(tmp_path / "out.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: d_q does not satisfy the quadrature pairing")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 @pytest.mark.parametrize("factor, message", [
     (1e160, "error: augmentation overflowed"),
     (1e140, "error: augment: a relation residual overflowed"),

@@ -305,6 +305,23 @@ def test_trajectory_perturbed_matches_integral():
     assert np.allclose(got, integral @ drive, atol=1e-8)
 
 
+def test_trajectory_forms_only_the_nondemolition_terms(monkeypatch):
+    from qcsynth import realizability
+    ref = mixed_reference()
+    b = ref.b.copy()
+    b[0, 0] += 0.05
+    sys = StandardSystem(MIXED_DIMS, ref.a, b, ref.c, ref.d)
+    times = [0.0, 0.5, 2.0]
+    want = commutator_trajectory(sys, times)
+
+    def unused(_):
+        raise AssertionError("the trajectory formed every realizability term")
+
+    monkeypatch.setattr(realizability, "_standard_terms", unused)
+    got = commutator_trajectory(sys, times)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_trajectory_singular_drift():
     # diagonal generator with a zero eigenvalue forces the quadrature path
     dims = Dimensions(n_q=1, n_c=0, m=1, n_yq=1, n_yc=0)

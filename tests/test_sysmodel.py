@@ -104,6 +104,70 @@ def test_standard_partition_blocks():
     assert np.array_equal(sys.d_c, dd[2:, :])
 
 
+# Dimensions with each block empty in turn: states (n_q, n_c), outputs
+# (n_yq, n_yc) and inputs (m).
+EMPTY_BLOCK_DIMS = [
+    Dimensions(1, 2, 2, 1, 1), Dimensions(0, 3, 2, 0, 2), Dimensions(2, 0, 3, 1, 2),
+    Dimensions(2, 1, 2, 0, 1), Dimensions(1, 1, 2, 2, 0), Dimensions(1, 2, 0, 0, 1),
+]
+
+
+def arange_system(dims):
+    sizes = [(dims.n, dims.n), (dims.n, 2 * dims.m), (dims.n_y, dims.n), (dims.n_y, 2 * dims.m)]
+    return StandardSystem(dims, *(np.arange(r * c, dtype=float).reshape(r, c) + 100 * i
+                                  for i, (r, c) in enumerate(sizes)))
+
+
+def explicit_views(sys):
+    """view name -> (its owner, its parent matrix, the explicit slice)."""
+    a, b, c, d = sys.a, sys.b, sys.c, sys.d
+    st = sys.structure
+    q, yq = 2 * sys.dims.n_q, 2 * sys.dims.n_yq
+    return {
+        "a_qq": (sys, a, a[:q, :q]), "a_qc": (sys, a, a[:q, q:]),
+        "a_cq": (sys, a, a[q:, :q]), "a_cc": (sys, a, a[q:, q:]),
+        "b_q": (sys, b, b[:q, :]), "b_c": (sys, b, b[q:, :]),
+        "c_qq": (sys, c, c[:yq, :q]), "c_qc": (sys, c, c[:yq, q:]),
+        "c_cq": (sys, c, c[yq:, :q]), "c_cc": (sys, c, c[yq:, q:]),
+        "c_q": (sys, c, c[:yq, :]), "d_q": (sys, d, d[:yq, :]), "d_c": (sys, d, d[yq:, :]),
+        "theta_nq": (st, st.theta_n, st.theta_n[:q, :q]),
+        "theta_yq": (st, st.theta_y_target, st.theta_y_target[:yq, :yq]),
+    }
+
+
+@pytest.mark.parametrize("dims", EMPTY_BLOCK_DIMS, ids=repr)
+def test_partition_views_are_read_only_views_of_the_explicit_slice(dims):
+    views = explicit_views(arange_system(dims))
+    assert len(views) == 15
+    for name, (owner, parent, want) in views.items():
+        got = getattr(owner, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+        assert not got.flags.owndata and not got.flags.writeable, name
+        assert got.size == 0 or np.shares_memory(got, parent), name
+
+
+def test_partition_views_keep_their_docstrings():
+    assert StandardSystem.c_q.__doc__ == "Quantum output rows, all state columns."
+    assert sysmodel.StructureMatrices.theta_nq.__doc__ == (
+        "Quantum block of theta_n (the invertible 2n_q x 2n_q corner).")
+
+
+@pytest.mark.parametrize("dims", EMPTY_BLOCK_DIMS, ids=repr)
+def test_partition_map_stays_out_of_the_dimensions_value(dims):
+    from dataclasses import fields
+    from qcsynth.cli import _parse_dims, system_to_obj
+    fresh = Dimensions(dims.n_q, dims.n_c, dims.m, dims.n_yq, dims.n_yc)
+    sys = arange_system(dims)
+    assert sys.a_qc.shape == (2 * dims.n_q, dims.n_c)
+    assert sys.structure.theta_yq.shape == (2 * dims.n_yq, 2 * dims.n_yq)
+    names = ["n_q", "n_c", "m", "n_yq", "n_yc", "n_w1"]
+    assert [f.name for f in fields(sys.dims)] == names
+    assert sys.dims == fresh and hash(sys.dims) == hash(fresh) and repr(sys.dims) == repr(fresh)
+    record = system_to_obj(sys)["dims"]
+    assert list(record) == names
+    assert _parse_dims(record, "dims") == fresh
+
+
 def test_matrices_are_frozen():
     sys = mixed_reference()
     with pytest.raises(ValueError):
