@@ -256,7 +256,6 @@ def _resolve_tol(args) -> float:
 
 
 _INDENT = "  "
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _dumps_array(arr: np.ndarray, level: int) -> str:
@@ -269,6 +268,8 @@ def _dumps_array(arr: np.ndarray, level: int) -> str:
     if arr.dtype.kind == "c":
         arr = np.stack([arr.real, arr.imag], axis=-1)
     arr = np.asarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("Out of range float values are not JSON compliant")
     if arr.size == 0 or arr.ndim == 0:
         return _dumps(arr.tolist(), level)
     nd = arr.ndim
@@ -284,8 +285,6 @@ def _dumps_array(arr: np.ndarray, level: int) -> str:
     parts = np.empty(2 * flat.size + 1, dtype=object)
     parts[0] = "".join("[" + pad[depth + 1] for depth in range(nd))
     parts[1::2] = list(map(float.__repr__, flat.tolist()))
-    for i in np.flatnonzero(~np.isfinite(flat)):
-        parts[2 * i + 1] = _NONFINITE[parts[2 * i + 1]]
     wrap_count = np.zeros(flat.size, dtype=np.intp)
     stride = 1
     for dim in reversed(arr.shape):
@@ -296,7 +295,7 @@ def _dumps_array(arr: np.ndarray, level: int) -> str:
 
 
 def _dumps(obj, level: int = 0) -> str:
-    """json.dumps(obj, indent=2) for an object nested `level` deep.
+    """json.dumps(obj, indent=2, allow_nan=False) for an object `level` deep.
 
     Dicts (with str keys) are walked, ndarray values are rendered in bulk
     by _dumps_array, and every other value goes through json.dumps,
@@ -310,12 +309,12 @@ def _dumps(obj, level: int = 0) -> str:
         items = [json.dumps(key) + ": " + _dumps(value, level + 1)
                  for key, value in obj.items()]
         return "{" + pad + ("," + pad).join(items) + "\n" + _INDENT * level + "}"
-    return json.dumps(obj, indent=2).replace("\n", "\n" + _INDENT * level)
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", "\n" + _INDENT * level)
 
 
 def _emit(args, obj: dict, summary: str) -> None:
     """Write a report: byte-identical to json.dumps(obj, indent=2) with
-    every ndarray value replaced by its encoded list."""
+    every ndarray value replaced by its encoded list; nothing on ValueError."""
     text = _dumps(obj)
     if args.output:
         Path(args.output).write_text(text + "\n")
@@ -487,15 +486,16 @@ def cmd_complete_symplectic(args) -> tuple[dict, bool, str]:
     if rows > cols:
         raise SystemFileError(f"d_q: {rows // 2} quadrature pairs exceed the m={cols // 2} "
                               f"channels of its {cols} columns")
-    from .matkit import symplectic_complete
+    from .matkit import _bound, symplectic_complete
     theta_w = _canonical_j(cols // 2)
     completion = symplectic_complete(d_q, theta_w, args.tol)
     full = np.vstack([d_q, completion.n_mat])
     residual = _fro(_times_j(full) @ full.T - theta_w)
     _require_finite("complete-symplectic: the residual", {"residual": residual})
+    relative = residual / _bound(1.0, full)  # at the scale the completion verified
     return ({**_header("symplectic-completion", args.tol), "d_q": d_q,
-             "n_mat": completion.n_mat, "residual": residual},
-            True, f"complete-symplectic: OK (residual {residual:.3e})")
+             "n_mat": completion.n_mat, "residual": residual, "relative_residual": relative},
+            True, f"complete-symplectic: OK (residual {residual:.3e}, relative {relative:.3e})")
 
 
 def cmd_augment(args) -> tuple[dict, bool, str]:

@@ -4,21 +4,23 @@ Every checker builds its conditions from one kernel, `_terms`: the state,
 non-demolition and output-Ito identities for commutation matrices
 (theta_n, theta_w, theta_y), each a list of terms that must sum to zero;
 a checker that reads one list forms only that one.  The blockwise checker
-takes block slices of the same terms, and of their sums.  A condition
-reports the norm of its sum as its residual and passes exactly when that
-stays below tol * (1 + scale), where scale sums the norms of the terms
-before cancellation, so that systems with large entries are not penalized.
+gathers blocks of the same terms, and of their sums.  A condition reports
+the norm of its sum as its residual and passes exactly when that stays
+below tol * (1 + scale), where scale sums the norms of the terms before
+cancellation, so that systems with large entries are not penalized.  A
+check costs its matrix products and one dot per norm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .sysmodel import (DEFAULT_CHECK_TOL, GeneralSystem, QuantumOnlySystem,
-                       StandardSystem, _canonical_j, _fro, _maxabs)
+from .sysmodel import (DEFAULT_CHECK_TOL, Dimensions, GeneralSystem, QuantumOnlySystem,
+                       StandardSystem, _canonical_j, _maxabs)
 
 __all__ = [
     "ConditionResult",
@@ -53,10 +55,7 @@ class RealizabilityReport:
     worst: str
 
     def __getitem__(self, name: str) -> ConditionResult:
-        for cond in self.conditions:
-            if cond.name == name:
-                return cond
-        raise KeyError(name)
+        return {cond.name: cond for cond in self.conditions}[name]
 
 
 # Checkers run with numpy's overflow and invalid-value warnings off.  An
@@ -89,26 +88,34 @@ def _standard_terms(sys: StandardSystem):
     return _terms(sys.a, sys.b, sys.c, sys.d, st.theta_n, st.theta_w, st.theta_y_target)
 
 
-def _condition(name: str, terms, total, tol: float) -> ConditionResult:
-    """The condition that terms sum to zero; total is their sum, sum(terms)."""
-    return ConditionResult(name, _fro(total), tol * (1.0 + sum(map(_fro, terms))))
+def _norm(m: np.ndarray, at=None) -> float:
+    # np.linalg.norm of m, or of its block at the flat indices `at`, bit for
+    # bit: the same ddot on the same contiguous vector.  Call it inside
+    # _overflow_fails, since ndarray.dot warns on an overflowing sum.
+    x = m.ravel(order="K") if at is None else m.take(at)
+    return math.sqrt(x.dot(x))
+
+
+def _condition(name: str, terms, total, tol: float, at=None) -> ConditionResult:
+    """The condition that terms, or their blocks at `at`, sum to zero; total is their sum."""
+    return ConditionResult(name, _norm(total, at),
+                           tol * (1.0 + sum([_norm(t, at) for t in terms], 0.0)))
 
 
 def _conditions(names, term_lists, tol: float) -> list[ConditionResult]:
-    return [_condition(name, terms, sum(terms), tol) for name, terms in zip(names, term_lists)]
+    # sum() of the terms from the first: the same adds without the int start
+    return [_condition(name, terms, sum(terms[1:], terms[0]), tol)
+            for name, terms in zip(names, term_lists)]
 
 
 def _make_report(conditions: list[ConditionResult]) -> RealizabilityReport:
-    verdict = all(c.passed for c in conditions)
-    worst = ""
-    worst_ratio = -1.0
+    verdict, worst, worst_ratio = True, "", -1.0
     for c in conditions:
-        if not (math.isfinite(c.residual) and math.isfinite(c.threshold)):
-            ratio = math.inf
-        elif c.threshold > 0.0:
-            ratio = c.residual / c.threshold
-        else:
-            ratio = math.inf if c.residual > 0.0 else 0.0
+        residual, threshold = c.residual, c.threshold
+        finite = math.isfinite(residual) and math.isfinite(threshold)
+        verdict = verdict and finite and residual <= threshold
+        ratio = (residual / threshold if finite and threshold > 0.0
+                 else 0.0 if finite and residual <= 0.0 else math.inf)
         if ratio > worst_ratio:
             worst_ratio, worst = ratio, c.name
     return RealizabilityReport(verdict, tuple(conditions), worst)
@@ -152,17 +159,21 @@ def check_standard(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Reali
 # (name, condition, row block, column block).  The state condition is skew,
 # so its (q, c) block repeats the (c, q) one and is left out.
 _PARTITION = (
-    ("qq-state", 0, "q", "q"),
-    ("cq-coupling", 0, "c", "q"),
-    ("bc-classical", 0, "c", "c"),
-    ("bc-dq-cross", 1, "c", "yq"),
-    ("q-nondemolition", 1, "q", "yq"),
-    ("bc-dc-cross", 1, "c", "yc"),
-    ("c-nondemolition", 1, "q", "yc"),
-    ("dq-ito", 2, "yq", "yq"),
-    ("dq-dc-cross", 2, "yq", "yc"),
-    ("dc-classical", 2, "yc", "yc"),
+    ("qq-state", 0, "q", "q"), ("cq-coupling", 0, "c", "q"), ("bc-classical", 0, "c", "c"),
+    ("bc-dq-cross", 1, "c", "yq"), ("q-nondemolition", 1, "q", "yq"),
+    ("bc-dc-cross", 1, "c", "yc"), ("c-nondemolition", 1, "q", "yc"),
+    ("dq-ito", 2, "yq", "yq"), ("dq-dc-cross", 2, "yq", "yc"), ("dc-classical", 2, "yc", "yc"),
 )
+
+
+@lru_cache
+def _partition_indices(dims: Dimensions) -> tuple:
+    # (name, condition, flat indices of the block in its condition's matrix):
+    # take() gathers a block of a C-contiguous matrix as ravel(order="K") would
+    blocks, n, n_y = dims._slices, dims.n, dims.n_y
+    grids = [np.arange(r * c).reshape(r, c) for r, c in ((n, n), (n, n_y), (n_y, n_y))]
+    return tuple((name, i, grids[i][blocks[rows], blocks[cols]].ravel())
+                 for name, i, rows, cols in _PARTITION)
 
 
 @_overflow_fails
@@ -175,14 +186,10 @@ def check_standard_partitioned(sys: StandardSystem,
     quantum-first partitioning.  Each block's residual is the block of its
     condition's sum, which is bitwise the sum of the term blocks.
     """
-    blocks = sys.dims._slices
     terms = _standard_terms(sys)
-    totals = [sum(t) for t in terms]
-    conditions = []
-    for name, i, rows, cols in _PARTITION:
-        block = blocks[rows], blocks[cols]
-        conditions.append(_condition(name, [t[block] for t in terms[i]], totals[i][block], tol))
-    return _make_report(conditions)
+    totals = [sum(t[1:], t[0]) for t in terms]
+    return _make_report([_condition(name, terms[i], totals[i], tol, at)
+                         for name, i, at in _partition_indices(sys.dims)])
 
 
 @_overflow_fails
@@ -197,7 +204,7 @@ def check_general(sys: GeneralSystem, tol: float = DEFAULT_CHECK_TOL) -> Realiza
 def nondemolition_residual(sys: StandardSystem) -> float:
     """Frobenius norm of B theta_w D^T + theta_n C^T."""
     st = sys.structure
-    return _fro(sum(_nondemolition_terms(sys.c, sys.d, sys.b @ st.theta_w, st.theta_n)))
+    return _norm(np.add(*_nondemolition_terms(sys.c, sys.d, sys.b @ st.theta_w, st.theta_n)))
 
 
 def commutator_trajectory(sys: StandardSystem, times) -> list[np.ndarray]:

@@ -199,6 +199,15 @@ def _block(matrix: str, rows: str, cols: str = "all", doc: str | None = None) ->
     return property(view, doc=doc)
 
 
+def _skew_part(matrix: str) -> property:
+    # Re((f - f^T) / 2i) for the named f, up to the sign of a zero, as Im(f - f^T) / 2:
+    # no complex division, and a strided view as np.real's, so matmul keeps its loop
+    def part(self) -> np.ndarray:
+        skew = (getattr(self, matrix) - getattr(self, matrix).T).imag
+        return np.multiply(skew, 0.5, out=skew)
+    return property(part)
+
+
 @dataclass(frozen=True)
 class StructureMatrices:
     """Canonical commutation and Ito matrices attached to a Dimensions record."""
@@ -309,14 +318,8 @@ class GeneralSystem:
     def n_y(self) -> int:
         return self.c_g.shape[0]
 
-    @property
-    def theta_v(self) -> np.ndarray:
-        # Real for Hermitian f_v; stray imaginary round-off is dropped.
-        return np.real((self.f_v - self.f_v.T) / 2j)
-
-    @property
-    def theta_y(self) -> np.ndarray:
-        return np.real((self.f_y - self.f_y.T) / 2j)
+    theta_v = _skew_part("f_v")
+    theta_y = _skew_part("f_y")
 
 
 @dataclass(frozen=True)

@@ -394,6 +394,25 @@ def test_complete_symplectic(tmp_path, capsys):
     assert report["residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("a", [1.0, 1e60, 1e-60])
+def test_complete_symplectic_reports_the_residual_at_its_scale(tmp_path, capsys, a):
+    # rows scaled by a and 1/a: the absolute residual grows like max|d_q|^2,
+    # the relative one stays at round-off
+    from qcsynth.matkit import random_symplectic
+    d_q = random_symplectic(2, np.random.default_rng(1), 0.5)[:2]
+    d_q = np.vstack([d_q[0] * a, d_q[1] / a])
+    path = write_json(tmp_path / "dq.json", {"d_q": d_q.tolist()})
+    code, out, err = run(capsys, "complete-symplectic", path)
+    assert code == 0
+    report = json.loads(out)
+    full = np.vstack([report["d_q"], report["n_mat"]])
+    scale = max(1.0, float(np.abs(full).max()) ** 2)
+    assert report["relative_residual"] == report["residual"] / scale
+    assert report["relative_residual"] < 1e-12
+    assert err == (f"complete-symplectic: OK (residual {report['residual']:.3e}, "
+                   f"relative {report['relative_residual']:.3e})\n")
+
+
 def test_complete_symplectic_rejects_odd_width(tmp_path, capsys):
     path = write_json(tmp_path / "dq.json", {"d_q": [[1.0, 0.0, 0.0]]})
     code, _, err = run(capsys, "complete-symplectic", path)
@@ -649,14 +668,13 @@ def test_numpy_only_commands_leave_scipy_linalg_unloaded(tmp_path, capsys):
 @pytest.mark.parametrize("value", [
     np.zeros(0), np.zeros((3, 0)), np.zeros((0, 3)), np.zeros((2, 0), dtype=complex),
     np.array(2.5), np.array([[1.0]]), np.array([-0.0, 1e-300, 1e16, 0.1, -7.0]),
-    np.array([np.nan, np.inf, -np.inf, 1.0]),
+    np.array([5e-324, -1.7976931348623157e308, 2.2250738585072014e-308, 1.0]),
     np.arange(24.0).reshape(2, 3, 4) / 7.0,
-    np.array([[complex(-0.0, 1e-300), complex(1e16, -0.0)], [complex(np.inf, np.nan), 3.0]]),
+    np.array([[complex(-0.0, 1e-300), complex(1e16, -0.0)], [complex(1.5, 2.0), 3.0]]),
 ])
 def test_writer_matches_json_dumps(value):
     encoded = _encode_complex(value) if value.dtype.kind == "c" else _encode_real(value)
-    scalars = {"zero": -0.0, "tiny": 1e-300, "big": 1e16, "nan": float("nan"),
-               "inf": float("inf"), "ninf": float("-inf"), "int": 3, "none": None,
+    scalars = {"zero": -0.0, "tiny": 1e-300, "big": 1e16, "int": 3, "none": None,
                "flag": True, "text": "line\nbreak \"quoted\" é", "empty": {},
                "list": [[1.0, 2]], "nested": {"deeper": {}}}
     got = _dumps({"value": value, "inner": {"value": value, **scalars}, **scalars})
@@ -664,6 +682,38 @@ def test_writer_matches_json_dumps(value):
                       indent=2)
     assert got == want
     assert _dumps(value) == json.dumps(encoded, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), [1.0, float("nan")], {"deeper": {"x": float("inf")}},
+    np.array(np.nan), np.array([np.nan, np.inf, -np.inf, 1.0]), np.array([[1.0, -np.inf]]),
+    np.array([[complex(-0.0, 1e-300), complex(1e16, -0.0)], [complex(np.inf, np.nan), 3.0]]),
+    np.array([complex(1.0, np.nan)]),
+], ids=["nan", "inf", "-inf", "list", "nested", "0-d", "array", "matrix", "complex",
+        "complex-imag"])
+def test_writer_rejects_non_finite_values(value):
+    # JSON has no NaN or Infinity: the writer raises as
+    # json.dumps(..., allow_nan=False) does, at any depth
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        _dumps({"ok": 1.0, "value": value})
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        _dumps(value)
+
+
+def test_non_finite_report_is_one_error_and_no_file(tmp_path, capsys, monkeypatch):
+    from qcsynth import cli
+
+    def broken(args):
+        return {"kind": "test", "value": np.array([1.0, np.nan])}, True, "summary"
+
+    monkeypatch.setattr(cli, "cmd_generate", broken)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "generate", "--n-q", "1", "--n-c", "1", "--m", "1",
+                         "--n-yq", "1", "--n-yc", "1", "-o", str(report))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err.count("\n") == 1
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("model", [

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -27,7 +28,10 @@ from qcsynth import (
 )
 from refsystems import (MIXED_DIMS, damped_cavity, dimension_grid, grid_sample,
                         mixed_reference)
+from test_sysmodel import real_arrays, same_bits
+from test_transform import pulled_back
 
+WHOLE_NAMES = ("state-commutation", "non-demolition", "output-ito")
 PARTITION_NAMES = (
     "qq-state", "cq-coupling", "bc-classical", "bc-dq-cross",
     "q-nondemolition", "bc-dc-cross", "c-nondemolition",
@@ -647,3 +651,228 @@ def test_quantum_conditions_are_the_dense_formulas(n_q, m, n_z, seed, own_theta)
         threshold = tol * (1.0 + sum(float(np.linalg.norm(t)) for t in parts))
         assert report[name].residual.hex() == residual.hex(), name
         assert report[name].threshold.hex() == threshold.hex(), name
+
+
+# ------------------- every checker against its dense formulas, bit for bit
+#
+# The references below are the formulas the checkers state, written out with
+# np.linalg.norm and sum(): each residual and threshold must match them by
+# float.hex, and the verdict and worst condition the rule of one report.
+
+def dense_norm(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(x))
+
+
+def dense_condition(name, terms, tol):
+    """(name, residual, threshold) of the condition that terms sum to zero."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(terms)
+    return name, dense_norm(total), tol * (1.0 + sum(dense_norm(t) for t in terms))
+
+
+def assert_report_is(report, conditions):
+    """report holds exactly these (name, residual, threshold) conditions,
+    passes when each is finite with residual <= threshold, and names as
+    worst the first condition of largest residual/threshold ratio, a
+    non-finite one counting as infinite."""
+    assert [c.name for c in report.conditions] == [name for name, _, _ in conditions]
+    worst, worst_ratio = "", -1.0
+    for cond, (name, residual, threshold) in zip(report.conditions, conditions):
+        assert same_bits(cond.residual, residual), (name, cond.residual, residual)
+        assert same_bits(cond.threshold, threshold), (name, cond.threshold, threshold)
+        if not (math.isfinite(residual) and math.isfinite(threshold)):
+            ratio = math.inf
+        elif threshold > 0.0:
+            ratio = residual / threshold
+        else:
+            ratio = math.inf if residual > 0.0 else 0.0
+        if ratio > worst_ratio:
+            worst, worst_ratio = name, ratio
+    assert report.verdict == all(math.isfinite(r) and math.isfinite(t) and r <= t
+                                 for _, r, t in conditions)
+    assert report.worst == worst
+
+
+def dense_terms(a, b, c, d, theta_n, theta_w, theta_y):
+    return ([a @ theta_n, theta_n @ a.T, b @ theta_w @ b.T],
+            [b @ theta_w @ d.T, theta_n @ c.T],
+            [d @ theta_w @ d.T, -theta_y])
+
+
+# one shape with each of n_c, n_yq, n_q (and with it n_yq) zero
+EMPTY_BLOCK_DIMS = [Dimensions(1, 0, 2, 1, 1), Dimensions(2, 0, 2, 2, 0),
+                    Dimensions(1, 2, 2, 0, 2), Dimensions(0, 2, 1, 0, 1),
+                    Dimensions(0, 3, 2, 0, 2)]
+
+
+@hst.composite
+def checker_inputs(draw):
+    """A generated system as it is, perturbed, or scaled by 1e200 so that
+    its products overflow; and a tolerance."""
+    dims = draw(hst.one_of(hst.sampled_from(EMPTY_BLOCK_DIMS), hst.sampled_from(GRID)))
+    seed = draw(hst.integers(0, 2**16))
+    sys = generate_realizable(dims, seed)
+    mode = draw(hst.sampled_from(("generated", "perturbed", "overflowing")))
+    a, b, c, d = sys.a, sys.b, sys.c, sys.d
+    if mode == "perturbed":
+        rng = np.random.default_rng(seed)
+        a, b, c = (m + 0.05 * rng.standard_normal(m.shape) for m in (a, b, c))
+    elif mode == "overflowing":
+        a, b, c, d = (1e200 * m for m in (a, b, c, d))
+    return StandardSystem(dims, a, b, c, d), draw(hst.sampled_from((1e-8, 1e-12)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(checker_inputs())
+def test_standard_checkers_are_their_dense_formulas(case):
+    sys, tol = case
+    st = sys.structure
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = dense_terms(sys.a, sys.b, sys.c, sys.d, st.theta_n, st.theta_w,
+                            st.theta_y_target)
+        totals = [sum(t) for t in terms]
+    assert_report_is(check_standard(sys, tol),
+                     [dense_condition(name, t, tol) for name, t in zip(WHOLE_NAMES, terms)])
+    dims = sys.dims
+    k, k_y = 2 * dims.n_q, 2 * dims.n_yq
+    blocks = {"q": slice(None, k), "c": slice(k, None),
+              "yq": slice(None, k_y), "yc": slice(k_y, None)}
+    partitioned = []
+    for name, (i, rows, cols) in PARTITION_BLOCKS.items():
+        block = blocks[rows], blocks[cols]
+        _, _, threshold = dense_condition(name, [t[block] for t in terms[i]], tol)
+        partitioned.append((name, dense_norm(totals[i][block]), threshold))
+    assert_report_is(check_standard_partitioned(sys, tol), partitioned)
+    assert same_bits(nondemolition_residual(sys), dense_norm(totals[1]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(checker_inputs(), hst.booleans())
+def test_general_checker_is_its_dense_formulas(case, pull_back):
+    # theta_v and theta_y are as np.real gave them: strided views, which
+    # matmul multiplies with its own loop rather than BLAS's gemv or gemm
+    sys, tol = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = pulled_back(sys, np.random.default_rng(sys.dims.n)) if pull_back else as_general(sys)
+        theta_v = np.real((g.f_v - g.f_v.T) / 2j)
+        theta_y = np.real((g.f_y - g.f_y.T) / 2j)
+        terms = dense_terms(g.a_g, g.b_g, g.c_g, g.d_g, g.big_theta_n, theta_v, theta_y)
+    assert_report_is(check_general(g, tol),
+                     [dense_condition(name, t, tol) for name, t in zip(WHOLE_NAMES, terms)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(checker_inputs(), hst.integers(0, 3), hst.booleans())
+def test_quantum_checker_is_its_dense_formulas(case, n_z, own_theta):
+    sys, tol = case
+    n_q, m = sys.dims.n_q, sys.dims.m
+    a, b = sys.a_qq, sys.b_q
+    # output rows cut from c (or repeated from it), and a square, padded or
+    # tall feedthrough
+    c = np.resize(sys.c[:, : 2 * n_q], (2 * n_z, 2 * n_q))
+    d = np.eye(2 * n_z, 2 * m) * (1e200 if abs(a).max(initial=0.0) > 1e100 else 1.0)
+    theta = diag_j(n_q)
+    if own_theta:
+        half = np.random.default_rng(n_z).standard_normal((2 * n_q, 2 * n_q))
+        theta = half - half.T
+    report = check_quantum(QuantumOnlySystem(a, b, c, d), tol,
+                           theta=theta if own_theta else None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = [a @ theta, theta @ a.T, b @ diag_j(m) @ b.T]
+        coupling = [b @ d.T, -(theta @ c.T @ diag_j(n_z))]
+        form = (float(np.abs(d - np.eye(*d.shape)).max(initial=0.0))
+                if d.shape[0] <= d.shape[1] else math.inf)
+    assert_report_is(report, [dense_condition("state-commutation", state, tol),
+                              dense_condition("output-coupling", coupling, tol),
+                              ("output-form", form, 0.0)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hst.sampled_from(EMPTY_BLOCK_DIMS + GRID), hst.integers(0, 2**16),
+       hst.sampled_from(("as-is", "v_sympl", "g_mat", "p_perm", "overflowing")))
+def test_network_report_is_its_dense_formulas(dims, seed, tamper):
+    from qcsynth import synthesize
+    from qcsynth.synthesis import _network_report
+    r = synthesize(generate_realizable(dims, seed))
+    v, g, p, k_sel = r.v_sympl, r.g_mat, r.p_perm, r.k_sel
+    if tamper == "v_sympl":
+        v = 3.0 * v
+    elif tamper == "g_mat":
+        g = g + 1e-3
+    elif tamper == "p_perm" and p.size:
+        p = p.copy()
+        p[0, 0] = 0.5
+    elif tamper == "overflowing":
+        v, g = 1e200 * v, 1e200 * g
+    r = type(r)(r.g1, r.g2, g, k_sel, v, p, r.z, r.dims)
+    tol = 1e-8
+    theta = diag_j(v.shape[0] // 2)
+
+    def maxabs(x):
+        return float(np.abs(x).max(initial=0.0))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a square by multiplication: it overflows to inf where ** 2 raises
+        conditions = [
+            ("symplectic", maxabs(v @ theta @ v.T - theta),
+             1e-6 * max(1.0, maxabs(v) * maxabs(v))),
+            ("selection", maxabs(g - k_sel @ v), tol * max(1.0, maxabs(v))),
+            ("commuting-taps", maxabs(g @ theta @ g.T),
+             tol * max(1.0, maxabs(g) * maxabs(g) * v.shape[0])),
+            ("permutation", max(maxabs(np.minimum(abs(p), abs(p - 1.0))),
+                                maxabs(p.sum(axis=0) - 1.0), maxabs(p.sum(axis=1) - 1.0)),
+             0.0),
+        ]
+    assert_report_is(_network_report(r, tol), conditions)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(real_arrays())
+def test_checker_norm_is_numpy_norm_bit_for_bit(a):
+    # C-ordered, transposed (F-ordered), stepped and empty arrays, inside the
+    # errstate every checker runs in
+    from qcsynth.realizability import _norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(_norm(a), np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("dims", EMPTY_BLOCK_DIMS + [MIXED_DIMS, Dimensions(3, 2, 4, 2, 1)])
+def test_partition_gathers_are_the_block_slices(dims):
+    # each block gathered by its flat indices is the C-order copy of its
+    # slice, so the checkers' norm of it is np.linalg.norm of the slice
+    from qcsynth.realizability import _PARTITION, _norm, _partition_indices
+    rng = np.random.default_rng(dims.n)
+    shapes = (dims.n, dims.n), (dims.n, dims.n_y), (dims.n_y, dims.n_y)
+    k, k_y = 2 * dims.n_q, 2 * dims.n_yq
+    blocks = {"q": slice(None, k), "c": slice(k, None),
+              "yq": slice(None, k_y), "yc": slice(k_y, None)}
+    gathers = _partition_indices(dims)
+    assert [(name, i) for name, i, _ in gathers] == [(name, i) for name, i, _, _ in _PARTITION]
+    for (_, i, rows, cols), (_, _, at) in zip(_PARTITION, gathers):
+        m = rng.uniform(-9.0, 9.0, shapes[i]) * 10.0 ** rng.integers(-5, 6, shapes[i])
+        block = m[blocks[rows], blocks[cols]]
+        assert m.take(at).tobytes() == block.ravel(order="K").tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(_norm(m, at), np.linalg.norm(block))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hst.integers(1, 8), hst.integers(0, 2**16),
+       hst.sampled_from((1.0, 1e-200, 1e200, 1e300)))
+def test_theta_parts_are_the_skew_parts_of_the_ito_matrices(n, seed, scale):
+    # Im(F - F^T) halved in real arithmetic: the real part of (F - F^T)/2i,
+    # bit for bit for these F, whose imaginary parts hold no -0.0
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    f = scale * (half + half.conj().T) / 2
+    g = GeneralSystem(np.zeros((1, 1)), np.zeros((1, n)), np.zeros((n, 1)), np.zeros((n, n)),
+                      np.zeros((1, 1)), f, f)
+    want = np.real((f - f.T) / 2j)
+    for got in (g.theta_v, g.theta_y):
+        assert got.tobytes() == want.tobytes()
+        assert (got.dtype, got.strides) == (want.dtype, want.strides)
+        # a one-row product takes gemv for a contiguous operand: the same
+        # strides keep matmul's loop and so its bits
+        row = rng.standard_normal((1, n))
+        assert (row @ got).tobytes() == (row @ want).tobytes()
