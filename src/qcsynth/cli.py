@@ -487,10 +487,9 @@ def cmd_complete_symplectic(args) -> tuple[dict, bool, str]:
         raise SystemFileError(f"d_q: {rows // 2} quadrature pairs exceed the m={cols // 2} "
                               f"channels of its {cols} columns")
     from .matkit import _bound, symplectic_complete
-    theta_w = _canonical_j(cols // 2)
-    completion = symplectic_complete(d_q, theta_w, args.tol)
+    completion = symplectic_complete(d_q, args.tol)
     full = np.vstack([d_q, completion.n_mat])
-    residual = _fro(_times_j(full) @ full.T - theta_w)
+    residual = _fro(_times_j(full) @ full.T - _canonical_j(cols // 2))
     _require_finite("complete-symplectic: the residual", {"residual": residual})
     relative = residual / _bound(1.0, full)  # at the scale the completion verified
     return ({**_header("symplectic-completion", args.tol), "d_q": d_q,

@@ -58,9 +58,20 @@ def _excess(defect: float, tol: float, mat: np.ndarray, factor: float = 1.0) -> 
     return f"residual {defect:.3e}"
 
 
+def _finite_maxabs(a: np.ndarray, name: str) -> float:
+    # max|a|, which is NaN or inf exactly when an entry is.  A NaN would
+    # pass the `residual > bound` tests, and LAPACK prints an error of its
+    # own on one.
+    peak = _maxabs(a)
+    if not math.isfinite(peak):
+        raise ValueError(f"{name} has a non-finite entry")
+    return peak
+
+
 def rank_tol(m_mat, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank: count of singular values above tol times the largest."""
     m_mat = np.asarray(m_mat, dtype=float)
+    _finite_maxabs(m_mat, "m_mat")
     if m_mat.size == 0:
         return 0
     s = np.linalg.svd(m_mat, compute_uv=False)
@@ -127,7 +138,7 @@ def skew_canonical(theta, tol: float = DEFAULT_TOL) -> SkewCanonicalResult:
         raise ValueError(f"theta must be square, got shape {theta.shape}")
     if n == 0:
         return SkewCanonicalResult(np.zeros((0, 0)), 0, 0)
-    scale = max(1.0, _maxabs(theta))
+    scale = max(1.0, _finite_maxabs(theta, "theta"))
     skew_defect = _maxabs(theta + theta.T)
     if skew_defect > tol * scale:
         raise ValueError("theta is not skew-symmetric within tolerance "
@@ -168,7 +179,7 @@ def ito_factorize(f_v, tol: float = DEFAULT_TOL) -> ItoFactorization:
         raise ValueError(f"f_v must be square, got shape {f_v.shape}")
     if m == 0:
         return ItoFactorization(np.zeros((0, 0)))
-    scale = max(1.0, _maxabs(f_v))
+    scale = max(1.0, _finite_maxabs(f_v, "f_v"))
     herm_defect = _maxabs(f_v - f_v.conj().T)
     if herm_defect > tol * scale:
         raise ValueError("f_v is not Hermitian within tolerance "
@@ -188,40 +199,22 @@ def ito_factorize(f_v, tol: float = DEFAULT_TOL) -> ItoFactorization:
     return ItoFactorization(w)
 
 
-def _check_canonical_form(theta: np.ndarray, tol: float, name: str) -> None:
-    # Both completions emit canonical J-pairs in the interleaved order, and
-    # every product with theta is applied by index as diag_j, so theta must
-    # be diag_j exactly.  theta^2 + I is formed only to name the failure: a
-    # theta that squares to -I in another layout is still not diag_j.
-    dim = theta.shape[0]
-    if dim % 2:
-        raise ValueError(f"{name} must have even size, got {dim}")
-    canonical = _canonical_j(dim // 2)
-    if theta is canonical or np.array_equal(theta, canonical):
-        return
-    if theta.shape != (dim, dim) or _excess(_maxabs(theta @ theta + np.eye(dim)),
-                                            max(tol, 1e-12), theta):
-        raise ValueError(f"{name} must square to -I (canonical J blocks)")
-    raise ValueError(f"{name} must equal diag_j({dim // 2}): canonical J blocks "
-                     "in the interleaved (q1, p1, q2, p2, ...) order")
-
-
 @dataclass(frozen=True)
 class SymplecticCompletion:
     """Rows n_mat extending d_q to a symplectic matrix, with the factors behind them.
 
-    With k = d_q.shape[0], the complete QR (d_q @ theta_w).T = q @ r gives
-    d_q.T = theta_w @ Q1 @ R1 for Q1 = q[:, :k] and R1 = r[:k] (theta_w =
-    diag_j(m) is orthogonal and equals its own inverse transpose).  The
-    trailing columns B = q[:, k:].T are an orthonormal basis of the
-    symplectic complement, the skew_canonical congruence p brings
-    B @ theta_w @ B.T to diag(J), and n_mat = p @ B.  solve_d_q and solve_n_mat reuse these
-    factors for the minimum-norm solves against d_q and n_mat.
+    With k = d_q.shape[0] and theta_w = diag_j(m), the complete QR
+    (d_q @ theta_w).T = q @ r gives d_q.T = theta_w @ Q1 @ R1 for
+    Q1 = q[:, :k] and R1 = r[:k] (theta_w is orthogonal and equals its own
+    inverse transpose).  The trailing columns B = q[:, k:].T are an
+    orthonormal basis of the symplectic complement, the skew_canonical
+    congruence p brings B @ theta_w @ B.T to diag(J), and n_mat = p @ B.
+    solve_d_q and solve_n_mat reuse these factors for the minimum-norm
+    solves against d_q and n_mat.
     """
 
     n_mat: np.ndarray
     d_q: np.ndarray
-    theta_w: np.ndarray
     q: np.ndarray
     r: np.ndarray
     p: np.ndarray
@@ -255,11 +248,11 @@ class SymplecticCompletion:
         return x
 
 
-def _complete(rows: np.ndarray, rows_theta: np.ndarray, theta: np.ndarray,
-              tol: float) -> SymplecticCompletion:
+def _complete(rows: np.ndarray, rows_theta: np.ndarray, tol: float) -> SymplecticCompletion:
     """Complete `rows` with canonical J-pairs spanning their symplectic complement.
 
-    rows must satisfy rows @ theta @ rows.T = diag(J, ..., J), so they have
+    With theta = diag_j of half the column count, rows must satisfy
+    rows @ theta @ rows.T = diag(J, ..., J), so they have
     full row rank k and their complement {x : rows @ theta @ x = 0} is a
     symplectic subspace of dimension dim - k.  The trailing columns of a
     complete QR of rows_theta.T, with rows_theta = rows @ theta from the
@@ -277,7 +270,7 @@ def _complete(rows: np.ndarray, rows_theta: np.ndarray, theta: np.ndarray,
         raise ValueError("completion failed: the symplectic complement is "
                          "degenerate (input rows numerically rank deficient)")
     _scale_pairs(p, lam[n_q:])   # b = lam[n - n_q:] with n = 2 n_q
-    return SymplecticCompletion(p @ basis, rows, theta, q, r, p)
+    return SymplecticCompletion(p @ basis, rows, q, r, p)
 
 
 def _verify_symplectic(full: np.ndarray, theta: np.ndarray, what: str) -> None:
@@ -287,10 +280,11 @@ def _verify_symplectic(full: np.ndarray, theta: np.ndarray, what: str) -> None:
                          "the input rows are numerically rank deficient")
 
 
-def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCompletion:
+def symplectic_complete(d_q, tol: float = DEFAULT_TOL) -> SymplecticCompletion:
     """Complete quadrature output rows to a full symplectic transformation.
 
-    d_q must satisfy d_q @ theta_w @ d_q.T = diag_{n_yq}(J); the returned
+    d_q has 2 n_yq rows and 2m columns, and with theta_w = diag_j(m) it must
+    satisfy d_q @ theta_w @ d_q.T = diag_{n_yq}(J); the returned
     n_mat stacks under d_q so that the whole matrix V satisfies
     V @ theta_w @ V.T = theta_w.  Closed form: n_mat is an orthonormal
     basis of the symplectic complement of d_q's rows, brought to canonical
@@ -300,26 +294,20 @@ def symplectic_complete(d_q, theta_w, tol: float = DEFAULT_TOL) -> SymplecticCom
     (see SymplecticCompletion).
     """
     d_q = np.asarray(d_q, dtype=float)
-    theta_w = np.asarray(theta_w, dtype=float)
-    two_m = theta_w.shape[0]
-    _check_canonical_form(theta_w, tol, "theta_w")
-    if d_q.ndim != 2:
-        d_q = d_q.reshape(0, two_m) if d_q.size == 0 else np.atleast_2d(d_q)
-    if d_q.shape[1] != two_m or d_q.shape[0] % 2:
-        raise ValueError(f"d_q must have an even row count and {two_m} columns, "
+    if d_q.ndim != 2 or d_q.shape[0] % 2 or d_q.shape[1] % 2:
+        raise ValueError("d_q must have an even row count and an even column count, "
                          f"got shape {d_q.shape}")
-    n_yq = d_q.shape[0] // 2
-    m = two_m // 2
+    n_yq, m = d_q.shape[0] // 2, d_q.shape[1] // 2
     if n_yq > m:
         raise ValueError(f"d_q has {n_yq} quadrature pairs but only m={m} channels")
     d_q_theta = _times_j(d_q)
     with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails the check below
         gram = d_q_theta @ d_q.T
-    excess = _excess(_maxabs(gram - _canonical_j(n_yq)), tol, d_q, _maxabs(theta_w) * two_m)
+    excess = _excess(_maxabs(gram - _canonical_j(n_yq)), tol, d_q, 2 * m)
     if excess:
         raise ValueError(f"d_q does not satisfy the quadrature pairing precondition ({excess})")
-    completion = _complete(d_q, d_q_theta, theta_w, tol)
-    _verify_symplectic(np.concatenate([d_q, completion.n_mat]), theta_w, "completion")
+    completion = _complete(d_q, d_q_theta, tol)
+    _verify_symplectic(np.concatenate([d_q, completion.n_mat]), _canonical_j(m), "completion")
     return completion
 
 
@@ -399,10 +387,11 @@ def _pivoted_gram_schmidt(m_mat: np.ndarray,
     return pivots, u[:r], c[:r]
 
 
-def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecomposition:
+def pzkv_decompose(m_mat, tol: float = DEFAULT_TOL) -> PzkvDecomposition:
     """Split an isotropic matrix into permutation, basis, selection and network.
 
-    Requires m_mat @ theta_prime @ m_mat.T = 0; the rank r of m_mat can then
+    m_mat has 2m' columns, and with theta_prime = diag_j(m') it must satisfy
+    m_mat @ theta_prime @ m_mat.T = 0; the rank r of m_mat can then
     not exceed half the symplectic dimension.  m_mat is factored once, by
     pivoted Gram-Schmidt on its rows (see _pivoted_gram_schmidt), which
     gives the rank, the basis rows L and the QR factors L^T = Q R.  Its cut
@@ -425,15 +414,10 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
     branch.
     """
     m_mat = np.asarray(m_mat, dtype=float)
-    theta_prime = np.asarray(theta_prime, dtype=float)
-    two_mp = theta_prime.shape[0]
-    _check_canonical_form(theta_prime, tol, "theta_prime")
-    if m_mat.ndim != 2:
-        m_mat = m_mat.reshape(0, two_mp) if m_mat.size == 0 else np.atleast_2d(m_mat)
-    if m_mat.shape[1] != two_mp:
-        raise ValueError(f"m_mat must have {two_mp} columns, got shape {m_mat.shape}")
+    if m_mat.ndim != 2 or m_mat.shape[1] % 2:
+        raise ValueError(f"m_mat must have an even column count, got shape {m_mat.shape}")
+    rows, two_mp = m_mat.shape
     m_prime = two_mp // 2
-    rows = m_mat.shape[0]
     m_theta = _times_j(m_mat)
     excess = _excess(_maxabs(m_theta @ m_mat.T), tol, m_mat, two_mp)
     if excess:
@@ -476,9 +460,9 @@ def pzkv_decompose(m_mat, theta_prime, tol: float = DEFAULT_TOL) -> PzkvDecompos
         # already the square symplectic network.
         v_sympl = lead
     else:
-        completion = _complete(lead, _times_j(lead), theta_prime, tol)
+        completion = _complete(lead, _times_j(lead), tol)
         v_sympl = np.concatenate([lead, completion.n_mat])
-    _verify_symplectic(v_sympl, theta_prime, "network")
+    _verify_symplectic(v_sympl, _canonical_j(m_prime), "network")
     if not (v_sympl[0:2 * r:2] == basis).all():
         raise ValueError("network does not embed the basis rows verbatim")
     return PzkvDecomposition(p_perm, z, k_sel, v_sympl, r)
@@ -494,6 +478,8 @@ def minnorm_right_solve(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"column mismatch: a has {a.shape[1]}, b has {b.shape[1]}")
+    _finite_maxabs(a, "a")
+    _finite_maxabs(b, "b")
     if a.shape[0] == 0 or a.shape[1] == 0:
         x = np.zeros((b.shape[0], a.shape[0]))
     else:
@@ -504,7 +490,7 @@ def minnorm_right_solve(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def _check_consistent(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> None:
     residual = _maxabs(x @ a - b)
-    if residual > tol * max(1.0, _maxabs(b)):
+    if not residual <= tol * max(1.0, _maxabs(b)) < np.inf:   # a NaN or inf fails
         raise ValueError("x @ a = b is inconsistent: b is not in the row "
                          f"space of a (residual {residual:.3e})")
 

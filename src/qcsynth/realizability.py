@@ -135,6 +135,9 @@ def check_quantum(sys: QuantumOnlySystem, tol: float = DEFAULT_CHECK_TOL,
     a, b, c, d = sys.a, sys.b, sys.c, sys.d
     if theta is None:
         theta = _canonical_j(sys.n_q)
+    elif np.shape(theta) != (2 * sys.n_q,) * 2:
+        raise ValueError(f"theta must have shape (2n_q, 2n_q) = {(2 * sys.n_q,) * 2}, "
+                         f"got {np.shape(theta)}")
     j_z = _canonical_j(sys.n_z)
     state = _state_terms(a, b, b @ _canonical_j(sys.m), theta)
     # the coupling condition pairs outputs against their own commutation

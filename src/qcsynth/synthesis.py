@@ -65,12 +65,11 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
         raise NotRealizableError(
             f"input fails realizability (worst condition: {report.worst})", report)
     d = sys.dims
-    m_free = d.m - d.n_yq
 
     # theta_w, theta_nq and theta' are diag_j(m), diag_j(n_q) and
-    # diag_j(m_free): their products are applied by index, bit for bit the
+    # diag_j(m - n_yq): their products are applied by index, bit for bit the
     # dense ones.
-    completion = symplectic_complete(sys.d_q, sys.structure.theta_w, tol)
+    completion = symplectic_complete(sys.d_q, tol)
     d_q_prime = completion.n_mat
     c_qq_prime = _times_j(_times_j(d_q_prime) @ sys.b_q.T)
     c_c_prime = completion.solve_d_q(sys.c_qc, tol)
@@ -80,7 +79,7 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
     # of both solves is exactly the cross and classical block constraints.
     coupling = completion.solve_n_mat(np.concatenate([sys.b_c, sys.d_c]), tol)
 
-    pzkv = pzkv_decompose(coupling, _canonical_j(m_free), tol)
+    pzkv = pzkv_decompose(coupling, tol)
     # k_sel and p_perm select rows: gathered, and + 0.0 turns -0.0 into
     # +0.0 as the dense products with them do.
     g_mat = pzkv.v_sympl[0:2 * pzkv.r:2] + 0.0

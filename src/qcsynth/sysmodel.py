@@ -58,7 +58,7 @@ def diag_j(k: int) -> np.ndarray:
 
 @lru_cache
 def _canonical_j(k: int) -> np.ndarray:
-    # A read-only diag_j(k) to compare theta arguments against.
+    # A read-only diag_j(k), built once per k.
     return _frozen(diag_j(k))
 
 
@@ -155,7 +155,8 @@ class Dimensions:
     def __post_init__(self):
         for name in ("n_q", "n_c", "m", "n_yq", "n_yc", "n_w1"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0:
+            # bool is an int subclass; np.bool_ is not an np.integer
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.n_yq > self.m:

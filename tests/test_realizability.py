@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -123,6 +124,14 @@ def test_quantum_theta_override_default():
     default = check_quantum(sys)
     for a, b in zip(explicit.conditions, default.conditions):
         assert a == b
+
+
+@pytest.mark.parametrize("theta", [diag_j(2), np.zeros((2, 3)), np.zeros(2)], ids=str)
+def test_quantum_theta_override_of_the_wrong_shape_is_rejected(theta):
+    shape = np.shape(theta)
+    with pytest.raises(ValueError, match=rf"^theta must have shape \(2n_q, 2n_q\) = \(2, 2\), "
+                                         rf"got {re.escape(str(shape))}$"):
+        check_quantum(cavity_quantum(), theta=theta)
 
 
 # -------------------------------------------------------------- check_standard

@@ -277,7 +277,7 @@ def assert_matches_pinv(completion, c, m_rhs):
 
 def assert_solves_match_pinv(sys):
     # the right-hand sides synthesize solves for
-    completion = symplectic_complete(sys.d_q, sys.structure.theta_w)
+    completion = symplectic_complete(sys.d_q)
     assert_matches_pinv(completion, sys.c_qc, np.vstack([sys.b_c, sys.d_c]))
 
 
@@ -299,7 +299,7 @@ def test_solves_match_pinv_on_adversarial_shapes(dims):
 def test_solves_match_pinv_on_poorly_conditioned_rows():
     rng = np.random.default_rng(0)
     d_q = random_symplectic(16, rng, spread=1.0)[:16]
-    completion = symplectic_complete(d_q, diag_j(16))
+    completion = symplectic_complete(d_q)
     assert np.linalg.cond(d_q) > 100
     assert_matches_pinv(completion, d_q @ rng.standard_normal((32, 3)),
                         rng.standard_normal((3, 16)) @ completion.n_mat)
@@ -307,7 +307,7 @@ def test_solves_match_pinv_on_poorly_conditioned_rows():
 
 def test_coupling_solve_rejects_rows_of_d_q():
     sys = generate_realizable(Dimensions(2, 2, 4, 2, 2), seed=8)
-    completion = symplectic_complete(sys.d_q, sys.structure.theta_w)
+    completion = symplectic_complete(sys.d_q)
     with pytest.raises(ValueError, match=r"inconsistent.*\(residual \d\.\d{3}e[+-]\d+\)"):
         completion.solve_n_mat(sys.d_q)
 

@@ -65,6 +65,16 @@ def test_dimensions_rejects_bad_values():
         Dimensions(n_q=1.5, n_c=0, m=1, n_yq=1, n_yc=0)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=repr)
+def test_dimensions_reject_booleans(flag):
+    # as the file loader does: a bool is an int to isinstance, not a count
+    for name in ("n_q", "n_c", "m", "n_yq", "n_yc", "n_w1"):
+        counts = {**dict(n_q=1, n_c=1, m=1, n_yq=0, n_yc=0, n_w1=0), name: flag}
+        with pytest.raises(ValueError) as info:
+            Dimensions(**counts)
+        assert str(info.value) == f"{name} must be a nonnegative integer, got {flag!r}"
+
+
 def test_structure_matrices():
     st = make_structure(MIXED_DIMS)
     assert np.array_equal(st.theta_n[:2, :2], J)
