@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import DEFAULT_TOL, minnorm_right_solve
+from .matkit import DEFAULT_TOL, _check_consistent, _qr_minnorm, minnorm_right_solve
 from .sysmodel import StandardSystem, _j_times, _maxabs, _times_j
 
 __all__ = ["AugmentedSystem", "ReducedSystem", "augment", "reduce"]
@@ -80,12 +80,34 @@ def _classical_selector(n: int, n_c: int) -> np.ndarray:
     return s_sel
 
 
+def _auxiliary_input(d_q: np.ndarray, c_qc: np.ndarray, tol: float) -> np.ndarray:
+    """Minimum-norm b_prime with b_prime (theta_w d_q^T) = c_qc^T.
+
+    With the economy QR theta_w d_q^T = q1 r1 this is (q1 r1)^T b_prime^T =
+    c_qc, solved by the formula of SymplecticCompletion.solve_d_q, whose
+    QR is of (d_q theta_w)^T = -theta_w d_q^T.  A rank-deficient d_q makes
+    r1 singular; then, or when the result misses the consistency bound,
+    the SVD solve minnorm_right_solve decides, and raises on an
+    inconsistent equation.
+    """
+    a = _j_times(d_q.T)
+    try:
+        # a non-finite result fails the consistency check
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_prime = _qr_minnorm(*np.linalg.qr(a), c_qc).T
+            _check_consistent(b_prime, a, c_qc.T, tol)
+    except ValueError:     # LinAlgError is one
+        return minnorm_right_solve(a, c_qc.T, tol)
+    return b_prime
+
+
 def augment(sys: StandardSystem, tol: float = DEFAULT_TOL) -> AugmentedSystem:
     """Attach conjugate partners to the classical state variables.
 
-    b_prime is the minimum-norm solution of b_prime (theta_w d_q^T) = c_qc^T;
-    an inconsistent equation here means the input fails the quantum rows of
-    the non-demolition condition and the solver raises.  The auxiliary
+    b_prime is the minimum-norm solution of b_prime (theta_w d_q^T) = c_qc^T,
+    from a QR of theta_w d_q^T (see _auxiliary_input); an inconsistent
+    equation here means the input fails the quantum rows of the
+    non-demolition condition and the solver raises.  The auxiliary
     dynamics blocks are then forced: the classical-column block of a_prime
     resolves the skew equation a_prime_c^T - a_prime_c = b_prime theta_w
     b_prime^T symmetrically, the quantum-column block cancels the
@@ -94,7 +116,7 @@ def augment(sys: StandardSystem, tol: float = DEFAULT_TOL) -> AugmentedSystem:
     classical columns: a_dprime = (b_prime theta_w B^T)[:, classical] - a_cc^T.
     """
     n, n_c = sys.dims.n, sys.dims.n_c
-    b_prime = minnorm_right_solve(_j_times(sys.d_q.T), sys.c_qc.T, tol)
+    b_prime = _auxiliary_input(sys.d_q, sys.c_qc, tol)
     # An overflow in the products below is raised as one error, not warned
     # about and passed on as inf or nan entries.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -107,12 +129,23 @@ def augment(sys: StandardSystem, tol: float = DEFAULT_TOL) -> AugmentedSystem:
                          f"a_prime and a_dprime are not finite (max|b_prime| "
                          f"{_maxabs(b_prime):.3e})")
 
-    a_tilde = np.block([[sys.a, np.zeros((n, n_c))], [a_prime, a_dprime]])
-    b_tilde = np.vstack([sys.b, b_prime])
-    c_tilde = np.hstack([sys.c_q, np.zeros((2 * sys.dims.n_yq, n_c))])
+    size = n + n_c
+    a_tilde = np.zeros((size, size))
+    a_tilde[:n, :n] = sys.a
+    a_tilde[n:, :n] = a_prime
+    a_tilde[n:, n:] = a_dprime
+    b_tilde = np.concatenate([sys.b, b_prime])
+    c_tilde = np.zeros((2 * sys.dims.n_yq, size))
+    c_tilde[:, :n] = sys.c_q
     d_tilde = sys.d_q.copy()
-    s_sel = _classical_selector(n, n_c)
-    theta_tilde = np.block([[sys.structure.theta_n, s_sel], [-s_sel.T, np.zeros((n_c, n_c))]])
+    # ((theta_n, S), (-S^T, 0)) with S the classical selector; -S^T is
+    # -0.0 off its ones, as the negation of S writes it
+    theta_tilde = np.zeros((size, size))
+    theta_tilde[:n, :n] = sys.structure.theta_n
+    theta_tilde[n:, :n] = -0.0
+    pairs = np.arange(n_c)
+    theta_tilde[n - n_c + pairs, n + pairs] = 1.0
+    theta_tilde[n + pairs, n - n_c + pairs] = -1.0
     return AugmentedSystem(a_tilde, b_tilde, c_tilde, d_tilde, theta_tilde,
                            a_prime, a_dprime, b_prime)
 

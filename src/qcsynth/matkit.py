@@ -71,6 +71,8 @@ def _finite_maxabs(a: np.ndarray, name: str) -> float:
 def rank_tol(m_mat, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank: count of singular values above tol times the largest."""
     m_mat = np.asarray(m_mat, dtype=float)
+    if m_mat.ndim != 2:
+        raise ValueError(f"m_mat must be 2-D, got shape {m_mat.shape}")
     _finite_maxabs(m_mat, "m_mat")
     if m_mat.size == 0:
         return 0
@@ -171,7 +173,9 @@ def ito_factorize(f_v, tol: float = DEFAULT_TOL) -> ItoFactorization:
     eigenpair through one field channel: channel j of w is
     sqrt(lam_j) * [Im u_j, Re u_j], whose two columns contribute
     lam_j * u_j u_j^H to w @ F_w @ w.T.  Eigenvalues in [-tol, 0) are clamped
-    to zero, and the identity is verified against the clamped matrix.
+    to zero.  The identity is verified against the Hermitian part of f_v
+    that was factored, to the bound plus the largest eigenvalue the clamp
+    removed.
     """
     f_v = np.asarray(f_v, dtype=complex)
     m = f_v.shape[0]
@@ -184,17 +188,18 @@ def ito_factorize(f_v, tol: float = DEFAULT_TOL) -> ItoFactorization:
     if herm_defect > tol * scale:
         raise ValueError("f_v is not Hermitian within tolerance "
                          f"(max asymmetry {herm_defect:.3e})")
-    lam, u = np.linalg.eigh((f_v + f_v.conj().T) / 2.0)
-    if lam.min() < -tol * scale:
-        raise ValueError(f"f_v has a negative eigenvalue ({lam.min():.6e})")
+    herm = (f_v + f_v.conj().T) / 2.0
+    lam, u = np.linalg.eigh(herm)
+    if lam[0] < -tol * scale:
+        raise ValueError(f"f_v has a negative eigenvalue ({lam[0]:.6e})")
     root = np.sqrt(np.clip(lam, 0.0, None))
     w = np.empty((m, 2 * m))
     w[:, 0::2] = u.imag * root
     w[:, 1::2] = u.real * root
-    # w F_w w^T = w w^T + i (w J) w^T
-    target = (u * root ** 2) @ u.conj().T
-    check = _maxabs(np.hypot(w @ w.T - target.real, _times_j(w) @ w.T - target.imag))
-    if check > max(tol, 1e-12) * scale:
+    # w F_w w^T = w w^T + i (w J) w^T, which differs from herm by the
+    # clamped part U diag(min(lam, 0)) U^H, at most -lam[0] in any entry
+    check = _maxabs(np.hypot(w @ w.T - herm.real, _times_j(w) @ w.T - herm.imag))
+    if check > max(tol, 1e-12) * scale + max(0.0, -lam[0]):
         raise ValueError(f"Ito factor failed to verify (residual {check:.3e})")
     return ItoFactorization(w)
 
@@ -229,7 +234,10 @@ class SymplecticCompletion:
         """
         c = np.asarray(c, dtype=float)
         k = self.d_q.shape[0]
-        x = _j_times(self.q[:, :k] @ np.linalg.solve(self.r[:k].T, c))
+        if c.ndim != 2 or c.shape[0] != k:
+            raise ValueError(f"c must have shape ({k}, cols) to match d_q of shape "
+                             f"{self.d_q.shape}, got shape {c.shape}")
+        x = _j_times(_qr_minnorm(self.q[:, :k], self.r[:k], c))
         _check_consistent(x.T, self.d_q.T, c.T, tol)
         return x
 
@@ -242,10 +250,25 @@ class SymplecticCompletion:
         the row space of n_mat; raises with the residual norm otherwise.
         """
         m_rhs = np.asarray(m_rhs, dtype=float)
+        width = self.n_mat.shape[1]
+        if m_rhs.ndim != 2 or m_rhs.shape[1] != width:
+            raise ValueError(f"m_rhs must have shape (rows, {width}) to match n_mat of shape "
+                             f"{self.n_mat.shape}, got shape {m_rhs.shape}")
         k = self.d_q.shape[0]
         x = np.linalg.solve(self.p.T, (m_rhs @ self.q[:, k:]).T).T
         _check_consistent(x, self.n_mat, m_rhs, tol)
         return x
+
+
+def _qr_minnorm(q1: np.ndarray, r1: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Minimum-Frobenius-norm solution z of (q1 @ r1).T @ z = c.
+
+    q1 has orthonormal columns and r1 is square and invertible: the economy
+    QR factors of a matrix of full column rank.  z = q1 r1^-T c lies in the
+    column space of q1 r1, and (q1 r1)^T z = r1^T r1^-T c: one solve
+    against r1^T.  A singular r1 raises LinAlgError.
+    """
+    return q1 @ np.linalg.solve(r1.T, c)
 
 
 def _complete(rows: np.ndarray, rows_theta: np.ndarray, tol: float) -> SymplecticCompletion:

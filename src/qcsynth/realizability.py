@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sysmodel import (DEFAULT_CHECK_TOL, Dimensions, GeneralSystem, QuantumOnlySystem,
-                       StandardSystem, _canonical_j, _maxabs)
+                       StandardSystem, _canonical_j, _maxabs, _times_j)
 
 __all__ = [
     "ConditionResult",
@@ -138,11 +138,11 @@ def check_quantum(sys: QuantumOnlySystem, tol: float = DEFAULT_CHECK_TOL,
     elif np.shape(theta) != (2 * sys.n_q,) * 2:
         raise ValueError(f"theta must have shape (2n_q, 2n_q) = {(2 * sys.n_q,) * 2}, "
                          f"got {np.shape(theta)}")
-    j_z = _canonical_j(sys.n_z)
-    state = _state_terms(a, b, b @ _canonical_j(sys.m), theta)
+    # J_m and J_z are applied by index, bit for bit the dense products
+    state = _state_terms(a, b, _times_j(b), theta)
     # the coupling condition pairs outputs against their own commutation
     # blocks, which match theta_w only when the feedthrough is square
-    coupling = [b @ d.T, -(theta @ c.T @ j_z)]
+    coupling = [b @ d.T, -_times_j(theta @ c.T)]
     form_defect = _maxabs(d - np.eye(*d.shape)) if d.shape[0] <= d.shape[1] else np.inf
     return _make_report([
         *_conditions(("state-commutation", "output-coupling"), (state, coupling), tol),

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import warnings
 
@@ -19,6 +20,9 @@ from qcsynth.augment import AugmentedSystem
 from qcsynth.matkit import DEFAULT_TOL, minnorm_right_solve
 from refsystems import (MIXED_DIMS, damped_cavity, grid_sample, mixed_reference,
                         scaled_generated)
+
+# the package's `augment` is the function; the module holds the solve's helpers
+augment_module = importlib.import_module("qcsynth.augment")
 
 
 def selector(n, n_c):
@@ -194,13 +198,16 @@ def test_relation_residual_overflow_is_inf_without_warning():
 # the closed-form blocks against the dense construction
 
 
-def augment_dense_reference(sys, tol=DEFAULT_TOL):
-    """The construction with S, theta_w, theta_nq and theta_n as dense factors."""
+def augment_dense_reference(sys, b_prime):
+    """The construction with S, theta_w, theta_nq and theta_n as dense factors.
+
+    b_prime is given: augment's QR solve for it is compared with the SVD
+    solve separately, within round-off.
+    """
     st = sys.structure
     n, n_c = sys.dims.n, sys.dims.n_c
     th_w = st.theta_w
     s = selector(n, n_c)
-    b_prime = minnorm_right_solve(th_w @ sys.d_q.T, sys.c_qc.T, tol)
     k_skew = b_prime @ th_w @ b_prime.T
     a_prime_q = (b_prime @ th_w @ sys.b_q.T - sys.a_qc.T) @ st.theta_nq
     a_prime = np.hstack([a_prime_q, -k_skew / 2.0])
@@ -230,9 +237,59 @@ def test_augment_is_bitwise_the_dense_construction():
     for dims in byte_identity_dimensions():
         for seed in range(3):
             sys = generate_realizable(dims, seed)
-            got, want = augment(sys), augment_dense_reference(sys)
+            b_prime = augment_module._auxiliary_input(sys.d_q, sys.c_qc, DEFAULT_TOL)
+            got, want = augment(sys), augment_dense_reference(sys, b_prime)
             for name in names:
                 g, w = getattr(got, name), getattr(want, name)
                 assert g.shape == w.shape and g.tobytes() == w.tobytes(), (dims, seed, name)
                 checked += 1
     assert checked == 8 * 3 * 217
+
+
+# ---------------------------------------------------------------------------
+# b_prime from the QR of theta_w d_q^T, with the SVD solve as fallback
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+
+    def spy(a, b, tol=DEFAULT_TOL):
+        calls.append((a.shape, b.shape))
+        return minnorm_right_solve(a, b, tol)
+
+    monkeypatch.setattr(augment_module, "minnorm_right_solve", spy)
+    return calls
+
+
+def test_qr_b_prime_matches_the_svd_solve(svd_calls):
+    # augment's b_prime, and the same solve on a perturbed right-hand side,
+    # which stays consistent because theta_w d_q^T has full column rank
+    checked = 0
+    for dims in byte_identity_dimensions():
+        for seed in range(3):
+            sys = generate_realizable(dims, seed)
+            a = diag_j(dims.m) @ sys.d_q.T
+            noise = np.random.default_rng(seed).standard_normal(sys.c_qc.shape)
+            perturbed = sys.c_qc + noise
+            for got, c_qc in ((augment(sys).b_prime, sys.c_qc),
+                              (augment_module._auxiliary_input(sys.d_q, perturbed, DEFAULT_TOL),
+                               perturbed)):
+                want = minnorm_right_solve(a, c_qc.T)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12 * (
+                    1.0 + np.abs(got).max(initial=0.0)), (dims, seed)
+                checked += 1
+    assert checked == 2 * 3 * 217
+    assert svd_calls == []
+
+
+def test_rank_deficient_d_q_falls_back_to_the_svd_solve(svd_calls):
+    # d_q = 0 and c_qc = 0: r1 is singular, and the SVD solve gives b_prime = 0
+    dims = Dimensions(n_q=1, n_c=1, m=1, n_yq=1, n_yc=0)
+    b = np.vstack([np.eye(2), np.zeros((1, 2))])
+    sys = StandardSystem(dims, np.zeros((3, 3)), b, np.zeros((2, 3)), np.zeros((2, 2)))
+    aug = augment(sys)
+    assert aug.b_prime.shape == (1, 2)
+    assert np.count_nonzero(aug.b_prime) == 0
+    assert svd_calls == [((2, 2), (1, 2))]

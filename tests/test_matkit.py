@@ -190,7 +190,8 @@ def test_ito_matches_loop_reference():
 
 def test_ito_real_verification_matches_complex_form(monkeypatch):
     # the verification residual, taken in real arithmetic through w J,
-    # against the complex w F_w w^T it stands for
+    # against the complex w F_w w^T - f_v it stands for, with f_v's
+    # Hermitian part, which eigh factored
     recorded = []
 
     def recording_maxabs(a):
@@ -204,11 +205,34 @@ def test_ito_real_verification_matches_complex_form(monkeypatch):
             g = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
             f_v = g @ g.conj().T
             w = ito_factorize(f_v).w
-            lam, u = np.linalg.eigh((f_v + f_v.conj().T) / 2.0)
-            target = (u * np.sqrt(np.clip(lam, 0.0, None)) ** 2) @ u.conj().T
-            want = np.abs(w @ vacuum_fw(m) @ w.T - target).max()
+            want = np.abs(w @ vacuum_fw(m) @ w.T - (f_v + f_v.conj().T) / 2.0).max()
             scale = max(1.0, np.abs(f_v).max())
             assert abs(recorded[-1] - want) <= 1e-15 * scale
+
+
+def test_ito_verifies_against_f_v_not_its_own_eigenvectors(monkeypatch):
+    # eigh made to return two eigenvectors rotated into each other: still
+    # orthonormal, so U diag(lam) U^H is Hermitian and w reproduces it
+    # exactly, but it is no longer f_v
+    f_v = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    real_eigh = np.linalg.eigh
+
+    def rotated_eigh(h):
+        lam, u = real_eigh(h)
+        c, s = np.cos(0.3), np.sin(0.3)
+        return lam, u @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated_eigh)
+    with pytest.raises(ValueError, match="Ito factor failed to verify"):
+        ito_factorize(f_v)
+
+
+def test_ito_clamped_eigenvalue_is_allowed_for():
+    # the most negative eigenvalue the tolerance lets through, -tol, is
+    # clamped to zero: w F_w w^T then misses f_v by tol in one entry
+    f_v = np.diag([-1e-9, 1.0]).astype(complex)
+    w = ito_factorize(f_v, tol=1e-9).w
+    assert np.abs(w @ vacuum_fw(2) @ w.T - np.diag([0.0, 1.0])).max() <= 1e-15
 
 
 # ---------------------------------------------------------- symplectic_complete
@@ -750,6 +774,10 @@ def test_pzkv_partial_rank_network_is_completed(monkeypatch):
 
 # ---------------------------------------------------------------- input errors
 
+def completion_of_one_pair():
+    return symplectic_complete(random_symplectic(2, np.random.default_rng(4))[:2])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: skew_canonical(np.zeros((2, 3))), "theta must be square, got shape (2, 3)"),
     (lambda: ito_factorize(np.zeros((2, 3))), "f_v must be square, got shape (2, 3)"),
@@ -761,8 +789,18 @@ def test_pzkv_partial_rank_network_is_completed(monkeypatch):
      "m_mat must have an even column count, got shape (1, 3)"),
     (lambda: minnorm_right_solve(np.zeros((2, 3)), np.zeros((2, 2))),
      "column mismatch: a has 3, b has 2"),
+    (lambda: completion_of_one_pair().solve_d_q(np.ones((3, 1))),
+     "c must have shape (2, cols) to match d_q of shape (2, 4), got shape (3, 1)"),
+    (lambda: completion_of_one_pair().solve_d_q(np.ones(2)),
+     "c must have shape (2, cols) to match d_q of shape (2, 4), got shape (2,)"),
+    (lambda: completion_of_one_pair().solve_n_mat(np.ones((1, 3))),
+     "m_rhs must have shape (rows, 4) to match n_mat of shape (2, 4), got shape (1, 3)"),
+    (lambda: rank_tol(np.ones((2, 2, 2))), "m_mat must be 2-D, got shape (2, 2, 2)"),
+    (lambda: rank_tol(np.ones(3)), "m_mat must be 2-D, got shape (3,)"),
 ], ids=["skew_canonical-non-square", "ito_factorize-non-square", "completion-odd-rows",
-        "completion-n_yq-above-m", "pzkv-column-mismatch", "minnorm-column-mismatch"])
+        "completion-n_yq-above-m", "pzkv-column-mismatch", "minnorm-column-mismatch",
+        "solve_d_q-row-mismatch", "solve_d_q-1-d", "solve_n_mat-column-mismatch",
+        "rank_tol-3-d", "rank_tol-1-d"])
 def test_input_errors_name_the_problem(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -771,10 +809,6 @@ def test_input_errors_name_the_problem(call, message):
 
 NAN, INF = float("nan"), float("inf")
 INCONSISTENT = "x @ a = b is inconsistent: b is not in the row space of a (residual nan)"
-
-
-def completion_of_one_pair():
-    return symplectic_complete(random_symplectic(2, np.random.default_rng(4))[:2])
 
 
 @pytest.mark.parametrize("call, message", [
