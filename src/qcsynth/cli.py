@@ -101,16 +101,6 @@ def _parse_matrix(obj, name: str, complex_entries: bool = False) -> np.ndarray:
     return mat
 
 
-def _encode_real(mat) -> list:
-    return np.asarray(mat, dtype=float).tolist()
-
-
-def _encode_complex(mat) -> list:
-    """Entries as [re, im] pairs; a stack of matrices encodes as a list of them."""
-    mat = np.asarray(mat, dtype=complex)
-    return np.stack([mat.real, mat.imag], axis=-1).tolist()
-
-
 def _require_int(record, key: str, where: str, default=MISSING) -> int:
     if key not in record:
         if default is not MISSING:
@@ -169,9 +159,9 @@ def _record(obj) -> dict:
 
 
 def system_to_obj(sys_model) -> dict:
-    """A system file as plain JSON data (matrices as nested lists)."""
-    return {key: (_encode_complex(value) if value.dtype.kind == "c" else _encode_real(value))
-            if isinstance(value, np.ndarray) else value
+    """A system file as plain JSON data: _record(sys_model) with each matrix
+    as the nested lists of _as_floats, which the report writer renders."""
+    return {key: _as_floats(value).tolist() if isinstance(value, np.ndarray) else value
             for key, value in _record(sys_model).items()}
 
 
@@ -258,16 +248,21 @@ def _resolve_tol(args) -> float:
 _INDENT = "  "
 
 
+def _as_floats(arr: np.ndarray) -> np.ndarray:
+    """arr as floats, each complex entry as an [re, im] pair on a new last axis."""
+    if arr.dtype.kind == "c":
+        arr = np.stack([arr.real, arr.imag], axis=-1)
+    return np.asarray(arr, dtype=float)
+
+
 def _dumps_array(arr: np.ndarray, level: int) -> str:
-    """json.dumps(_encode_real(arr) or _encode_complex(arr), indent=2) at `level`.
+    """json.dumps(_as_floats(arr).tolist(), indent=2) at `level`.
 
     The entries are rendered with float.__repr__ in one map.  The text
     between two neighbours depends only on how many trailing axes wrap
     there, so it is taken from a table of ndim + 1 precomputed separators.
     """
-    if arr.dtype.kind == "c":
-        arr = np.stack([arr.real, arr.imag], axis=-1)
-    arr = np.asarray(arr, dtype=float)
+    arr = _as_floats(arr)
     if not np.isfinite(arr).all():
         raise ValueError("Out of range float values are not JSON compliant")
     if arr.size == 0 or arr.ndim == 0:

@@ -45,23 +45,37 @@ def _bound(tol: float, mat: np.ndarray, factor: float = 1.0) -> float:
     return tol * max(1.0, peak * peak * factor)
 
 
-def _excess(defect: float, tol: float, mat: np.ndarray, factor: float = 1.0) -> str:
-    # "" when defect <= _bound(tol, mat, factor), else the text an error
-    # message quotes.  A bound that is not finite fails its check, as an
-    # infinite threshold fails in ConditionResult.passed; the text says so,
-    # because the residual itself may then be exact.
-    bound = _bound(tol, mat, factor)
-    if defect <= bound < np.inf:
-        return ""
-    if not np.isfinite(bound):
-        return f"residual {defect:.3e}, but the scale overflowed"
-    return f"residual {defect:.3e}"
+def _pairing(rows: np.ndarray, tol: float | None = None, paired: bool = True,
+             left: np.ndarray | None = None) -> tuple[float, float]:
+    """max|rows theta rows^T - diag_j(len(rows) / 2)|, or max|rows theta rows^T|
+    when not paired, and its threshold: _bound(tol, rows, column count), or
+    with tol None that of the symplectic identity, _bound(_SYMPLECTIC_TOL,
+    rows).  left is rows @ theta if the caller has it.  Rows that can
+    overflow are passed under np.errstate."""
+    # unnamed, a product made here is freed at once: held, it cost page faults at k = 32
+    gram = (_times_j(rows) if left is None else left) @ rows.T
+    if paired:
+        gram -= _canonical_j(len(rows) // 2)
+    if tol is None:
+        return _maxabs(gram), _bound(_SYMPLECTIC_TOL, rows)
+    return _maxabs(gram), _bound(tol, rows, rows.shape[1])
+
+
+def _require(residual: float, threshold: float, message: str) -> None:
+    """Raise ValueError(message.format("residual ...")) unless both values
+    are finite and residual <= threshold, the rule of ConditionResult.passed.
+    The text says when the scale overflowed: the residual may then be exact."""
+    if residual <= threshold < math.inf:    # False for a NaN
+        return
+    detail = f"residual {residual:.3e}"
+    if math.isfinite(residual) and not math.isfinite(threshold):
+        detail += ", but the scale overflowed"
+    raise ValueError(message.format(detail))
 
 
 def _finite_maxabs(a: np.ndarray, name: str) -> float:
-    # max|a|, which is NaN or inf exactly when an entry is.  A NaN would
-    # pass the `residual > bound` tests, and LAPACK prints an error of its
-    # own on one.
+    # max|a|, which is NaN or inf exactly when an entry is.  LAPACK prints
+    # an error of its own on a NaN.
     peak = _maxabs(a)
     if not math.isfinite(peak):
         raise ValueError(f"{name} has a non-finite entry")
@@ -145,16 +159,16 @@ def skew_canonical(theta, tol: float = DEFAULT_TOL) -> SkewCanonicalResult:
     if skew_defect > tol * scale:
         raise ValueError("theta is not skew-symmetric within tolerance "
                          f"(max residual {skew_defect:.3e})")
-    theta = (theta - theta.T) / 2.0
+    # halved first: theta - theta^T would overflow from max|theta| = 0.9e308 on
+    theta = theta / 2.0 - theta.T / 2.0
     p, lam, n_q = _skew_pairs(theta, tol)
     b = lam[n - n_q:]
     resid = p @ theta @ p.T
     pairs = np.arange(0, 2 * n_q, 2)
     resid[pairs, pairs + 1] -= b
     resid[pairs + 1, pairs] += b
-    check = _maxabs(resid)
-    if check > tol * lam[-1] + 1e-6 * scale:
-        raise ValueError(f"skew canonical form failed to verify (residual {check:.3e})")
+    _require(_maxabs(resid), tol * lam[-1] + 1e-6 * scale,
+             "skew canonical form failed to verify ({})")
     _scale_pairs(p, b)
     return SkewCanonicalResult(p, n_q, n - 2 * n_q)
 
@@ -188,19 +202,21 @@ def ito_factorize(f_v, tol: float = DEFAULT_TOL) -> ItoFactorization:
     if herm_defect > tol * scale:
         raise ValueError("f_v is not Hermitian within tolerance "
                          f"(max asymmetry {herm_defect:.3e})")
-    herm = (f_v + f_v.conj().T) / 2.0
+    herm = f_v / 2.0 + f_v.conj().T / 2.0    # halved first, as in skew_canonical
     lam, u = np.linalg.eigh(herm)
     if lam[0] < -tol * scale:
         raise ValueError(f"f_v has a negative eigenvalue ({lam[0]:.6e})")
-    root = np.sqrt(np.clip(lam, 0.0, None))
-    w = np.empty((m, 2 * m))
-    w[:, 0::2] = u.imag * root
-    w[:, 1::2] = u.real * root
-    # w F_w w^T = w w^T + i (w J) w^T, which differs from herm by the
-    # clamped part U diag(min(lam, 0)) U^H, at most -lam[0] in any entry
-    check = _maxabs(np.hypot(w @ w.T - herm.real, _times_j(w) @ w.T - herm.imag))
-    if check > max(tol, 1e-12) * scale + max(0.0, -lam[0]):
-        raise ValueError(f"Ito factor failed to verify (residual {check:.3e})")
+    # an eigenvalue past the float range makes w, and so the residual, NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(np.clip(lam, 0.0, None))
+        w = np.empty((m, 2 * m))
+        w[:, 0::2] = u.imag * root
+        w[:, 1::2] = u.real * root
+        # w F_w w^T = w w^T + i (w J) w^T, which differs from herm by the
+        # clamped part U diag(min(lam, 0)) U^H, at most -lam[0] in any entry
+        check = _maxabs(np.hypot(w @ w.T - herm.real, _times_j(w) @ w.T - herm.imag))
+    _require(check, max(tol, 1e-12) * scale + max(0.0, -lam[0]),
+             "Ito factor failed to verify ({})")
     return ItoFactorization(w)
 
 
@@ -296,11 +312,9 @@ def _complete(rows: np.ndarray, rows_theta: np.ndarray, tol: float) -> Symplecti
     return SymplecticCompletion(p @ basis, rows, q, r, p)
 
 
-def _verify_symplectic(full: np.ndarray, theta: np.ndarray, what: str) -> None:
-    excess = _excess(_maxabs(_times_j(full) @ full.T - theta), _SYMPLECTIC_TOL, full)
-    if excess:
-        raise ValueError(f"{what} failed to verify ({excess}); "
-                         "the input rows are numerically rank deficient")
+def _verify_symplectic(full: np.ndarray, what: str) -> None:
+    _require(*_pairing(full),
+             what + " failed to verify ({}); the input rows are numerically rank deficient")
 
 
 def symplectic_complete(d_q, tol: float = DEFAULT_TOL) -> SymplecticCompletion:
@@ -324,13 +338,11 @@ def symplectic_complete(d_q, tol: float = DEFAULT_TOL) -> SymplecticCompletion:
     if n_yq > m:
         raise ValueError(f"d_q has {n_yq} quadrature pairs but only m={m} channels")
     d_q_theta = _times_j(d_q)
-    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails the check below
-        gram = d_q_theta @ d_q.T
-    excess = _excess(_maxabs(gram - _canonical_j(n_yq)), tol, d_q, 2 * m)
-    if excess:
-        raise ValueError(f"d_q does not satisfy the quadrature pairing precondition ({excess})")
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails the check
+        _require(*_pairing(d_q, tol, left=d_q_theta),
+                 "d_q does not satisfy the quadrature pairing precondition ({})")
     completion = _complete(d_q, d_q_theta, tol)
-    _verify_symplectic(np.concatenate([d_q, completion.n_mat]), _canonical_j(m), "completion")
+    _verify_symplectic(np.concatenate([d_q, completion.n_mat]), "completion")
     return completion
 
 
@@ -442,9 +454,7 @@ def pzkv_decompose(m_mat, tol: float = DEFAULT_TOL) -> PzkvDecomposition:
     rows, two_mp = m_mat.shape
     m_prime = two_mp // 2
     m_theta = _times_j(m_mat)
-    excess = _excess(_maxabs(m_theta @ m_mat.T), tol, m_mat, two_mp)
-    if excess:
-        raise ValueError(f"m_mat is not isotropic ({excess})")
+    _require(*_pairing(m_mat, tol, paired=False, left=m_theta), "m_mat is not isotropic ({})")
     pivots, u, c = _pivoted_gram_schmidt(m_mat, tol)
     r = len(pivots)
     if r > m_prime:
@@ -485,7 +495,7 @@ def pzkv_decompose(m_mat, tol: float = DEFAULT_TOL) -> PzkvDecomposition:
     else:
         completion = _complete(lead, _times_j(lead), tol)
         v_sympl = np.concatenate([lead, completion.n_mat])
-    _verify_symplectic(v_sympl, _canonical_j(m_prime), "network")
+    _verify_symplectic(v_sympl, "network")
     if not (v_sympl[0:2 * r:2] == basis).all():
         raise ValueError("network does not embed the basis rows verbatim")
     return PzkvDecomposition(p_perm, z, k_sel, v_sympl, r)
@@ -512,10 +522,8 @@ def minnorm_right_solve(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def _check_consistent(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> None:
-    residual = _maxabs(x @ a - b)
-    if not residual <= tol * max(1.0, _maxabs(b)) < np.inf:   # a NaN or inf fails
-        raise ValueError("x @ a = b is inconsistent: b is not in the row "
-                         f"space of a (residual {residual:.3e})")
+    _require(_maxabs(x @ a - b), tol * max(1.0, _maxabs(b)),
+             "x @ a = b is inconsistent: b is not in the row space of a ({})")
 
 
 # Numerator coefficients of the degree-13 diagonal Pade approximant to exp,

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matkit import (_SYMPLECTIC_TOL, _bound, pzkv_decompose, random_symplectic,
-                     symplectic_complete)
+from .matkit import _pairing, pzkv_decompose, random_symplectic, symplectic_complete
 from .realizability import (DEFAULT_CHECK_TOL, ConditionResult, RealizabilityReport,
                             _make_report, _overflow_fails, check_standard)
 # The realization records are defined in sysmodel, next to their shapes.
 from .sysmodel import (ClassicalSubsystem, Dimensions, QuantumSubsystem, Realization,
-                       StandardSystem, _canonical_j, _j_times, _maxabs, _times_j)
+                       StandardSystem, _j_times, _maxabs, _times_j)
 
 __all__ = [
     "NotRealizableError",
@@ -104,11 +103,11 @@ def synthesize(sys: StandardSystem, tol: float = DEFAULT_CHECK_TOL) -> Realizati
 def _network_report(r: Realization, tol: float = DEFAULT_CHECK_TOL) -> RealizabilityReport:
     """Conditions on the measurement network that close_loop never reads.
 
-    - symplectic: v_sympl theta' v_sympl^T = theta', to the bound the
-      P-Z-K-V decomposition verifies it to (max|.| against 1e-6 max|V|^2);
+    - symplectic: v_sympl theta' v_sympl^T = theta', as pzkv_decompose
+      verifies it (max|.| against 1e-6 max|V|^2);
     - selection: g_mat = k_sel v_sympl (max|.| against tol max(1, max|V|));
-    - commuting-taps: g_mat theta' g_mat^T = 0, to the isotropy bound
-      pzkv_decompose checks its input to (tol max(1, 2m' max|G|^2));
+    - commuting-taps: g_mat theta' g_mat^T = 0, as pzkv_decompose checks
+      the isotropy of its input (max|.| against tol max(1, 2m' max|G|^2));
     - permutation: p_perm is exactly a permutation matrix.  Its residual is
       the largest distance of an entry from {0, 1} or of a row or column
       sum from 1, and its threshold is zero.
@@ -116,16 +115,12 @@ def _network_report(r: Realization, tol: float = DEFAULT_CHECK_TOL) -> Realizabi
     theta' = diag_j(m') with m' = m - n_yq, the free channels.
     """
     v, g, p = r.v_sympl, r.g_mat, r.p_perm
-    two_free = v.shape[0]
-    theta = _canonical_j(two_free // 2)
     off_permutation = max(_maxabs(np.minimum(np.abs(p), np.abs(p - 1.0))),
                           _maxabs(p.sum(axis=0) - 1.0), _maxabs(p.sum(axis=1) - 1.0))
     return _make_report([
-        ConditionResult("symplectic", _maxabs(_times_j(v) @ v.T - theta),
-                        _bound(_SYMPLECTIC_TOL, v)),
+        ConditionResult("symplectic", *_pairing(v)),
         ConditionResult("selection", _maxabs(g - r.k_sel @ v), tol * max(1.0, _maxabs(v))),
-        ConditionResult("commuting-taps", _maxabs(_times_j(g) @ g.T),
-                        _bound(tol, g, two_free)),
+        ConditionResult("commuting-taps", *_pairing(g, tol, paired=False)),
         ConditionResult("permutation", off_permutation, 0.0),
     ])
 

@@ -15,8 +15,7 @@ import qcsynth
 from qcsynth import (Dimensions, GeneralSystem, QuantumOnlySystem, Realization,
                      StandardSystem, augment, diag_j, generate_realizable, simulate,
                      skew_drift, synthesize)
-from qcsynth.cli import (_decode, _dumps, _encode_complex, _encode_real, load_system, main,
-                         system_to_obj)
+from qcsynth.cli import _decode, _dumps, load_system, main, system_to_obj
 from refsystems import MIXED_D, damped_cavity, mixed_reference, scaled_generated
 from test_synthesis import dimensions
 
@@ -372,13 +371,16 @@ def test_simulate_output_matches_elementwise_encoding(tmp_path, capsys):
 
 
 def test_encoders_match_elementwise_floats():
+    # system_to_obj gives every entry as its own float, signed zeros and
+    # subnormals included, and a complex one as an [re, im] pair
     mat = np.array([[-0.0, 1e-300, 3.0], [complex(2.0, -0.0), complex(-0.0, 1e-300), -7.0]])
-    want = [[[float(x.real), float(x.imag)] for x in row] for row in mat]
-    assert json.dumps(_encode_complex(mat)) == json.dumps(want)
-    assert json.dumps(_encode_complex(mat[:0])) == "[]"
     real = mat.real
+    obj = system_to_obj(GeneralSystem(real, real, real, real, real, mat, mat[:0]))
+    want = [[[float(x.real), float(x.imag)] for x in row] for row in mat]
+    assert json.dumps(obj["f_v"]) == json.dumps(want)
+    assert json.dumps(obj["f_y"]) == "[]"
     want = [[float(x) for x in row] for row in real]
-    assert json.dumps(_encode_real(real)) == json.dumps(want)
+    assert json.dumps(obj["a"]) == json.dumps(want)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +675,8 @@ def test_numpy_only_commands_leave_scipy_linalg_unloaded(tmp_path, capsys):
     np.array([[complex(-0.0, 1e-300), complex(1e16, -0.0)], [complex(1.5, 2.0), 3.0]]),
 ])
 def test_writer_matches_json_dumps(value):
-    encoded = _encode_complex(value) if value.dtype.kind == "c" else _encode_real(value)
+    encoded = (np.stack([value.real, value.imag], axis=-1) if value.dtype.kind == "c"
+               else value).tolist()
     scalars = {"zero": -0.0, "tiny": 1e-300, "big": 1e16, "int": 3, "none": None,
                "flag": True, "text": "line\nbreak \"quoted\" é", "empty": {},
                "list": [[1.0, 2]], "nested": {"deeper": {}}}
@@ -1279,6 +1282,10 @@ def overflow_inputs(tmp_path):
         "dq1e200": write_json(tmp_path / "dq1e200.json",
                               {"d_q": [[1e200, 0, 0, 0], [0, 1e-200, 0, 0]]}),
         "augment1e160": write_system(tmp_path / "augment1e160.json", scaled_generated(1e160)),
+        # the Ito matrix 1e308 (I + iJ), whose eigenvalue 2e308 is past the float range
+        "ito1e308": write_system(tmp_path / "ito1e308.json", GeneralSystem(
+            np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((0, 2)),
+            diag_j(1), 1e308 * (np.eye(2) + 1j * diag_j(1)), np.zeros((0, 0), complex))),
         "realization": str(tmp_path / "realization.json"),
     }
     assert main(["synthesize", write_system(tmp_path / "s.json", model), "--quiet",
@@ -1292,6 +1299,7 @@ def overflow_inputs(tmp_path):
     ["verify-realization", "realization", "--reference", "a1e300"],
     ["check", "general1e200"], ["to-standard", "general1e200"], ["to-standard", "bc1e160"],
     ["complete-symplectic", "dq1e200"], ["augment", "augment1e160"],
+    ["to-standard", "ito1e308"],
 ], ids=" ".join)
 def test_overflow_warns_nothing_under_warnings_as_errors(tmp_path, argv):
     # a RuntimeWarning that escapes numpy would end this process in a traceback
@@ -1309,6 +1317,7 @@ def test_overflow_warns_nothing_under_warnings_as_errors(tmp_path, argv):
      "error: to-standard: the transfer deviation overflowed: transfer_max_deviation nan\n"),
     (["verify-realization", "realization", "--reference", "a1e300"],
      "error: verify-realization: a block error overflowed: a nan, "),
+    (["to-standard", "ito1e308"], "error: Ito factor failed to verify (residual nan)\n"),
 ])
 def test_overflowed_report_value_is_one_error(tmp_path, capsys, argv, message):
     paths = overflow_inputs(tmp_path)
@@ -1320,6 +1329,19 @@ def test_overflowed_report_value_is_one_error(tmp_path, capsys, argv, message):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert err.startswith(message) and err.count("\n") == 1
     assert not report.exists()
+
+
+def test_to_standard_halves_theta_before_it_subtracts(tmp_path):
+    # theta - theta^T overflows at max|theta| = 1.7e308, theta / 2 - theta^T / 2 does not
+    path = write_system(tmp_path / "theta.json", GeneralSystem(
+        np.zeros((4, 4)), np.zeros((4, 2)), np.zeros((0, 4)), np.zeros((0, 2)),
+        1.7e308 * diag_j(2), np.eye(2) + 1j * diag_j(1), np.zeros((0, 0), complex)))
+    proc = run_process("-W", "error::RuntimeWarning", "-m", "qcsynth", "to-standard", path,
+                       "-o", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "to-standard: OK (transfer deviation 0.000e+00)\n"
+    witness = json.loads((tmp_path / "out.json").read_text())
+    assert witness["standard"]["dims"]["n_q"] == 2
 
 
 def test_closed_pipe_exits_141_without_traceback(tmp_path):

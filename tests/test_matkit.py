@@ -691,6 +691,95 @@ def test_overflowing_scale_fails_its_check():
         pzkv_decompose(np.array([[1e200, 0.0]]))
 
 
+# ------------------------------------------------------------- one pass rule
+
+def pairing_rows():
+    return random_symplectic(2, np.random.default_rng(4))[:2]
+
+
+def isotropic_rows():
+    return random_symplectic(3, np.random.default_rng(4))[0:4:2]
+
+
+# Each verification matkit makes, by the start of its error text, with a
+# passing call that reaches it.
+VERIFICATIONS = [
+    ("d_q does not satisfy the quadrature pairing precondition",
+     lambda: symplectic_complete(pairing_rows())),
+    ("completion failed to verify", lambda: symplectic_complete(pairing_rows())),
+    ("m_mat is not isotropic", lambda: pzkv_decompose(isotropic_rows())),
+    ("network failed to verify", lambda: pzkv_decompose(isotropic_rows())),
+    ("x @ a = b is inconsistent: b is not in the row space of a",
+     lambda: minnorm_right_solve(np.eye(2), np.ones((1, 2)))),
+    ("skew canonical form failed to verify", lambda: skew_canonical(diag_j(2))),
+    ("Ito factor failed to verify", lambda: ito_factorize(vacuum_fw(1))),
+]
+
+
+@pytest.mark.parametrize("prefix, call", VERIFICATIONS,
+                         ids=["pairing", "completion", "isotropy", "network", "consistency",
+                              "skew-congruence", "ito"])
+@pytest.mark.parametrize("fault, detail", [
+    ("nan-residual", "(residual nan"),
+    ("inf-threshold", ", but the scale overflowed)"),
+], ids=["nan-residual", "inf-threshold"])
+def test_each_verification_fails_on_a_nan_residual_and_an_infinite_threshold(
+        monkeypatch, prefix, call, fault, detail):
+    # every verification decides through matkit._require, whose rule is
+    # ConditionResult.passed's: both values finite and residual <= threshold
+    call()
+    require, seen = matkit._require, []
+
+    def faulty(residual, threshold, message):
+        if message.startswith(prefix):
+            seen.append(message)
+            if fault == "nan-residual":
+                residual = float("nan")
+            else:
+                threshold = float("inf")
+        return require(residual, threshold, message)
+
+    monkeypatch.setattr(matkit, "_require", faulty)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert seen
+    assert str(info.value).startswith(prefix + " (residual ")
+    assert detail in str(info.value)
+
+
+def test_pass_rule_is_condition_result_passed():
+    from qcsynth.realizability import ConditionResult
+    values = [0.0, 1.0, 2.0, float("inf"), float("nan")]
+    for residual in values:
+        for threshold in values:
+            passed = ConditionResult("x", residual, threshold).passed
+            try:
+                matkit._require(residual, threshold, "failed ({})")
+            except ValueError:
+                assert not passed, (residual, threshold)
+            else:
+                assert passed, (residual, threshold)
+
+
+def test_ito_overflowing_eigenvalue_fails_without_a_warning(capfd):
+    # the eigenvalues of 1e308 (I + iJ) are 0 and 2e308, past the float
+    # range: w holds inf * 0, and the NaN residual fails its check
+    with pytest.raises(ValueError) as info:
+        ito_factorize(1e308 * vacuum_fw(1))
+    assert str(info.value) == "Ito factor failed to verify (residual nan)"
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("peak", [0.9e308, 1.7e308])
+def test_skew_canonical_halves_before_it_subtracts(peak):
+    # theta - theta^T overflows here; theta / 2 - theta^T / 2 does not
+    theta = peak * diag_j(2)
+    res = skew_canonical(theta)
+    assert (res.n_q, res.n_c) == (2, 0)
+    p = res.p
+    assert np.abs((p @ theta) @ p.T - diag_j(2)).max() <= 1e-12
+
+
 # ------------------------------------------- pzkv_decompose: both network branches
 
 def counted_complete(monkeypatch):

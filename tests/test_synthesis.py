@@ -406,8 +406,7 @@ def test_each_completion_is_verified_once(monkeypatch):
     monkeypatch.setattr(matkit, "skew_canonical",
                         lambda *a, **k: skew_calls.append(1) or skew(*a, **k))
     monkeypatch.setattr(matkit, "_verify_symplectic",
-                        lambda full, theta, what: (verified.append(what)
-                                                   or verify(full, theta, what)))
+                        lambda full, what: verified.append(what) or verify(full, what))
     for dims in (Dimensions(2, 2, 4, 2, 2), Dimensions(2, 1, 6, 1, 0)):
         verified.clear()
         synthesize(generate_realizable(dims, 1))
