@@ -515,8 +515,7 @@ def cmd_augment(args) -> tuple[dict, bool, str]:
 
 def cmd_generate(args) -> tuple[dict, bool, str]:
     try:
-        dims = Dimensions(args.n_q, args.n_c, args.m, args.n_yq, args.n_yc,
-                          args.n_w1)
+        dims = Dimensions(**{f.name: getattr(args, f.name) for f in fields(Dimensions)})
     except ValueError as exc:
         raise SystemFileError(str(exc))
     if args.seed < 0:
@@ -546,60 +545,41 @@ def _build_parser() -> argparse.ArgumentParser:
                     "quantum-classical linear stochastic systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="run the realizability conditions on a system file")
-    p.add_argument("input")
-    p.add_argument("--form", choices=("standard", "general", "quantum"),
-                   help="require the file to declare this form")
-    p.add_argument("--partitioned", action="store_true",
-                   help="use the ten block conditions (standard form only)")
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("to-standard", parents=[common],
-                       help="convert a general-form file to standard form")
-    p.add_argument("input")
-    p.set_defaults(handler=cmd_to_standard)
-
-    p = sub.add_parser("synthesize", parents=[common],
-                       help="split a standard-form file into its realization")
-    p.add_argument("input")
-    p.set_defaults(handler=cmd_synthesize)
-
-    p = sub.add_parser("verify-realization", parents=[common],
-                       help="close the loop on a realization report and diff it "
-                            "against a reference system file")
-    p.add_argument("input")
-    p.add_argument("--reference", required=True,
-                   help="standard-form system file to compare against")
-    p.set_defaults(handler=cmd_verify_realization)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="integrate the first and second moments")
-    p.add_argument("input")
-    p.add_argument("--t-final", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("complete-symplectic", parents=[common],
-                       help="complete quadrature output rows to a symplectic matrix")
-    p.add_argument("input")
-    p.set_defaults(handler=cmd_complete_symplectic)
-
-    p = sub.add_parser("augment", parents=[common],
-                       help="attach conjugate partners to the classical variables")
-    p.add_argument("input")
-    p.set_defaults(handler=cmd_augment)
-
-    p = sub.add_parser("generate", parents=[common],
-                       help="write a random realizable standard-form system file")
-    p.add_argument("--n-q", type=int, required=True)
-    p.add_argument("--n-c", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n-yq", type=int, required=True)
-    p.add_argument("--n-yc", type=int, required=True)
-    p.add_argument("--n-w1", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_generate)
+    # Each command: its handler, help line and the arguments that follow the
+    # common ones.  Built per call, so that each parser takes the cmd_* the
+    # module holds at that time.
+    source = ("input", {})
+    commands = {
+        "check": (cmd_check, "run the realizability conditions on a system file", source,
+                  ("--form", {"choices": tuple(_FORMS),
+                              "help": "require the file to declare this form"}),
+                  ("--partitioned", {"action": "store_true", "help": "use the ten block "
+                                     "conditions (standard form only)"})),
+        "to-standard": (cmd_to_standard, "convert a general-form file to standard form", source),
+        "synthesize": (cmd_synthesize, "split a standard-form file into its realization",
+                       source),
+        "verify-realization": (cmd_verify_realization, "close the loop on a realization report "
+                               "and diff it against a reference system file", source,
+                               ("--reference", {"required": True, "help": "standard-form "
+                                                "system file to compare against"})),
+        "simulate": (cmd_simulate, "integrate the first and second moments", source,
+                     ("--t-final", {"type": float, "default": 5.0}),
+                     ("--dt", {"type": float, "default": 1e-3})),
+        "complete-symplectic": (cmd_complete_symplectic, "complete quadrature output rows "
+                                "to a symplectic matrix", source),
+        "augment": (cmd_augment, "attach conjugate partners to the classical variables", source),
+        # a flag per Dimensions field, required unless the field has a default
+        "generate": (cmd_generate, "write a random realizable standard-form system file",
+                     *(("--" + f.name.replace("_", "-"), {"type": int, "required": True}
+                        if f.default is MISSING else {"type": int, "default": f.default})
+                       for f in fields(Dimensions)),
+                     ("--seed", {"type": int, "default": 0})),
+    }
+    for name, (handler, help_line, *arguments) in commands.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
 
     return parser
 

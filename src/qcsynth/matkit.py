@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import _canonical_j, _fro, _j_times, _maxabs, _times_j
+from .sysmodel import _canonical_j, _fro, _j_times, _maxabs, _passes, _times_j
 
 __all__ = [
     "DEFAULT_TOL",
@@ -62,10 +62,10 @@ def _pairing(rows: np.ndarray, tol: float | None = None, paired: bool = True,
 
 
 def _require(residual: float, threshold: float, message: str) -> None:
-    """Raise ValueError(message.format("residual ...")) unless both values
-    are finite and residual <= threshold, the rule of ConditionResult.passed.
-    The text says when the scale overflowed: the residual may then be exact."""
-    if residual <= threshold < math.inf:    # False for a NaN
+    """Raise ValueError(message.format("residual ...")) unless the pair
+    passes, by the rule of sysmodel._passes.  The text says when the scale
+    overflowed: the residual may then be exact."""
+    if _passes(residual, threshold):
         return
     detail = f"residual {residual:.3e}"
     if math.isfinite(residual) and not math.isfinite(threshold):
@@ -454,7 +454,9 @@ def pzkv_decompose(m_mat, tol: float = DEFAULT_TOL) -> PzkvDecomposition:
     rows, two_mp = m_mat.shape
     m_prime = two_mp // 2
     m_theta = _times_j(m_mat)
-    _require(*_pairing(m_mat, tol, paired=False, left=m_theta), "m_mat is not isotropic ({})")
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails the check
+        _require(*_pairing(m_mat, tol, paired=False, left=m_theta),
+                 "m_mat is not isotropic ({})")
     pivots, u, c = _pivoted_gram_schmidt(m_mat, tol)
     r = len(pivots)
     if r > m_prime:

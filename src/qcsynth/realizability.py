@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sysmodel import (DEFAULT_CHECK_TOL, Dimensions, GeneralSystem, QuantumOnlySystem,
-                       StandardSystem, _canonical_j, _maxabs, _times_j)
+                       StandardSystem, _canonical_j, _maxabs, _passes, _times_j)
 
 __all__ = [
     "ConditionResult",
@@ -42,10 +42,7 @@ class ConditionResult:
 
     @property
     def passed(self) -> bool:
-        # An overflow makes residual and threshold infinite together; inf <= inf
-        # must not read as a pass.
-        return (math.isfinite(self.residual) and math.isfinite(self.threshold)
-                and self.residual <= self.threshold)
+        return _passes(self.residual, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ def _make_report(conditions: list[ConditionResult]) -> RealizabilityReport:
     for c in conditions:
         residual, threshold = c.residual, c.threshold
         finite = math.isfinite(residual) and math.isfinite(threshold)
-        verdict = verdict and finite and residual <= threshold
+        verdict = verdict and _passes(residual, threshold)
         ratio = (residual / threshold if finite and threshold > 0.0
                  else 0.0 if finite and residual <= 0.0 else math.inf)
         if ratio > worst_ratio:

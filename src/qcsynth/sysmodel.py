@@ -112,6 +112,13 @@ def _maxabs(a: np.ndarray) -> float:
     return 0.0 if a.size == 0 else float(np.abs(a).max())
 
 
+def _passes(residual: float, threshold: float) -> bool:
+    """The pass rule of every verification: residual and threshold both
+    finite, and residual <= threshold.  An overflow makes both infinite
+    together, and inf <= inf must not read as a pass; a NaN fails."""
+    return math.isfinite(residual) and math.isfinite(threshold) and residual <= threshold
+
+
 def _fro(a: np.ndarray) -> float:
     """Frobenius norm of a real array, bit for bit np.linalg.norm(a).
 
@@ -201,11 +208,12 @@ def _block(matrix: str, rows: str, cols: str = "all", doc: str | None = None) ->
 
 
 def _skew_part(matrix: str) -> property:
-    # Re((f - f^T) / 2i) for the named f, up to the sign of a zero, as Im(f - f^T) / 2:
-    # no complex division, and a strided view as np.real's, so matmul keeps its loop
+    # Re((f - f^T) / 2i) for the named f, up to the sign of a zero, as Im(f/2 - f^T/2):
+    # halved first, so that it cannot overflow; no complex division, and a
+    # strided view as np.real's, so matmul keeps its loop
     def part(self) -> np.ndarray:
-        skew = (getattr(self, matrix) - getattr(self, matrix).T).imag
-        return np.multiply(skew, 0.5, out=skew)
+        half = getattr(self, matrix) * 0.5
+        return (half - half.T).imag
     return property(part)
 
 

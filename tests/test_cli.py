@@ -15,7 +15,7 @@ import qcsynth
 from qcsynth import (Dimensions, GeneralSystem, QuantumOnlySystem, Realization,
                      StandardSystem, augment, diag_j, generate_realizable, simulate,
                      skew_drift, synthesize)
-from qcsynth.cli import _decode, _dumps, load_system, main, system_to_obj
+from qcsynth.cli import _FORMS, _decode, _dumps, load_system, main, system_to_obj
 from refsystems import MIXED_D, damped_cavity, mixed_reference, scaled_generated
 from test_synthesis import dimensions
 
@@ -502,6 +502,59 @@ def test_generate_rejects_a_negative_seed(capsys):
                          "--n-yq", "1", "--n-yc", "1", "--seed", "-5")
     assert (code, out) == (2, "")
     assert err == "error: --seed must be non-negative, got -5\n"
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+COMMANDS = ("check", "to-standard", "synthesize", "verify-realization", "simulate",
+            "complete-symplectic", "augment", "generate")
+DIMS_ARGV = {"--n-q": "1", "--n-c": "1", "--m": "2", "--n-yq": "1", "--n-yc": "1"}
+
+
+def parse_exit(capsys, *argv):
+    """The exit code and streams of an argv that argparse itself ends."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([command, "--help"] for command in COMMANDS)],
+                         ids=" ".join)
+def test_every_help_screen_exits_zero(capsys, argv):
+    code, out, err = parse_exit(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: qcsynth", *argv[:-1]]) + " ")
+    if argv == ["--help"]:
+        assert "{" + ",".join(COMMANDS) + "}" in out
+
+
+@pytest.mark.parametrize("missing", DIMS_ARGV)
+def test_generate_requires_each_dimension_without_a_default(capsys, missing):
+    argv = [part for flag, value in DIMS_ARGV.items() if flag != missing
+            for part in (flag, value)]
+    code, out, err = parse_exit(capsys, "generate", *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: the following arguments are required: {missing}\n")
+
+
+@pytest.mark.parametrize("extra, n_w1", [((), 0), (("--n-w1", "1"), 1)])
+def test_generate_takes_one_flag_per_dimensions_field(tmp_path, capsys, extra, n_w1):
+    path = tmp_path / "gen.json"
+    argv = [part for item in DIMS_ARGV.items() for part in item]
+    assert run(capsys, "generate", *argv, *extra, "-o", str(path))[0] == 0
+    dims = json.loads(path.read_text())["dims"]
+    assert list(dims) == [f.name for f in fields(Dimensions)]
+    assert dims == {"n_q": 1, "n_c": 1, "m": 2, "n_yq": 1, "n_yc": 1, "n_w1": n_w1}
+
+
+def test_check_form_takes_only_the_file_forms(tmp_path, capsys):
+    path = write_system(tmp_path / "sys.json", mixed_reference())
+    code, out, err = parse_exit(capsys, "check", "--form", "bogus", path)
+    assert (code, out) == (2, "")
+    assert "argument --form: invalid choice: 'bogus'" in err
+    assert all(form in err for form in _FORMS)
 
 
 # ---------------------------------------------------------------------------
@@ -1342,6 +1395,16 @@ def test_to_standard_halves_theta_before_it_subtracts(tmp_path):
     assert proc.stderr == "to-standard: OK (transfer deviation 0.000e+00)\n"
     witness = json.loads((tmp_path / "out.json").read_text())
     assert witness["standard"]["dims"]["n_q"] == 2
+
+
+def test_check_halves_the_ito_matrices_before_it_subtracts(tmp_path):
+    # F_v - F_v^T overflows for F_v = 1e308 (I + iJ), F_v / 2 - F_v^T / 2 does
+    # not, and every term of the conditions is zero
+    path = overflow_inputs(tmp_path)["ito1e308"]
+    proc = run_process("-W", "error::RuntimeWarning", "-m", "qcsynth", "check", path,
+                       "-o", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "check: PASS (worst condition state-commutation, residual 0.000e+00)\n"
 
 
 def test_closed_pipe_exits_141_without_traceback(tmp_path):

@@ -691,6 +691,13 @@ def test_overflowing_scale_fails_its_check():
         pzkv_decompose(np.array([[1e200, 0.0]]))
 
 
+def test_pzkv_overflowing_isotropy_check_warns_nothing():
+    # m theta m^T overflows: the check fails on its infinite residual, and no
+    # RuntimeWarning escapes before the error
+    with pytest.raises(ValueError, match=r"^m_mat is not isotropic \(residual inf\)$"):
+        pzkv_decompose(np.array([[1e200, 1e200]]))
+
+
 # ------------------------------------------------------------- one pass rule
 
 def pairing_rows():
@@ -748,17 +755,24 @@ def test_each_verification_fails_on_a_nan_residual_and_an_infinite_threshold(
 
 
 def test_pass_rule_is_condition_result_passed():
-    from qcsynth.realizability import ConditionResult
-    values = [0.0, 1.0, 2.0, float("inf"), float("nan")]
+    # sysmodel._passes decides ConditionResult.passed, a report's verdict and
+    # matkit._require alike: both values finite and residual <= threshold
+    from qcsynth.realizability import ConditionResult, _make_report
+    values = [0.0, 1.0, 2.0, -float("inf"), float("inf"), float("nan")]
     for residual in values:
         for threshold in values:
-            passed = ConditionResult("x", residual, threshold).passed
+            want = (np.isfinite(residual) and np.isfinite(threshold)
+                    and residual <= threshold)
+            condition = ConditionResult("x", residual, threshold)
+            assert sysmodel._passes(residual, threshold) == want, (residual, threshold)
+            assert condition.passed == want, (residual, threshold)
+            assert _make_report([condition]).verdict == want, (residual, threshold)
             try:
                 matkit._require(residual, threshold, "failed ({})")
             except ValueError:
-                assert not passed, (residual, threshold)
+                assert not want, (residual, threshold)
             else:
-                assert passed, (residual, threshold)
+                assert want, (residual, threshold)
 
 
 def test_ito_overflowing_eigenvalue_fails_without_a_warning(capfd):

@@ -204,6 +204,14 @@ def test_general_skew_parts():
     assert g.theta_y.shape == (1, 1)
 
 
+def test_general_skew_parts_halve_before_they_subtract():
+    # F - F^T overflows for F = 1e308 (I + iJ); F / 2 - F^T / 2 does not
+    f_v = 1e308 * (np.eye(2) + 1j * diag_j(1))
+    g = GeneralSystem(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((0, 2)),
+                      np.zeros((0, 2)), diag_j(1), f_v, np.zeros((0, 0), complex))
+    assert np.array_equal(g.theta_v, 1e308 * diag_j(1))
+
+
 def test_quantum_only_counts():
     q = QuantumOnlySystem(np.zeros((4, 4)), np.zeros((4, 6)),
                           np.zeros((2, 4)), np.hstack([np.eye(2), np.zeros((2, 4))]))
