@@ -21,13 +21,12 @@ _EXPORTS = {
     "sysmodel": ("J2", "Dimensions", "GeneralSystem", "QuantumOnlySystem", "StandardSystem",
                  "StructureMatrices", "diag_j", "make_structure", "validate"),
     "matkit": ("ItoFactorization", "PzkvDecomposition", "SkewCanonicalResult",
-               "SymplecticCompletion", "ito_factorize", "minnorm_right_solve",
-               "pzkv_decompose", "random_symplectic", "rank_tol", "skew_canonical",
-               "symplectic_complete"),
+               "SymplecticCompletion", "ito_factorize", "pzkv_decompose",
+               "random_symplectic", "skew_canonical", "symplectic_complete"),
     "realizability": ("ConditionResult", "RealizabilityReport", "check_general",
                       "check_quantum", "check_standard", "check_standard_partitioned",
-                      "commutator_trajectory", "nondemolition_residual"),
-    "transform": ("TransformWitness", "to_standard", "transfer_equiv_check", "transfer_eval"),
+                      "commutator_trajectory"),
+    "transform": ("TransformWitness", "to_standard", "transfer_equiv_check"),
     "augment": ("AugmentedSystem", "ReducedSystem", "augment", "reduce"),
     "synthesis": ("ClassicalSubsystem", "NotRealizableError", "QuantumSubsystem",
                   "Realization", "close_loop", "generate_realizable", "synthesize"),

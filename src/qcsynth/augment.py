@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import DEFAULT_TOL, _check_consistent, _qr_minnorm, minnorm_right_solve
+from .matkit import DEFAULT_TOL, _check_consistent, _qr_minnorm, _require_pairing
 from .sysmodel import StandardSystem, _j_times, _maxabs, _times_j
 
 __all__ = ["AugmentedSystem", "ReducedSystem", "augment", "reduce"]
@@ -83,21 +83,21 @@ def _classical_selector(n: int, n_c: int) -> np.ndarray:
 def _auxiliary_input(d_q: np.ndarray, c_qc: np.ndarray, tol: float) -> np.ndarray:
     """Minimum-norm b_prime with b_prime (theta_w d_q^T) = c_qc^T.
 
-    With the economy QR theta_w d_q^T = q1 r1 this is (q1 r1)^T b_prime^T =
-    c_qc, solved by the formula of SymplecticCompletion.solve_d_q, whose
-    QR is of (d_q theta_w)^T = -theta_w d_q^T.  A rank-deficient d_q makes
-    r1 singular; then, or when the result misses the consistency bound,
-    the SVD solve minnorm_right_solve decides, and raises on an
-    inconsistent equation.
+    d_q must pass the quadrature pairing precondition, which gives it full
+    row rank.  With the economy QR theta_w d_q^T = q1 r1 this is
+    (q1 r1)^T b_prime^T = c_qc, solved by the formula of
+    SymplecticCompletion.solve_d_q, whose QR is of (d_q theta_w)^T.
     """
+    _require_pairing(d_q, tol)
     a = _j_times(d_q.T)
-    try:
-        # a non-finite result fails the consistency check
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a non-finite b_prime fails the consistency check
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             b_prime = _qr_minnorm(*np.linalg.qr(a), c_qc).T
-            _check_consistent(b_prime, a, c_qc.T, tol)
-    except ValueError:     # LinAlgError is one
-        return minnorm_right_solve(a, c_qc.T, tol)
+        except np.linalg.LinAlgError:    # a pairing passed at an extreme scale
+            raise ValueError("augment: the solve for b_prime against theta_w d_q^T is "
+                             "singular (R1 of its QR has a zero pivot)") from None
+        _check_consistent(b_prime, a, c_qc.T, tol)
     return b_prime
 
 
@@ -105,15 +105,15 @@ def augment(sys: StandardSystem, tol: float = DEFAULT_TOL) -> AugmentedSystem:
     """Attach conjugate partners to the classical state variables.
 
     b_prime is the minimum-norm solution of b_prime (theta_w d_q^T) = c_qc^T,
-    from a QR of theta_w d_q^T (see _auxiliary_input); an inconsistent
-    equation here means the input fails the quantum rows of the
-    non-demolition condition and the solver raises.  The auxiliary
-    dynamics blocks are then forced: the classical-column block of a_prime
-    resolves the skew equation a_prime_c^T - a_prime_c = b_prime theta_w
-    b_prime^T symmetrically, the quantum-column block cancels the
-    cross-commutation drift between x_q and the auxiliaries, and a_dprime
-    follows from the closure relation, whose a_prime theta_n term has no
-    classical columns: a_dprime = (b_prime theta_w B^T)[:, classical] - a_cc^T.
+    from a QR of theta_w d_q^T (see _auxiliary_input); d_q must pass the
+    quadrature pairing precondition of symplectic_complete, and augment
+    raises ValueError otherwise.  The auxiliary dynamics blocks are then
+    forced: the classical-column block of a_prime resolves the skew
+    equation a_prime_c^T - a_prime_c = b_prime theta_w b_prime^T
+    symmetrically, the quantum-column block cancels the cross-commutation
+    drift between x_q and the auxiliaries, and a_dprime follows from the
+    closure relation, whose a_prime theta_n term has no classical columns:
+    a_dprime = (b_prime theta_w B^T)[:, classical] - a_cc^T.
     """
     n, n_c = sys.dims.n, sys.dims.n_c
     b_prime = _auxiliary_input(sys.d_q, sys.c_qc, tol)

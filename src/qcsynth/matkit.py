@@ -25,8 +25,6 @@ __all__ = [
     "ito_factorize",
     "symplectic_complete",
     "pzkv_decompose",
-    "minnorm_right_solve",
-    "rank_tol",
     "random_symplectic",
 ]
 
@@ -73,6 +71,15 @@ def _require(residual: float, threshold: float, message: str) -> None:
     raise ValueError(message.format(detail))
 
 
+def _require_pairing(d_q: np.ndarray, tol: float, left: np.ndarray | None = None) -> None:
+    """The quadrature pairing precondition d_q theta_w d_q^T = diag_j, to
+    the bound of _pairing; left is d_q @ theta_w if the caller has it.  An
+    overflow fails it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _require(*_pairing(d_q, tol, left=left),
+                 "d_q does not satisfy the quadrature pairing precondition ({})")
+
+
 def _finite_maxabs(a: np.ndarray, name: str) -> float:
     # max|a|, which is NaN or inf exactly when an entry is.  LAPACK prints
     # an error of its own on a NaN.
@@ -80,20 +87,6 @@ def _finite_maxabs(a: np.ndarray, name: str) -> float:
     if not math.isfinite(peak):
         raise ValueError(f"{name} has a non-finite entry")
     return peak
-
-
-def rank_tol(m_mat, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank: count of singular values above tol times the largest."""
-    m_mat = np.asarray(m_mat, dtype=float)
-    if m_mat.ndim != 2:
-        raise ValueError(f"m_mat must be 2-D, got shape {m_mat.shape}")
-    _finite_maxabs(m_mat, "m_mat")
-    if m_mat.size == 0:
-        return 0
-    s = np.linalg.svd(m_mat, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
 
 
 @dataclass(frozen=True)
@@ -338,9 +331,7 @@ def symplectic_complete(d_q, tol: float = DEFAULT_TOL) -> SymplecticCompletion:
     if n_yq > m:
         raise ValueError(f"d_q has {n_yq} quadrature pairs but only m={m} channels")
     d_q_theta = _times_j(d_q)
-    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails the check
-        _require(*_pairing(d_q, tol, left=d_q_theta),
-                 "d_q does not satisfy the quadrature pairing precondition ({})")
+    _require_pairing(d_q, tol, left=d_q_theta)
     completion = _complete(d_q, d_q_theta, tol)
     _verify_symplectic(np.concatenate([d_q, completion.n_mat]), "completion")
     return completion
@@ -389,7 +380,7 @@ def _pivoted_gram_schmidt(m_mat: np.ndarray,
     squared.  The loop stops, fixing the rank r, once the residual
     m_mat - c.T @ u has a Frobenius norm of at most tol times the largest
     row norm of m_mat: that bounds sigma_{r+1} by tol * sigma_1, so r is
-    never below the rank rank_tol counts.
+    never below the count of singular values above tol * sigma_1.
     """
     rows, cols = m_mat.shape
     steps = min(rows, cols)
@@ -431,12 +422,11 @@ def pzkv_decompose(m_mat, tol: float = DEFAULT_TOL) -> PzkvDecomposition:
     pivoted Gram-Schmidt on its rows (see _pivoted_gram_schmidt), which
     gives the rank, the basis rows L and the QR factors L^T = Q R.  Its cut
     is on the residual: the Frobenius norm of the rows left after projecting
-    out L is at most tol times the largest row norm of m_mat, where rank_tol
-    counts the singular values above tol times the largest.  That bounds
+    out L is at most tol times the largest row norm of m_mat.  That bounds
     sigma_{r+1} by tol * sigma_1, and sigma_r >= 1 / |W|_F bounds the rank
     from below: raises when tol |W|_F |m_mat|_F >= 1, where the rank is not
-    well determined, so a returned r is the rank rank_tol counts, up to
-    round-off in both bounds.  The remaining rows are recovered through Z.
+    well determined.  A returned r counts the singular values above
+    tol * sigma_1, up to round-off.  The remaining rows are recovered through Z.
     Closed form for v_sympl: the dual rows W = R^-1 Q^T theta_prime satisfy
     L theta W^T = I, and W -= (W theta W^T) L / 2 makes them isotropic while
     keeping that identity (L theta L^T = 0).  The remaining rows M_o = X L
@@ -465,9 +455,9 @@ def pzkv_decompose(m_mat, tol: float = DEFAULT_TOL) -> PzkvDecomposition:
     # Dual rows in pivot order from L^T = Q R with Q = u.T and R the upper
     # triangle of Q^T L^T = c[:, pivots], then in row order.
     dual = np.linalg.solve(np.triu(c[:, pivots]), _times_j(u))[np.argsort(pivots)]
-    # sigma_r(m_mat) >= sigma_min(L) = 1 / |R^-1|_2 >= 1 / |W|_F, so rank_tol
-    # counts at least r when tol |W|_F |m_mat|_F < 1 (|m_mat|_F >= sigma_1);
-    # otherwise the rank is not well determined at tol.
+    # sigma_r(m_mat) >= sigma_min(L) = 1 / |R^-1|_2 >= 1 / |W|_F, so at least
+    # r singular values lie above tol * sigma_1 when tol |W|_F |m_mat|_F < 1
+    # (|m_mat|_F >= sigma_1); otherwise the rank is not well determined at tol.
     ambiguity = tol * _fro(dual) * _fro(m_mat)
     if ambiguity >= 1.0:
         raise ValueError(f"the rank of m_mat is not well determined at tol {tol:.1e}: "
@@ -501,26 +491,6 @@ def pzkv_decompose(m_mat, tol: float = DEFAULT_TOL) -> PzkvDecomposition:
     if not (v_sympl[0:2 * r:2] == basis).all():
         raise ValueError("network does not embed the basis rows verbatim")
     return PzkvDecomposition(p_perm, z, k_sel, v_sympl, r)
-
-
-def minnorm_right_solve(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Minimum-Frobenius-norm solution x of x @ a = b.
-
-    The equation must be consistent: every row of b has to lie in the row
-    space of a.  Raises with the residual norm otherwise.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"column mismatch: a has {a.shape[1]}, b has {b.shape[1]}")
-    _finite_maxabs(a, "a")
-    _finite_maxabs(b, "b")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        x = np.zeros((b.shape[0], a.shape[0]))
-    else:
-        x = np.linalg.lstsq(a.T, b.T, rcond=None)[0].T
-    _check_consistent(x, a, b, tol)
-    return x
 
 
 def _check_consistent(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> None:

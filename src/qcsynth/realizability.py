@@ -29,7 +29,6 @@ __all__ = [
     "check_standard",
     "check_standard_partitioned",
     "check_general",
-    "nondemolition_residual",
     "commutator_trajectory",
 ]
 
@@ -198,13 +197,6 @@ def check_general(sys: GeneralSystem, tol: float = DEFAULT_CHECK_TOL) -> Realiza
     terms = _terms(sys.a_g, sys.b_g, sys.c_g, sys.d_g,
                    sys.big_theta_n, sys.theta_v, sys.theta_y)
     return _make_report(_conditions(_WHOLE_NAMES, terms, tol))
-
-
-@_overflow_fails
-def nondemolition_residual(sys: StandardSystem) -> float:
-    """Frobenius norm of B theta_w D^T + theta_n C^T."""
-    st = sys.structure
-    return _norm(np.add(*_nondemolition_terms(sys.c, sys.d, sys.b @ st.theta_w, st.theta_n)))
 
 
 def commutator_trajectory(sys: StandardSystem, times) -> list[np.ndarray]:

@@ -499,10 +499,12 @@ def _structure_violations(name: str, mat: np.ndarray) -> list[str]:
     # big_theta_n must be skew, f_v and f_y Hermitian and nonnegative, each
     # to within STRUCTURE_TOL relative to max(1, max|M|)
     bound = STRUCTURE_TOL * max(1.0, _maxabs(mat))
-    if name == "big_theta_n":
-        skew = _maxabs(mat + mat.T)
-        return [f"{name}: not skew-symmetric (max residual {skew:.3e})"] if skew > bound else []
-    herm = _maxabs(mat - mat.conj().T)
+    with np.errstate(over="ignore"):    # an overflowing residual reads inf, and fails
+        if name == "big_theta_n":
+            skew = _maxabs(mat + mat.T)
+            return ([f"{name}: not skew-symmetric (max residual {skew:.3e})"]
+                    if skew > bound else [])
+        herm = _maxabs(mat - mat.conj().T)
     if herm > bound:
         return [f"{name}: not Hermitian (max asymmetry {herm:.3e})"]
     # M + bound I factors exactly when every eigenvalue of M exceeds -bound,

@@ -21,7 +21,6 @@ from .sysmodel import Dimensions, GeneralSystem, StandardSystem, validate
 __all__ = [
     "TransformWitness",
     "to_standard",
-    "transfer_eval",
     "transfer_equiv_check",
     "DEFAULT_SAMPLE_POINTS",
 ]
@@ -92,27 +91,13 @@ def _convert(g: GeneralSystem, tol: float) -> TransformWitness:
     canon_y = skew_canonical(theta_y, tol)
     dims = Dimensions(canon_n.n_q, canon_n.n_c, g.m, canon_y.n_q, canon_y.n_c)
     p_n, p_y = canon_n.p, canon_y.p
-    # A and C share the right factor p_n^{-1}: one solve, stacked
-    a, c = np.split(_right_div(np.concatenate([p_n @ g.a_g, p_y @ g.c_g]), p_n), [g.n])
-    b = p_n @ g.b_g @ w
-    d = p_y @ g.d_g @ w
+    # an overflow leaves non-finite entries, which transfer_equiv_check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A and C share the right factor p_n^{-1}: one solve, stacked
+        a, c = np.split(_right_div(np.concatenate([p_n @ g.a_g, p_y @ g.c_g]), p_n), [g.n])
+        b = p_n @ g.b_g @ w
+        d = p_y @ g.d_g @ w
     return TransformWitness(p_n, w, p_y, StandardSystem(dims, a, b, c, d))
-
-
-def transfer_eval(a, b, c, d, s: complex) -> np.ndarray:
-    """Transfer function C (sI - A)^{-1} B + D at one complex frequency.
-
-    The result is complex even at a real s; a non-finite s raises ValueError.
-    """
-    return _transfer_stack(a, b, c, d, _finite_points((s,)))[0]
-
-
-def _finite_points(points) -> list[complex]:
-    points = [complex(s) for s in points]
-    for s in points:
-        if not cmath.isfinite(s):
-            raise ValueError(f"sample point {s} is not finite")
-    return points
 
 
 def _transfer_stack(a, b, c, d, points) -> np.ndarray:
@@ -181,7 +166,10 @@ def transfer_equiv_check(g: GeneralSystem, tw: TransformWitness,
         sample_points = DEFAULT_SAMPLE_POINTS
     clearance = max(tol, _EIGEN_CLEARANCE)
     std = tw.standard
-    points = _finite_points(sample_points)
+    points = [complex(s) for s in sample_points]
+    for s in points:
+        if not cmath.isfinite(s):
+            raise ValueError(f"sample point {s} is not finite")
     poles = np.linalg.eigvals(g.a_g) if g.n else np.zeros(0)
     points = _clear_of_eigenvalues(points, [poles], clearance)
     # p_y Xi_general(s) w is the transfer function of the general model

@@ -15,9 +15,11 @@ from qcsynth import (
     diag_j,
     generate_realizable,
     reduce,
+    symplectic_complete,
 )
 from qcsynth.augment import AugmentedSystem
-from qcsynth.matkit import DEFAULT_TOL, minnorm_right_solve
+from qcsynth.matkit import DEFAULT_TOL
+from oracles import minnorm_right_solve
 from refsystems import (MIXED_DIMS, damped_cavity, grid_sample, mixed_reference,
                         scaled_generated)
 
@@ -126,7 +128,8 @@ def test_reduce_zero_inputs():
 
 def test_augment_rejects_inconsistent_coupling():
     # break the quantum rows of the non-demolition condition so that no
-    # auxiliary input matrix can reproduce c_qc
+    # auxiliary input matrix can reproduce c_qc: with d_q = 0 the input
+    # fails the pairing precondition first
     dims = Dimensions(n_q=1, n_c=1, m=1, n_yq=1, n_yc=0)
     a = np.zeros((3, 3))
     b = np.vstack([np.eye(2), np.zeros((1, 2))])
@@ -134,7 +137,8 @@ def test_augment_rejects_inconsistent_coupling():
     c[:, 2] = [1.0, 2.0]
     d = np.vstack([np.zeros((1, 2)), np.zeros((1, 2))])  # d_q theta_w d_q^T = 0
     sys = StandardSystem(dims, a, b, c, d)
-    with pytest.raises(ValueError, match="inconsistent"):
+    with pytest.raises(ValueError, match="^d_q does not satisfy the quadrature pairing "
+                                         r"precondition \(residual 1\.000e\+00\)$"):
         augment(sys)
 
 
@@ -201,8 +205,8 @@ def test_relation_residual_overflow_is_inf_without_warning():
 def augment_dense_reference(sys, b_prime):
     """The construction with S, theta_w, theta_nq and theta_n as dense factors.
 
-    b_prime is given: augment's QR solve for it is compared with the SVD
-    solve separately, within round-off.
+    b_prime is given: augment's QR solve for it is compared with the lstsq
+    oracle separately, within round-off.
     """
     st = sys.structure
     n, n_c = sys.dims.n, sys.dims.n_c
@@ -247,22 +251,10 @@ def test_augment_is_bitwise_the_dense_construction():
 
 
 # ---------------------------------------------------------------------------
-# b_prime from the QR of theta_w d_q^T, with the SVD solve as fallback
+# b_prime from the QR of theta_w d_q^T, behind the pairing precondition
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    calls = []
-
-    def spy(a, b, tol=DEFAULT_TOL):
-        calls.append((a.shape, b.shape))
-        return minnorm_right_solve(a, b, tol)
-
-    monkeypatch.setattr(augment_module, "minnorm_right_solve", spy)
-    return calls
-
-
-def test_qr_b_prime_matches_the_svd_solve(svd_calls):
+def test_qr_b_prime_matches_the_svd_solve():
     # augment's b_prime, and the same solve on a perturbed right-hand side,
     # which stays consistent because theta_w d_q^T has full column rank
     checked = 0
@@ -281,15 +273,33 @@ def test_qr_b_prime_matches_the_svd_solve(svd_calls):
                     1.0 + np.abs(got).max(initial=0.0)), (dims, seed)
                 checked += 1
     assert checked == 2 * 3 * 217
-    assert svd_calls == []
 
 
-def test_rank_deficient_d_q_falls_back_to_the_svd_solve(svd_calls):
-    # d_q = 0 and c_qc = 0: r1 is singular, and the SVD solve gives b_prime = 0
+def test_rank_deficient_d_q_fails_the_pairing_precondition():
+    # d_q = 0 and c_qc = 0: the equation is consistent (b_prime = 0 solves
+    # it), but d_q theta_w d_q^T = 0 misses diag_j by 1, and augment raises
+    # the message symplectic_complete raises on the same rows
     dims = Dimensions(n_q=1, n_c=1, m=1, n_yq=1, n_yc=0)
     b = np.vstack([np.eye(2), np.zeros((1, 2))])
     sys = StandardSystem(dims, np.zeros((3, 3)), b, np.zeros((2, 3)), np.zeros((2, 2)))
-    aug = augment(sys)
-    assert aug.b_prime.shape == (1, 2)
-    assert np.count_nonzero(aug.b_prime) == 0
-    assert svd_calls == [((2, 2), (1, 2))]
+    with pytest.raises(ValueError) as info:
+        symplectic_complete(sys.d_q)
+    with pytest.raises(ValueError) as same:
+        augment(sys)
+    assert str(same.value) == str(info.value) == (
+        "d_q does not satisfy the quadrature pairing precondition (residual 1.000e+00)")
+
+
+def test_singular_r1_past_the_precondition_names_the_solve():
+    # d_q = diag(1e10, 0) misses diag_j by 1, below the threshold
+    # tol max|d_q|^2 2m = 2e11; the QR factor r1 is then exactly singular
+    dims = Dimensions(n_q=1, n_c=1, m=1, n_yq=1, n_yc=0)
+    b = np.vstack([np.eye(2), np.zeros((1, 2))])
+    c = np.zeros((2, 3))
+    c[:, 2] = [1.0, 2.0]
+    sys = StandardSystem(dims, np.zeros((3, 3)), b, c, np.diag([1e10, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^augment: the solve for b_prime against "
+                                             r"theta_w d_q\^T is singular"):
+            augment(sys)

@@ -1325,6 +1325,7 @@ def overflow_inputs(tmp_path):
     """The overflow input files by name, and a realization of the system the
     first of them scales."""
     model = generate_realizable(Dimensions(1, 1, 2, 1, 1), seed=3)
+    general = as_general(model)
     paths = {
         "a1e300": write_system(tmp_path / "a1e300.json", StandardSystem(
             model.dims, model.a * 1e300, model.b, model.c, model.d)),
@@ -1339,6 +1340,11 @@ def overflow_inputs(tmp_path):
         "ito1e308": write_system(tmp_path / "ito1e308.json", GeneralSystem(
             np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((0, 2)),
             diag_j(1), 1e308 * (np.eye(2) + 1j * diag_j(1)), np.zeros((0, 0), complex))),
+        # every matrix of the general form times 1e300: the products of the
+        # conversion overflow
+        "general1e300": write_system(tmp_path / "general1e300.json", GeneralSystem(
+            *(1e300 * m for m in (general.a_g, general.b_g, general.c_g, general.d_g,
+                                  general.big_theta_n, general.f_v, general.f_y)))),
         "realization": str(tmp_path / "realization.json"),
     }
     assert main(["synthesize", write_system(tmp_path / "s.json", model), "--quiet",
@@ -1352,7 +1358,7 @@ def overflow_inputs(tmp_path):
     ["verify-realization", "realization", "--reference", "a1e300"],
     ["check", "general1e200"], ["to-standard", "general1e200"], ["to-standard", "bc1e160"],
     ["complete-symplectic", "dq1e200"], ["augment", "augment1e160"],
-    ["to-standard", "ito1e308"],
+    ["to-standard", "ito1e308"], ["to-standard", "general1e300"],
 ], ids=" ".join)
 def test_overflow_warns_nothing_under_warnings_as_errors(tmp_path, argv):
     # a RuntimeWarning that escapes numpy would end this process in a traceback
@@ -1371,6 +1377,8 @@ def test_overflow_warns_nothing_under_warnings_as_errors(tmp_path, argv):
     (["verify-realization", "realization", "--reference", "a1e300"],
      "error: verify-realization: a block error overflowed: a nan, "),
     (["to-standard", "ito1e308"], "error: Ito factor failed to verify (residual nan)\n"),
+    (["to-standard", "general1e300"],
+     "error: to-standard: the transfer deviation overflowed: transfer_max_deviation nan\n"),
 ])
 def test_overflowed_report_value_is_one_error(tmp_path, capsys, argv, message):
     paths = overflow_inputs(tmp_path)
@@ -1382,6 +1390,37 @@ def test_overflowed_report_value_is_one_error(tmp_path, capsys, argv, message):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert err.startswith(message) and err.count("\n") == 1
     assert not report.exists()
+
+
+def structure_overflow_files(tmp_path):
+    """General files whose structure residual overflows, by the line that
+    rejects them: theta[0][0] = 1e308 makes theta + theta^T overflow, and
+    f_v = ((1, 1e308), (-1e308, 1)) makes f_v - f_v^H overflow."""
+    g = as_general(generate_realizable(Dimensions(1, 1, 2, 1, 1), seed=3))
+    theta = g.big_theta_n.copy()
+    theta[0, 0] = 1e308
+    f_v = g.f_v.copy()
+    f_v[0, 1], f_v[1, 0] = 1e308, -1e308
+    return {
+        "big_theta_n: not skew-symmetric (max residual inf)": write_system(
+            tmp_path / "theta.json", GeneralSystem(g.a_g, g.b_g, g.c_g, g.d_g, theta,
+                                                   g.f_v, g.f_y)),
+        "f_v: not Hermitian (max asymmetry inf)": write_system(
+            tmp_path / "f_v.json", GeneralSystem(g.a_g, g.b_g, g.c_g, g.d_g,
+                                                 g.big_theta_n, f_v, g.f_y)),
+    }
+
+
+@pytest.mark.parametrize("command", ["check", "to-standard"])
+def test_overflowing_structure_residual_is_an_input_error_without_warning(tmp_path, capsys,
+                                                                          command):
+    for problem, path in structure_overflow_files(tmp_path).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (2, "", f"error: {path}: {problem}\n")
+        proc = run_process("-W", "error::RuntimeWarning", "-m", "qcsynth", command, path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
 
 
 def test_to_standard_halves_theta_before_it_subtracts(tmp_path):

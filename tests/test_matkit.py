@@ -8,16 +8,15 @@ from qcsynth import (
     diag_j,
     generate_realizable,
     ito_factorize,
-    minnorm_right_solve,
     pzkv_decompose,
     random_symplectic,
-    rank_tol,
     skew_canonical,
     symplectic_complete,
     synthesize,
 )
 from qcsynth import matkit, synthesis, sysmodel
-from qcsynth.matkit import _pivoted_gram_schmidt
+from qcsynth.matkit import _check_consistent, _pivoted_gram_schmidt, _qr_minnorm
+from oracles import minnorm_right_solve, rank_tol
 from refsystems import FV_ROUNDED, W_REFERENCE, fv_exact
 
 J = diag_j(1)
@@ -421,7 +420,7 @@ def _kernel_pivots(m_mat):
 def test_pivot_rows_match_pivoted_qr():
     # generic rank-r matrices: greedy pivoted Gram-Schmidt takes the rows
     # that column-pivoted QR of m_mat.T takes first, and stops at the rank
-    # rank_tol reads off the singular values
+    # the singular values give
     rng = np.random.default_rng(83)
     for _ in range(100):
         rows, cols = int(rng.integers(1, 13)), int(rng.integers(1, 25))
@@ -479,7 +478,8 @@ def kahan(n, c=0.285):
 
 
 def assert_rank_tol_rank_or_raises(m_mat, theta, tol):
-    # the rank rank_tol counts, or ValueError; a returned decomposition holds
+    # the count of singular values above tol sigma_1, or ValueError; a
+    # returned decomposition holds
     # its own identities
     try:
         dec = pzkv_decompose(m_mat, tol)
@@ -589,44 +589,52 @@ def test_synthesis_factors_well_conditioned():
         assert np.linalg.cond(real.v_sympl) <= 1e4
 
 
-# ----------------------------------------------------------- minnorm_right_solve
+# ------------------------------------------------------- the QR right solve
+# _qr_minnorm solves (q1 r1)^T z = c on the economy QR of a matrix of full
+# column rank: augment's b_prime and SymplecticCompletion.solve_d_q run it
 
-def test_minnorm_identity():
+
+def qr_right_solve(a, b):
+    """x @ a = b, for a of full column rank, as augment solves it: z = x^T
+    from the QR of a, then checked."""
+    x = _qr_minnorm(*np.linalg.qr(a), b.T).T
+    _check_consistent(x, a, b, matkit.DEFAULT_TOL)
+    return x
+
+
+def test_qr_right_solve_identity():
     b = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert np.allclose(minnorm_right_solve(np.eye(3), b), b, atol=1e-12)
+    assert np.allclose(qr_right_solve(np.eye(3), b), b, atol=1e-12)
 
 
-def test_minnorm_tall_fat():
-    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    x = minnorm_right_solve(a, np.array([[2.0, 3.0, 0.0]]))
-    assert np.allclose(x, [[2.0, 3.0]], atol=1e-12)
+def test_qr_right_solve_tall():
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    x = qr_right_solve(a, np.array([[2.0, 3.0]]))
+    assert np.allclose(x, [[2.0, 3.0, 0.0]], atol=1e-12)
 
 
-def test_minnorm_rejects_inconsistent():
+def test_consistency_check_rejects_inconsistent():
+    # x @ a = b for a = [1 0 0] has no solution when b leaves its row space
     with pytest.raises(ValueError, match="inconsistent"):
-        minnorm_right_solve(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]))
+        _check_consistent(np.ones((1, 1)), np.array([[1.0, 0.0, 0.0]]),
+                          np.array([[0.0, 1.0, 0.0]]), matkit.DEFAULT_TOL)
 
 
-def test_minnorm_random():
+def test_qr_right_solve_random_is_the_minimum_norm_solution():
     rng = np.random.default_rng(59)
     for _ in range(30):
-        r, c, k = (int(rng.integers(1, 7)) for _ in range(3))
+        r, k = (int(rng.integers(1, 7)) for _ in range(2))
+        c = int(rng.integers(1, r + 1))
         a = rng.standard_normal((r, c))
         x0 = rng.standard_normal((k, r))
         b = x0 @ a
-        x = minnorm_right_solve(a, b)
+        x = qr_right_solve(a, b)
         assert np.abs(x @ a - b).max() < 1e-10 * (1 + np.abs(b).max())
         assert np.linalg.norm(x) <= np.linalg.norm(x0) + 1e-9
+        assert np.abs(x - minnorm_right_solve(a, b)).max() <= 1e-10 * (1 + np.abs(x).max())
 
 
 # ------------------------------------------------------------------------ misc
-
-def test_rank_tol():
-    assert rank_tol(np.eye(3)) == 3
-    assert rank_tol(np.zeros((2, 2))) == 0
-    assert rank_tol(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
-    assert rank_tol(np.zeros((0, 4))) == 0
-
 
 def test_random_symplectic():
     rng = np.random.default_rng(61)
@@ -717,7 +725,7 @@ VERIFICATIONS = [
     ("m_mat is not isotropic", lambda: pzkv_decompose(isotropic_rows())),
     ("network failed to verify", lambda: pzkv_decompose(isotropic_rows())),
     ("x @ a = b is inconsistent: b is not in the row space of a",
-     lambda: minnorm_right_solve(np.eye(2), np.ones((1, 2)))),
+     lambda: completion_of_one_pair().solve_d_q(np.ones((2, 1)))),
     ("skew canonical form failed to verify", lambda: skew_canonical(diag_j(2))),
     ("Ito factor failed to verify", lambda: ito_factorize(vacuum_fw(1))),
 ]
@@ -890,20 +898,15 @@ def completion_of_one_pair():
      "d_q has 2 quadrature pairs but only m=1 channels"),
     (lambda: pzkv_decompose(np.zeros((1, 3))),
      "m_mat must have an even column count, got shape (1, 3)"),
-    (lambda: minnorm_right_solve(np.zeros((2, 3)), np.zeros((2, 2))),
-     "column mismatch: a has 3, b has 2"),
     (lambda: completion_of_one_pair().solve_d_q(np.ones((3, 1))),
      "c must have shape (2, cols) to match d_q of shape (2, 4), got shape (3, 1)"),
     (lambda: completion_of_one_pair().solve_d_q(np.ones(2)),
      "c must have shape (2, cols) to match d_q of shape (2, 4), got shape (2,)"),
     (lambda: completion_of_one_pair().solve_n_mat(np.ones((1, 3))),
      "m_rhs must have shape (rows, 4) to match n_mat of shape (2, 4), got shape (1, 3)"),
-    (lambda: rank_tol(np.ones((2, 2, 2))), "m_mat must be 2-D, got shape (2, 2, 2)"),
-    (lambda: rank_tol(np.ones(3)), "m_mat must be 2-D, got shape (3,)"),
 ], ids=["skew_canonical-non-square", "ito_factorize-non-square", "completion-odd-rows",
-        "completion-n_yq-above-m", "pzkv-column-mismatch", "minnorm-column-mismatch",
-        "solve_d_q-row-mismatch", "solve_d_q-1-d", "solve_n_mat-column-mismatch",
-        "rank_tol-3-d", "rank_tol-1-d"])
+        "completion-n_yq-above-m", "pzkv-column-mismatch", "solve_d_q-row-mismatch",
+        "solve_d_q-1-d", "solve_n_mat-column-mismatch"])
 def test_input_errors_name_the_problem(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -919,17 +922,11 @@ INCONSISTENT = "x @ a = b is inconsistent: b is not in the row space of a (resid
     (lambda: skew_canonical([[0.0, INF], [-INF, 0.0]]), "theta has a non-finite entry"),
     (lambda: ito_factorize([[NAN]]), "f_v has a non-finite entry"),
     (lambda: ito_factorize([[complex(1.0, INF)]]), "f_v has a non-finite entry"),
-    (lambda: minnorm_right_solve(np.eye(2), [[NAN, 1.0]]), "b has a non-finite entry"),
-    (lambda: minnorm_right_solve([[INF, 0.0], [0.0, 1.0]], np.eye(2)),
-     "a has a non-finite entry"),
     (lambda: completion_of_one_pair().solve_d_q([[1.0], [NAN]]), INCONSISTENT),
     (lambda: completion_of_one_pair().solve_d_q([[1.0], [INF]]), INCONSISTENT),
     (lambda: completion_of_one_pair().solve_n_mat([[NAN, 0.0, 0.0, 1.0]]), INCONSISTENT),
-    (lambda: rank_tol([[INF, 0.0], [0.0, 1.0]]), "m_mat has a non-finite entry"),
-    (lambda: rank_tol([[NAN, 0.0], [0.0, 1.0]]), "m_mat has a non-finite entry"),
 ], ids=["skew_canonical-nan", "skew_canonical-inf", "ito_factorize-nan", "ito_factorize-inf",
-        "minnorm-nan-b", "minnorm-inf-a", "solve_d_q-nan", "solve_d_q-inf", "solve_n_mat-nan",
-        "rank_tol-inf", "rank_tol-nan"])
+        "solve_d_q-nan", "solve_d_q-inf", "solve_n_mat-nan"])
 def test_non_finite_input_is_rejected(call, message, capfd):
     # A NaN fails no `residual > bound` test, so each verifier would pass it
     with pytest.raises(ValueError) as info:
