@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,21 +184,25 @@ def simulate(sys: StandardSystem, sigma0=None, *, t_final: float, dt: float,
         while h <= n_steps:
             size = min(h, n_steps + 1 - h)
             np.matmul(means[:size], phi.T, out=means[h:h + size])
+            # the Hermitian average's 1/2, applied to the second product and
+            # to Q: halving is exact, so the samples keep every bit, except
+            # in the subnormal range, and except sums between half the float
+            # maximum and the maximum, which no longer overflow
+            half_phi, half_q_t = 0.5 * phi, np.ascontiguousarray(0.5 * q.T)
             for start in range(0, size, chunk):
                 stop = min(start + chunk, size)
                 out, lo = sigmas[h + start:h + stop], work[:stop - start]
                 # Phi acts on the real and imaginary parts of Sigma alike, so
                 # both products run in real arithmetic on float views, with
                 # the output block as scratch for the transposed product:
-                # lo = Phi (Phi Sigma)^T + Q^T = (Phi Sigma Phi^T + Q)^T
+                # lo = Phi (Phi Sigma)^T / 2 + Q^T / 2 = (Phi Sigma Phi^T + Q)^T / 2
                 np.matmul(phi, sigmas[start:stop].view(float), out=lo.view(float))
                 np.copyto(out, lo.transpose(0, 2, 1))
-                np.matmul(phi, out.view(float), out=lo.view(float))
-                lo += q.T
-                # S + S^H of S = lo^T, on the float views
-                np.add(lo.real, lo.real.transpose(0, 2, 1), out=out.real)
-                np.subtract(lo.imag.transpose(0, 2, 1), lo.imag, out=out.imag)
-                out *= 0.5
+                np.matmul(half_phi, out.view(float), out=lo.view(float))
+                lo += half_q_t
+                # (S + S^H) / 2 of S = 2 lo^T, as conj(lo) + lo^T in place
+                np.conjugate(lo, out=out)
+                out += lo.transpose(0, 2, 1)
             h *= 2
             if h <= n_steps:
                 phi, q = _doubled(phi, q)
@@ -222,37 +227,69 @@ def _binade(x: float) -> float:
     return math.ldexp(0.5, math.frexp(x)[1])
 
 
-def _chunk_drift(s: np.ndarray, two_theta: np.ndarray, scaled: bool):
-    """The largest skew drift over the stack of samples s.
+@lru_cache
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices, into an n x n matrix, of (i, j) and of (j, i) for every
+    i <= j: each off-diagonal pair once, and the diagonal."""
+    i, j = np.triu_indices(n)
+    index = i * n + j, j * n + i
+    for k in index:
+        k.setflags(write=False)
+    return index
+
+
+def _scaled(x: np.ndarray, p: float) -> np.ndarray:
+    """x / p, on the float view: a complex division turns inf into NaN."""
+    return (x.view(float) / p).view(x.dtype)
+
+
+def _chunk_drift(flat: np.ndarray, index, two_skew: np.ndarray, sym: np.ndarray,
+                 scaled: bool):
+    """The largest skew drift over a stack of flattened samples.
+
+    Twice the deviation, 2 (S - S^T)/2i - 2 theta_n, is the antisymmetric
+    (S - S^T)/i - (theta_n - theta_n^T) minus the symmetric
+    sym = theta_n + theta_n^T, and the two are orthogonal.  The pairs (i, j),
+    (j, i) of the first have equal squares, so each pair is read once, as
+    S_ij - S_ji - two_skew with two_skew = i (theta_ij - theta_ji), whose
+    modulus is that entry's; the sum is doubled, exactly, and sym adds
+    |sym|^2.  On the diagonal S - S^T is 0, or NaN from a non-finite entry.
 
     Unscaled, the squared deviations overflow once a drift passes about
     1e154.  Scaled, the samples are divided by the power of two at their
     largest entry and the deviations by the one at their largest value,
     both exactly, so that only the final product can overflow.
     """
-    # 2 (S - S^T)/2i has real part Im S - Im S^T and imaginary part
-    # Re S^T - Re S; the factor 2 comes off exactly with the unit
-    re, im = s.real, s.imag
+    upper, lower = (np.take(flat, k, axis=1) for k in index)
     unit = 0.5
     if scaled:
-        top = _binade(max(np.abs(re).max(), np.abs(im).max(), np.abs(two_theta).max()))
-        re, im, two_theta, unit = re / top, im / top, two_theta / top, unit * top
-    dev_re = im - im.transpose(0, 2, 1) - two_theta
-    dev_im = re - re.transpose(0, 2, 1)
+        top = _binade(max(np.abs(x.view(float)).max(initial=0.0)
+                          for x in (upper, lower, two_skew, sym)))
+        upper, lower, two_skew, sym = (_scaled(x, top) for x in (upper, lower, two_skew, sym))
+        unit *= top
+    dev = np.subtract(upper, lower, out=upper)
+    dev -= two_skew[:len(dev)]
+    dev = dev.view(float)
     if scaled:
-        step = _binade(max(np.abs(dev_re).max(), np.abs(dev_im).max()))
-        dev_re, dev_im, unit = dev_re / step, dev_im / step, unit * step
-    sq = (np.einsum("kij,kij->k", dev_re, dev_re)
-          + np.einsum("kij,kij->k", dev_im, dev_im))
+        step = _binade(max(np.abs(dev).max(initial=0.0), np.abs(sym).max(initial=0.0)))
+        dev, sym, unit = dev / step, sym / step, unit * step
+    sq = 2.0 * np.vecdot(dev, dev) + sym @ sym
     return np.sqrt(sq.max()) * unit
 
 
 def skew_drift(traj: MomentTrajectory, theta_n) -> float:
     """Largest distance of the skew part of Sigma from theta_n over the run.
 
-    theta_n must be square and of the samples' shape, else ValueError.  A NaN
-    sample gives NaN.  A drift beyond the float range gives inf; below it the
-    result is finite, as a sum of squares that overflows is summed again scaled.
+    The distance is the Frobenius norm of (Sigma - Sigma^T)/2i - theta_n.
+    With theta_n skew that deviation is antisymmetric, so each (i, j), (j, i)
+    pair of entries is read once; a theta_n that is not skew adds the
+    squared norm of its symmetric part to every sample's squared drift.
+    theta_n must be square and of the samples' shape, else ValueError.  A NaN sample, or a non-finite
+    entry on a diagonal, gives NaN, and an infinite off-diagonal entry gives
+    inf (NaN when the same part of its mirror entry is an infinity of the
+    same sign).  A finite drift beyond the float range gives inf; below it
+    the result is finite, as a sum of squares that overflows is summed again
+    scaled.
     """
     theta_n = np.asarray(theta_n)
     # a view of simulate's stack; a hand-built tuple of samples is stacked once
@@ -262,15 +299,21 @@ def skew_drift(traj: MomentTrajectory, theta_n) -> float:
         raise ValueError(f"skew_drift: theta_n of shape {theta_n.shape} does not "
                          f"match second moments of shape {sigmas.shape}")
     # shapes an empty run, whose samples have no shape to check
-    sigmas = sigmas.reshape(len(sigmas), *theta_n.shape)
-    two_theta = 2.0 * theta_n
+    flat = sigmas.astype(complex, copy=False).reshape(len(sigmas), theta_n.size)
+    theta_n = theta_n.astype(float)
+    index = _pair_index(len(theta_n))
     chunk = max(1, _DRIFT_CHUNK // max(1, theta_n.size))
-    chunks = [sigmas[start:start + chunk] for start in range(0, len(sigmas), chunk)]
+    # one row per sample of a chunk: subtracting a broadcast row is slower
+    two_skew = np.zeros((min(chunk, len(flat)), len(index[0])), dtype=complex)
+    two_skew.imag = theta_n.flat[index[0]] - theta_n.flat[index[1]]
+    sym = (theta_n + theta_n.T).ravel()
+    chunks = [flat[start:start + chunk] for start in range(0, len(flat), chunk)]
     # np.max, unlike max (max(0.0, nan) is 0.0), carries a NaN through
     with np.errstate(over="ignore", invalid="ignore"):
-        worst = np.max([_chunk_drift(s, two_theta, False) for s in chunks], initial=0.0)
+        worst = np.max([_chunk_drift(s, index, two_skew, sym, False) for s in chunks],
+                       initial=0.0)
         # scaling more than doubles the passes over the samples, so only a
         # sum that overflowed pays for it
         if worst == math.inf:
-            worst = np.max([_chunk_drift(s, two_theta, True) for s in chunks])
+            worst = np.max([_chunk_drift(s, index, two_skew, sym, True) for s in chunks])
     return float(worst)

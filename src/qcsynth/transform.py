@@ -70,12 +70,21 @@ def to_standard(g: GeneralSystem, tol: float = DEFAULT_TOL) -> TransformWitness:
     (fixing p_n and the split n = 2 n_q + n_c), the input Ito matrix is
     factored through vacuum quadrature channels (fixing w), and the output
     commutation matrix is brought to canonical form the same way (fixing
-    p_y and the split n_y = 2 n_yq + n_yc).
+    p_y and the split n_y = 2 n_yq + n_yc).  A conversion whose products
+    overflow raises ValueError naming the first standard-form block that is
+    not finite.
     """
     problems = validate(g)
     if problems:
         raise ValueError("invalid general-form system: " + "; ".join(problems))
-    return _convert(g, tol)
+    witness = _convert(g, tol)
+    std = witness.standard
+    bad = next((name for name in ("a", "b", "c", "d")
+                if not np.isfinite(getattr(std, name)).all()), None)
+    if bad is not None:
+        raise ValueError(f"to_standard: the standard-form {bad} is not finite "
+                         "(the conversion products overflowed)")
+    return witness
 
 
 def _convert(g: GeneralSystem, tol: float) -> TransformWitness:

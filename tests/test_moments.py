@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from qcsynth import (
     simulate,
     skew_drift,
 )
-from qcsynth.moments import _exact_step, _expm_taylor, _halvings
+from qcsynth.moments import _DRIFT_CHUNK, _exact_step, _expm_taylor, _halvings
 from refsystems import CAVITY_DIMS, damped_cavity, grid_sample, mixed_reference
 
 
@@ -436,6 +437,67 @@ def test_skew_drift_carries_nan_and_scales_past_overflow():
         broken[k, 3, 5] = np.nan
         traj = MomentTrajectory(tuple(range(300)), np.zeros((300, 12)), broken)
         assert math.isnan(skew_drift(traj, theta))
+
+
+def drift_chunk(n):
+    return max(1, _DRIFT_CHUNK // (n * n))
+
+
+def hermitian_near(theta, count, rng):
+    """Hermitian samples whose skew part sits about 1e-3 away from theta."""
+    n = theta.shape[0]
+    g = rng.standard_normal((count, n, n))
+    h = rng.standard_normal((count, n, n))
+    return (g + g.transpose(0, 2, 1)) + 1j * (theta + 1e-3 * (h - h.transpose(0, 2, 1)))
+
+
+NON_FINITE_CELLS = [(n, where, part, value)
+                    for n in (1, 3, 12)
+                    for where in (("diagonal",) if n == 1 else ("diagonal", "upper", "lower"))
+                    for part in ("real", "imag")
+                    for value in (np.nan, np.inf, -np.inf)]
+
+
+@pytest.mark.parametrize("n, where, part, value", NON_FINITE_CELLS,
+                         ids=[f"n{n}-{where}-{part}-{value}" for n, where, part, value in
+                              NON_FINITE_CELLS])
+@pytest.mark.parametrize("at", ["last-of-chunk", "first-of-next-chunk"])
+def test_skew_drift_non_finite_entry(n, where, part, value, at):
+    # a NaN anywhere, and any non-finite diagonal entry (S_ii - S_ii is
+    # inf - inf), give NaN; an infinite off-diagonal entry gives inf
+    theta = make_structure(Dimensions(n // 3, n - 2 * (n // 3), 2, 0, 0)).theta_n
+    chunk = drift_chunk(n)
+    stack = hermitian_near(theta, chunk + 1, np.random.default_rng(n))
+    k = chunk - 1 if at == "last-of-chunk" else chunk
+    i, j = {"diagonal": (n - 1, n - 1), "upper": (0, n - 1), "lower": (n - 1, 0)}[where]
+    getattr(stack[k], part)[i, j] = value
+    traj = MomentTrajectory(tuple(range(chunk + 1)), np.zeros((chunk + 1, n)), stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drift = skew_drift(traj, theta)
+    if math.isnan(value) or where == "diagonal":
+        assert math.isnan(drift)
+    else:
+        assert drift == math.inf
+
+
+def ulps_apart(x, y):
+    return abs(x - y) / np.spacing(max(x, y))
+
+
+@pytest.mark.parametrize("n", [1, 2, 48])
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+@pytest.mark.parametrize("theta_kind", ["skew", "not-skew"])
+def test_skew_drift_is_within_4_ulps_of_the_full_matrix_formula(n, extra, theta_kind):
+    rng = np.random.default_rng(7 * n + extra)
+    theta = make_structure(Dimensions(n // 2, n % 2, 2, 0, 0)).theta_n
+    if theta_kind == "not-skew":
+        theta = theta + rng.standard_normal((n, n))
+    count = drift_chunk(n) + extra
+    # samples that are not Hermitian either
+    stack = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    traj = MomentTrajectory(tuple(range(count)), np.zeros((count, n)), stack)
+    assert ulps_apart(skew_drift(traj, theta), old_skew_drift(stack, theta)) <= 4
 
 
 def test_empty_state_trajectory():

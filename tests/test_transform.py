@@ -128,6 +128,31 @@ def test_to_standard_rejects_invalid():
         to_standard(g)
 
 
+def scaled_pull_back(**factors):
+    """The seed-3 Dimensions(1, 1, 2, 1, 1) pull-back with some of its
+    matrices (by GeneralSystem field name) multiplied by a factor."""
+    g = as_general(generate_realizable(Dimensions(1, 1, 2, 1, 1), seed=3))
+    return GeneralSystem(*(factors.get(f, 1.0) * getattr(g, f) for f in
+                           ("a_g", "b_g", "c_g", "d_g", "big_theta_n", "f_v", "f_y")))
+
+
+@pytest.mark.parametrize("factors, block", [
+    # every matrix times 1e300: all four standard blocks overflow
+    (dict.fromkeys(("a_g", "b_g", "c_g", "d_g", "big_theta_n", "f_v", "f_y"), 1e300), "a"),
+    # f_v times 1e8 gives a w of about 1e4, which carries b_g and d_g past the float range
+    ({"f_v": 1e8, "b_g": 1e306, "d_g": 1e306}, "b"),
+    ({"f_v": 1e8, "d_g": 1e306}, "d"),
+], ids=["all-1e300", "b-and-d", "d-only"])
+def test_to_standard_names_the_first_non_finite_block(factors, block):
+    g = scaled_pull_back(**factors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            to_standard(g)
+    assert str(info.value) == (f"to_standard: the standard-form {block} is not finite "
+                               "(the conversion products overflowed)")
+
+
 def conditioned_invertible(rng, n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.exp(0.3 * rng.standard_normal(n))
