@@ -219,6 +219,10 @@ def load_system(path: str, expect: str | None = None):
         raise SystemFileError(f"{path}: expected a JSON object")
     form = obj.get("form")
     if not isinstance(form, str) or form not in _FORMS:
+        kind = obj.get("kind")
+        if form is None and isinstance(kind, str):
+            raise SystemFileError(f"{path}: expected a system file, got a {kind} report "
+                                  f"(kind = {kind!r})")
         raise SystemFileError(f"{path}: 'form' must be one of {', '.join(_FORMS)}; "
                               f"got {form!r}")
     if expect is not None and form != expect:

@@ -50,8 +50,8 @@ class MomentTrajectory:
     second_moments: np.ndarray
 
 
-def _expm_taylor(x: np.ndarray) -> np.ndarray:
-    """exp(x) for a stack of matrices whose powers obey |x^k| <= k |x|.
+def _expm_taylor(x: np.ndarray, n: int) -> np.ndarray:
+    """Top n rows of exp(x), for a stack of matrices with |x^k| <= k |x|.
 
     That holds for x of norm at most 1 and for the blocks of _exact_step.
     Past degree 18 the Taylor series then adds less than
@@ -59,17 +59,20 @@ def _expm_taylor(x: np.ndarray) -> np.ndarray:
     (Higham, SIAM J. Matrix Anal. Appl. 2005).  Paterson-Stockmeyer
     evaluates the polynomial in powers of x^4 with 7 products; the identity
     is added last, so that the small terms sum before they meet the unit
-    diagonal.
+    diagonal.  The callers read only the top block row, so x^2 and x^4 are
+    whole, as right factors, and x^3, the terms and the Horner products run
+    on n rows, with as many numpy calls as the whole exponential.
     """
     c = _TAYLOR
-    eye = np.eye(x.shape[-1])
+    eye = np.eye(n, x.shape[-1])
     x2 = x @ x
-    x3 = x2 @ x
     x4 = x2 @ x2
-    acc = c[16] * eye + c[17] * x + c[18] * x2
+    top, top2 = x[..., :n, :], x2[..., :n, :]
+    x3 = top2 @ x
+    acc = c[16] * eye + c[17] * top + c[18] * top2
     for j in (12, 8, 4):
-        acc = acc @ x4 + (c[j] * eye + c[j + 1] * x + c[j + 2] * x2 + c[j + 3] * x3)
-    acc = acc @ x4 + (x + c[2] * x2 + c[3] * x3)
+        acc = acc @ x4 + (c[j] * eye + c[j + 1] * top + c[j + 2] * top2 + c[j + 3] * x3)
+    acc = acc @ x4 + (top + c[2] * top2 + c[3] * x3)
     return acc + eye
 
 
@@ -87,16 +90,16 @@ def _halvings(a: np.ndarray, h: float) -> int | None:
 def _exact_step(a: np.ndarray, pump: np.ndarray, dt: float):
     """Transition Phi = exp(A dt) and noise term Q_d of one step of length dt.
 
-    The top row of exp([[A, P], [0, -A^T]] h) is [exp(A h), Q_h exp(-A^T h)].
-    Q_h is linear in P, so the real and imaginary parts of P go through two
-    real exponentials in one batched evaluation, which is cheaper than one
-    complex one.  When h |A| >> 1 the block mixes exp(A h) with exp(-A^T h)
-    and loses digits to their ratio, so h is dt halved until
-    h max(|A|_1, |A|_inf) <= 1 and the sub-steps are composed by doubling:
-    Q <- Phi Q Phi^T + Q, Phi <- Phi^2.  At that h both diagonal blocks have
-    1-norm at most 1 and the top right block of the k-th power at most
-    k |P h|_1, so the Taylor step of _expm_taylor is exact to round-off
-    whatever P is.
+    _expm_taylor forms the top block row of exp([[A, P], [0, -A^T]] h),
+    [exp(A h), Q_h exp(-A^T h)].  Q_h is linear in P, so the real and
+    imaginary parts of P go through two real exponentials in one batched
+    evaluation, which is cheaper than one complex one.  When h |A| >> 1 the
+    block mixes exp(A h) with exp(-A^T h) and loses digits to their ratio,
+    so h is dt halved until h max(|A|_1, |A|_inf) <= 1 and the sub-steps
+    are composed by doubling: Q <- Phi Q Phi^T + Q, Phi <- Phi^2.  At that
+    h both diagonal blocks have 1-norm at most 1 and the top right block of
+    the k-th power at most k |P h|_1, so the Taylor step of _expm_taylor is
+    exact to round-off whatever P is.
     """
     n = a.shape[0]
     # an overflowed scale runs unscaled, and simulate reports the non-finite step
@@ -106,17 +109,19 @@ def _exact_step(a: np.ndarray, pump: np.ndarray, dt: float):
     blocks[:, n:, n:] = -a.T
     blocks[0, :n, n:] = pump.real
     blocks[1, :n, n:] = pump.imag
-    e = _expm_taylor(blocks * math.ldexp(dt, -halvings))
-    phi = e[0, :n, :n]
-    q = (e[0, :n, n:] + 1j * e[1, :n, n:]) @ phi.T
+    e = _expm_taylor(blocks * math.ldexp(dt, -halvings), n)
+    phi = e[0, :, :n]
+    q = (e[0, :, n:] + 1j * e[1, :, n:]) @ phi.T
     for _ in range(halvings):
         phi, q = _doubled(phi, q)
     return phi, (q + q.conj().T) / 2.0
 
 
 def _doubled(phi: np.ndarray, q: np.ndarray):
-    """Two steps of h as one of 2h: (Phi_2h, Q_2h) = (Phi_h^2, Phi_h Q_h Phi_h^T + Q_h)."""
-    return phi @ phi, phi @ q @ phi.T + q
+    """Two steps of h as one of 2h: (Phi_2h, Q_2h) = (Phi_h^2, Phi_h Q_h Phi_h^T + Q_h),
+    with the real Phi on float views of Q, as in the sample fill: Phi (Phi Q)^T."""
+    phi_q = (phi @ q.view(float)).view(complex)
+    return phi @ phi, q + (phi @ phi_q.T.copy().view(float)).view(complex).T
 
 
 def _grid_steps(t_final: float, dt: float) -> int:

@@ -206,8 +206,9 @@ def commutator_trajectory(sys: StandardSystem, times) -> list[np.ndarray]:
     for each t, exactly zero at t = 0; it is identically zero exactly when
     the non-demolition condition holds.  The integral is the top-right block
     of exp([[A, I], [0, 0]] t) (Van Loan, IEEE TAC 1978), for every A: each t
-    is halved as in moments._exact_step, one batched Taylor step takes all
-    sub-steps, and doubling (I <- Phi I + I, Phi <- Phi^2) carries each back.
+    is halved as in moments._exact_step, one batched Taylor step forms the
+    top block row [Phi, integral] of all sub-steps, and doubling
+    (I <- Phi I + I, Phi <- Phi^2) carries each back.
     An overflow raises ValueError naming the first time that is not finite.
     """
     times = [float(t) for t in times]
@@ -226,8 +227,8 @@ def commutator_trajectory(sys: StandardSystem, times) -> list[np.ndarray]:
     steps = [math.ldexp(t, -k) for t, k in zip(times, counts)]
     # overflow is reported through the non-finite check below
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _expm_taylor(np.multiply.outer(steps, block))
-        phi, integral = e[:, :n, :n], e[:, :n, n:]
+        e = _expm_taylor(np.multiply.outer(steps, block), n)
+        phi, integral = e[:, :, :n], e[:, :, n:]
         for k in range(max(counts, default=0)):
             # counts grow with the sorted times: those still doubling are a suffix
             j = np.searchsorted(counts, k, side="right")

@@ -1533,6 +1533,28 @@ def test_input_boundary_errors(tmp_path, capsys, command, edit, message):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("kind", ["realization", "transform-witness", "trajectory"])
+def test_report_passed_as_system_file_names_its_kind(tmp_path, capsys, kind):
+    # each report is an object with a string kind and no form
+    system = write_system(tmp_path / "sys.json", mixed_reference())
+    general = write_system(tmp_path / "general.json", as_general(mixed_reference()))
+    made_by = {"realization": ["synthesize", system],
+               "transform-witness": ["to-standard", general],
+               "trajectory": ["simulate", system, "--t-final", "0.01"]}[kind]
+    path = tmp_path / f"{kind}.json"
+    code, _, err = run(capsys, *made_by, "-o", str(path))
+    assert code == 0, err
+    obj = json.loads(path.read_text())
+    assert obj["kind"] == kind and "form" not in obj
+    for command in ("check", "to-standard", "synthesize", "simulate"):
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, command, str(path), "-o", str(report))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: expected a system file, got a {kind} report " \
+                      f"(kind = '{kind}')\n"
+        assert not report.exists()
+
+
 GENERATE_ARGV = ["generate", "--n-q", "1", "--n-c", "1", "--m", "2", "--n-yq", "1",
                  "--n-yc", "1", "--seed", "3"]
 

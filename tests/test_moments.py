@@ -15,7 +15,7 @@ from qcsynth import (
     simulate,
     skew_drift,
 )
-from qcsynth.moments import _DRIFT_CHUNK, _exact_step, _expm_taylor, _halvings
+from qcsynth.moments import _DRIFT_CHUNK, _doubled, _exact_step, _expm_taylor, _halvings
 from refsystems import CAVITY_DIMS, damped_cavity, grid_sample, mixed_reference
 
 
@@ -253,15 +253,30 @@ def test_exact_step_doubles_like_explicit_loop(dt):
     n, pump = 3, sys.b @ sys.structure.f_w @ sys.b.T
     halvings = _halvings(sys.a, dt)
     assert halvings > 0
-    e = _expm_taylor(van_loan_blocks(sys.a, pump) * math.ldexp(dt, -halvings))
-    phi = e[0, :n, :n]
-    q = (e[0, :n, n:] + 1j * e[1, :n, n:]) @ phi.T
+    e = _expm_taylor(van_loan_blocks(sys.a, pump) * math.ldexp(dt, -halvings), n)
+    phi = e[0, :, :n]
+    q = (e[0, :, n:] + 1j * e[1, :, n:]) @ phi.T
     for _ in range(halvings):
-        q = phi @ q @ phi.T + q
+        # Q <- Phi Q Phi^T + Q, in real products on float views: Phi (Phi Q)^T
+        phi_q = (phi @ q.view(float)).view(complex)
+        q = q + (phi @ phi_q.T.copy().view(float)).view(complex).T
         phi = phi @ phi
     got_phi, got_q = _exact_step(sys.a, pump, dt)
     assert np.array_equal(got_phi, phi)
     assert np.array_equal(got_q, (q + q.conj().T) / 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 48])
+def test_doubling_on_float_views_matches_complex_formula(n):
+    # a random real Phi and a non-Hermitian complex Q: the float-view products
+    # within 4 eps of the complex formula, relative in the Frobenius norm
+    rng = np.random.default_rng(n)
+    phi = rng.standard_normal((n, n)) / math.sqrt(n)
+    q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    got_phi, got_q = _doubled(phi, q)
+    assert np.array_equal(got_phi, phi @ phi)
+    want = phi @ q @ phi.T + q
+    assert np.linalg.norm(got_q - want) <= 4 * np.finfo(float).eps * np.linalg.norm(want)
 
 
 def van_loan_blocks(a, pump):
@@ -275,23 +290,44 @@ def van_loan_blocks(a, pump):
     return blocks
 
 
-@pytest.mark.parametrize("norm", [1e-8, 0.1, 0.5, 1.0])
-@pytest.mark.parametrize("pump_norm", [1e-3, 1.0, 1e6])
-def test_taylor_exponential_matches_40_digits(norm, pump_norm):
+def commutator_blocks(a, h):
+    # the stack commutator_trajectory exponentiates: [[A, I], [0, 0]] times
+    # the sub-steps h and 2^-5 h, with a = A h
+    n = a.shape[0]
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = a / h
+    block[:n, n:] = np.eye(n)
+    return np.multiply.outer([h, h / 32], block)
+
+
+# n = 3 over the whole grid, n = 1 and 6 at its corners
+TAYLOR_GRID = [(n, norm, pump_norm) for n in (1, 3, 6) for norm in (1e-8, 0.1, 0.5, 1.0)
+               for pump_norm in (1e-3, 1.0, 1e6)
+               if n == 3 or (norm in (1e-8, 1.0) and pump_norm in (1e-3, 1e6))]
+
+
+@pytest.mark.parametrize("shape", ["van-loan", "commutator"])
+@pytest.mark.parametrize("n, norm, pump_norm", TAYLOR_GRID)
+def test_taylor_exponential_matches_40_digits(shape, n, norm, pump_norm):
     # h max(|A|_1, |A|_inf) = norm, the largest a sub-step allows being 1,
-    # and |h P| up to 1e6: every entry within 4 eps of the 40-digit exponential
+    # and a top right block (h P, or h I) up to 1e6: every entry of the top
+    # n rows within 4 eps of the 40-digit exponential's
     rng = np.random.default_rng(89)
-    n = 3
     a = rng.standard_normal((n, n))
     a *= norm / max(np.abs(a).sum(axis=0).max(), np.abs(a).sum(axis=1).max())
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    pump = g @ g.conj().T
-    pump *= pump_norm / np.abs(pump).max()
-    blocks = van_loan_blocks(a, pump)
-    got = _expm_taylor(blocks)
+    if shape == "van-loan":
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        pump = g @ g.conj().T
+        pump *= pump_norm / np.abs(pump).max()
+        blocks = van_loan_blocks(a, pump)
+    else:
+        blocks = commutator_blocks(a, pump_norm)
+    got = _expm_taylor(blocks, n)
+    assert got.shape == (len(blocks), n, 2 * n)
     for block, e in zip(blocks, got):
         with mpmath.workdps(40):
             want = np.array(mpmath.expm(mpmath.matrix(block.tolist())).tolist(), dtype=float)
+        want = want[:n]
         assert np.abs(e - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
